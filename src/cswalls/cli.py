@@ -33,7 +33,7 @@ from .charges import (
 )
 from .classify import full_classification
 from .envelopes import BNModel, make_model, model_from_json, region_uc, region_uf
-from .errors import CswallsError, GenusOutOfRange
+from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
     chamber_report_from_json,
     chamber_report_to_json,
@@ -101,11 +101,19 @@ def parse_class(text: str) -> NumClass:
     return NumClass(*(int(p) for p in parts))
 
 
+def parse_rat(text: str):
+    """A rational argument; a malformed one is a usage error."""
+    try:
+        return rat(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def parse_point(text: str) -> PlanePoint:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"a point is b,w; got {text!r}")
-    return PlanePoint(rat(parts[0]), rat(parts[1]))
+    return PlanePoint(parse_rat(parts[0]), parse_rat(parts[1]))
 
 
 def parse_window(text: str) -> Window:
@@ -193,7 +201,7 @@ def cached_walls(v: NumClass, cfg: Config, model: BNModel, stderr) -> list:
         try:
             with open(entry_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            if doc.get("key") == key:
+            if isinstance(doc, dict) and doc.get("key") == key:
                 return walls_from_json(doc["walls"])
         except (OSError, json.JSONDecodeError, KeyError, ValueError,
                 TypeError, CswallsError):
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True, type=parse_class)
 
     p = cmd("bn", help="envelope values of the active model at a point")
-    p.add_argument("--at", required=True, type=rat)
+    p.add_argument("--at", required=True, type=parse_rat)
 
     p = cmd("region", help="membership verdicts for a point")
     p.add_argument("--point", required=True, type=parse_point)
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("mualpha", help="classical slope of a class")
     p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--alpha", required=True, type=rat)
+    p.add_argument("--alpha", required=True, type=parse_rat)
 
     p = cmd("walls", help="enumerate walls of a class")
     p.add_argument("--class", dest="cls", required=True, type=parse_class)
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("ray", help="large-volume ray line of a class")
     p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--alpha", required=True, type=rat)
+    p.add_argument("--alpha", required=True, type=parse_rat)
 
     p = cmd("feasible", help="Bogomolov-type feasibility verdict")
     p.add_argument("--class", dest="cls", required=True, type=parse_class)

@@ -17,6 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusOutOfRange, InvalidEnvelope
@@ -124,6 +126,35 @@ class PLFunction:
         for i, (xi, si, vi) in enumerate(self.pieces):
             hi = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else None
             yield (xi, hi, si, vi, xi)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """The function over one common denominator m, for exact integer
+        arithmetic: (m, parts, knots).
+
+        `parts` lists (lo, hi, slope, intercept) of each of
+        `affine_parts` times m (None for an unbounded side), so at the
+        point x/m the part's value is (slope*x + intercept*m)/m^2.
+        `knots` lists (x, value) with x times m and value times m^2: each
+        part's value at its finite ends, then every point override,
+        without repeats.
+        """
+        lines = [(lo, hi, s, v - s * ref)
+                 for lo, hi, s, v, ref in self.affine_parts()]
+        m = 1
+        for row in lines + list(self.point_values):
+            for q in row:
+                if q is not None:
+                    m = lcm(m, q.denominator)
+
+        def sc(q):
+            return None if q is None else q.numerator * (m // q.denominator)
+
+        parts = tuple(tuple(sc(q) for q in row) for row in lines)
+        knots = [(x, s * x + i * m) for lo, hi, s, i in parts
+                 for x in (lo, hi) if x is not None]
+        knots.extend((sc(x), sc(v) * m) for x, v in self.point_values)
+        return m, parts, tuple(dict.fromkeys(knots))
 
     def to_json(self) -> dict:
         return {

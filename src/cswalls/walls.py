@@ -28,8 +28,6 @@ from .errors import (
 )
 from .lattice import Genus, GenusLike, NumClass, genus_value, project
 
-Rat = Fraction
-
 
 class Check(str, Enum):
     PASS = "Pass"
@@ -191,7 +189,12 @@ def delta_certificate(b0, w0, delta, model: BNModel) -> list:
 
 def find_delta(b0, w0, model: BNModel) -> Fraction:
     """Largest delta in {(w0 - upper(b0))/2^k : k >= 1} whose parabola
-    dominates the upper envelope everywhere, certified exactly."""
+    dominates the upper envelope everywhere, certified exactly.
+
+    The rows are those of `delta_certificate`, decided in integers: with
+    delta = head/2^k and every rational on a common denominator, each
+    row's sign is that of an integer expression in 2^k.
+    """
     b0, w0 = Fraction(b0), Fraction(w0)
     head = w0 - model.upper(b0)
     if head <= 0:
@@ -199,11 +202,50 @@ def find_delta(b0, w0, model: BNModel) -> Fraction:
             f"({b0},{w0}) is not above the upper envelope "
             f"(upper({b0}) = {model.upper(b0)})"
         )
-    delta = head
-    for _ in range(256):
-        delta = delta / 2
-        if all(q > 0 for _, q in delta_certificate(b0, w0, delta, model)):
-            return delta
+    m, parts, knots = model.upper.scaled
+    bn, bd = b0.numerator, b0.denominator
+    wn, wd = w0.numerator, w0.denominator
+    hn, hd = head.numerator, head.denominator
+    bm = bn * m
+    # A knot (x/m, u/m^2) gives the row t^2/delta + c - delta with
+    # t = x/m - b0 and c = w0 - u/m^2; times head*2^k*(m*bd)^2*wd*hd^2
+    # that is 4^k*a + 2^k*b - c0 with the integers below.
+    ka, kb = wd * hd * hd, hn * hd * bd * bd
+    c0 = (hn * m * bd) ** 2 * wd
+    wm = wn * m * m
+    points = []
+    for x, u in knots:
+        t = x * bd - bm
+        points.append((t * t * ka, (wm - u * wd) * kb))
+    # A part (slope s/m, intercept i/m) has its parabola vertex at
+    # b0 + s*delta/(2m); the row there is (w0 - part(b0)) - delta*(1 +
+    # s^2/(4m^2)).  Both the row's sign and whether the vertex lies
+    # strictly inside the part compare an integer times 2^k with another.
+    vertices = []
+    wmb = wn * m * bd
+    for lo, hi, sl, ic in parts:
+        vertices.append((
+            None if lo is None else (lo * bd - bm) * hd * 2,
+            None if hi is None else (hi * bd - bm) * hd * 2,
+            sl * hn * bd,
+            4 * (wmb - (sl * bn + ic * bd) * wd) * m * hd,
+            hn * (4 * m * m + sl * sl) * bd * wd,
+        ))
+
+    def certified(k):
+        for a, b in points:
+            if (a << 2 * k) + (b << k) <= c0:
+                return False
+        for lo, hi, at, qa, qb in vertices:
+            inside = ((lo is None or (lo << k) < at)
+                      and (hi is None or at < (hi << k)))
+            if inside and (qa << k) <= qb:
+                return False
+        return True
+
+    for k in range(1, 257):
+        if certified(k):
+            return Fraction(hn, hd << k)
     raise DomainError(
         f"no validating delta found below {head} at ({b0},{w0})"
     )  # pragma: no cover - the parabola always wins for small delta
@@ -255,9 +297,6 @@ class Wall:
         return dict(self.verdicts)[name]
 
 
-VERDICT_NAMES = ("im_positive", "q_nonneg", "feasibility", "region")
-
-
 def _sort_key(wall: Wall):
     inf = wall.nu_value == math.inf
     nu_key = Fraction(0) if inf else wall.nu_value
@@ -268,25 +307,14 @@ def _sort_key(wall: Wall):
 # interval helpers (closed rational intervals, None = unbounded side)
 
 
-def _solve_linear_gt(a: Fraction, c: Fraction) -> tuple:
-    """{x : a*x + c > 0} as (lo, hi, empty) with None for an open side."""
+def _solve_linear(a: Fraction, c: Fraction, strict: bool) -> tuple:
+    """{x : a*x + c > 0} (strict) or {x : a*x + c >= 0} as (lo, hi,
+    empty) with None for an open side.  The boundary root is kept either
+    way (callers treat returned intervals as closed), so strictness only
+    decides the constant case a == 0."""
     if a == 0:
-        if c > 0:
-            return (None, None, False)
-        return (None, None, True)
-    root = -c / a
-    if a > 0:
-        return (root, None, False)
-    return (None, root, False)
-
-
-def _solve_linear_ge(a: Fraction, c: Fraction) -> tuple:
-    """{x : a*x + c >= 0}; same shape as _solve_linear_gt (the boundary
-    root is kept, callers treat returned intervals as closed)."""
-    if a == 0:
-        if c >= 0:
-            return (None, None, False)
-        return (None, None, True)
+        holds = c > 0 if strict else c >= 0
+        return (None, None, not holds)
     root = -c / a
     if a > 0:
         return (root, None, False)
@@ -297,10 +325,6 @@ def _intersect(lo1, hi1, lo2, hi2) -> tuple:
     lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
     hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
     return lo, hi
-
-
-def _nonempty_open(lo, hi) -> bool:
-    return lo is None or hi is None or lo < hi
 
 
 def _affine_above_pl(slope, value, ref, pl, lo: Fraction, hi: Fraction):
@@ -315,15 +339,12 @@ def _affine_above_pl(slope, value, ref, pl, lo: Fraction, hi: Fraction):
         # difference (slope - s)*x + const > 0 on [a, b]
         ca = slope - s
         cc = (value - slope * ref) - (v - s * pref)
-        slo, shi, empty = _solve_linear_gt(ca, cc)
+        slo, shi, empty = _solve_linear(ca, cc, strict=True)
         if empty:
             continue
         ilo, ihi = _intersect(a, b, slo, shi)
-        if ilo <= ihi and ilo < ihi:
+        if ilo < ihi:
             out.append([ilo, ihi])
-        elif ilo == ihi and ca != 0:
-            # single boundary point; no interior
-            pass
     out.sort()
     merged = []
     for seg in out:
@@ -362,9 +383,11 @@ def _interval_hull(intervals) -> Optional[tuple]:
 def _im_interval(v: NumClass, v_sub: NumClass, window: Window):
     """Open b-interval where Im Z(v_sub) > 0 and Im Z(v - v_sub) > 0,
     clipped to the window's b-range; None when empty."""
-    lo1, hi1, e1 = _solve_linear_gt(Fraction(-v_sub.r), Fraction(v_sub.d))
-    lo2, hi2, e2 = _solve_linear_gt(
-        Fraction(v_sub.r - v.r), Fraction(v.d - v_sub.d)
+    lo1, hi1, e1 = _solve_linear(
+        Fraction(-v_sub.r), Fraction(v_sub.d), strict=True
+    )
+    lo2, hi2, e2 = _solve_linear(
+        Fraction(v_sub.r - v.r), Fraction(v.d - v_sub.d), strict=True
     )
     if e1 or e2:
         return None
@@ -393,22 +416,24 @@ def _int_range(x: Fraction, y: Fraction):
 
 
 def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
-    """Yield candidate destabilizer classes with |r'| <= rank_bound that
-    can carry a genuine wall segment inside the window box (a finite,
-    complete superset; exact clipping happens downstream)."""
+    """Yield (candidate, Im interval) for the destabilizer classes with
+    |r'| <= rank_bound that can carry a genuine wall segment inside the
+    window box (a finite, complete superset; exact clipping happens
+    downstream).  The Im interval is `_im_interval` of the candidate."""
     r, d, n = v.r, v.d, v.n
     if v.r != 0:
         beta, eta = project(v)
+        # relaxed generation: exists b in window with
+        # 0 <= d' - b*r' <= d - b*r
+        flo, fhi, empty = _solve_linear(Fraction(-r), Fraction(d),
+                                        strict=True)
+        if empty:
+            return
+        flo = window.b_min if flo is None else max(flo, window.b_min)
+        fhi = window.b_max if fhi is None else min(fhi, window.b_max)
+        if flo > fhi:
+            return
         for rp in range(-rank_bound, rank_bound + 1):
-            # relaxed generation: exists b in window with
-            # 0 <= d' - b*r' <= d - b*r
-            flo, fhi, empty = _solve_linear_gt(Fraction(-r), Fraction(d))
-            if empty:
-                return
-            flo = window.b_min if flo is None else max(flo, window.b_min)
-            fhi = window.b_max if fhi is None else min(fhi, window.b_max)
-            if flo > fhi:
-                return
             dlo = min(flo * rp, fhi * rp)
             dhi = max(d + flo * (rp - r), d + fhi * (rp - r))
             for dp in _int_range(dlo, dhi):
@@ -430,7 +455,7 @@ def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
                 for np_ in _int_range(n_from, n_to):
                     if rp == 0 and gcd(dp, abs(np_)) != 1:
                         continue
-                    yield NumClass(rp, dp, np_)
+                    yield NumClass(rp, dp, np_), gi
     else:
         if d == 0:
             return
@@ -456,7 +481,7 @@ def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
                 n_from = (n * dp - min(vals)) / d
                 n_to = (n * dp - max(vals)) / d
                 for np_ in _int_range(n_from, n_to):
-                    yield NumClass(rp, dp, np_)
+                    yield NumClass(rp, dp, np_), gi
 
 
 def _segment_meets_uf(slope, value, ref, intervals, g: int) -> bool:
@@ -484,6 +509,39 @@ def _segment_meets_uf(slope, value, ref, intervals, g: int) -> bool:
             if b > 0 and max(diff_a, diff_b) > 0:
                 return True
     return False
+
+
+def _negative_q(b0: Fraction, w0: Fraction, delta: Fraction):
+    """Predicate v -> support_form_value(v, SupportForm(b0, w0, delta)) < 0,
+    decided in integers: delta*Q(v) times bd^2*wd*ed^2 > 0 is
+    (d*bd - bn*r)^2*wd*ed^2 + r*(r*kb - n*kc) with kb, kc below."""
+    bn, bd = b0.numerator, b0.denominator
+    wn, wd = w0.numerator, w0.denominator
+    en, ed = delta.numerator, delta.denominator
+    ka = wd * ed * ed
+    kb = en * (wn * ed - en * wd) * bd * bd
+    kc = en * ed * bd * bd * wd
+
+    def negative(v: NumClass) -> bool:
+        lin = v.d * bd - bn * v.r
+        return lin * lin * ka + v.r * (v.r * kb - v.n * kc) < 0
+
+    return negative
+
+
+def _clip_to_window(slope: Fraction, w_ref: Fraction, window: Window):
+    """Closed b-range where w_ref + slope*b stays inside the window box;
+    None when empty."""
+    blo, bhi = window.b_min, window.b_max
+    for a, c in ((slope, w_ref - window.w_min),
+                 (-slope, window.w_max - w_ref)):
+        lo, hi, empty = _solve_linear(a, c, strict=False)
+        if empty:
+            return None
+        blo, bhi = _intersect(blo, bhi, lo, hi)
+    if blo > bhi:
+        return None
+    return blo, bhi
 
 
 def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
@@ -514,37 +572,50 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
             deltas[key] = find_delta(b0, w0, model)
         return deltas[key]
 
-    merged: Dict[tuple, dict] = {}
-    for cand in _candidate_triples(v, window, rank_bound):
+    # Bucket the candidates by line, then by Im interval: the window clip
+    # and the carve depend on the line alone, the segment and its support
+    # form on the interval too (complementary witnesses share both).
+    by_line: Dict[tuple, tuple] = {}
+    for cand, gi in _candidate_triples(v, window, rank_bound):
         line = wall_line(v, cand)
         if line is EVERYWHERE_EQUAL or line is NO_WALL:
             continue
         if line.B == 0:
             continue  # vertical lines never carry genuine segments
-        gi = _im_interval(v, cand, window)
-        if gi is None:
-            continue
-        # clip the line to the closed window box in b
-        slope = Fraction(-line.A, line.B)
-        w_ref = line.w_at(Fraction(0))
-        blo, bhi = window.b_min, window.b_max
-        wlo, whi, empty = _solve_linear_ge(slope, w_ref - window.w_min)
-        if empty:
-            continue
-        blo, bhi = _intersect(blo, bhi, wlo, whi)
-        wlo, whi, empty = _solve_linear_ge(-slope, window.w_max - w_ref)
-        if empty:
-            continue
-        blo, bhi = _intersect(blo, bhi, wlo, whi)
-        if blo is None or bhi is None or blo > bhi:
-            continue
-        # above the lower envelope, then inside the genuine interval
-        parts = _affine_above_pl(slope, w_ref, Fraction(0), model.lower,
-                                 blo, bhi)
+        key = line.as_tuple()
+        if key not in by_line:
+            by_line[key] = (line, {})
+        by_line[key][1].setdefault(gi, []).append(cand)
+
+    walls = []
+    for line, groups in by_line.values():
+        wall = _line_wall(v, gg, line, groups, window, model, delta_at)
+        if wall is not None:
+            walls.append(wall)
+    walls.sort(key=_sort_key)
+    return walls
+
+
+def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
+               window: Window, model: BNModel, delta_at) -> Optional[Wall]:
+    """The wall that `line` carries for its candidates, grouped by Im
+    interval, or None when every candidate is rejected."""
+    slope = Fraction(-line.A, line.B)
+    w_ref = Fraction(line.C, line.B)
+    clipped = _clip_to_window(slope, w_ref, window)
+    if clipped is None:
+        return None
+    # above the lower envelope, then inside each genuine interval
+    carved = _affine_above_pl(slope, w_ref, Fraction(0), model.lower,
+                              *clipped)
+    if not carved:
+        return None
+    witnesses, intervals, q_checks, feas_checks = set(), [], set(), set()
+    for (gl, gh), cands in groups.items():
         parts = [
-            (max(a, gi[0]), min(b, gi[1]))
-            for a, b in parts
-            if max(a, gi[0]) < min(b, gi[1])
+            (max(a, gl), min(b, gh))
+            for a, b in carved
+            if max(a, gl) < min(b, gh)
         ]
         if not parts:
             continue
@@ -553,72 +624,56 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
         mid_w = line.w_at(mid_b)
         q_check = Check.UNKNOWN
         if mid_w > model.upper(mid_b):
-            delta = delta_at(mid_b, mid_w)
-            sf = SupportForm(mid_b, mid_w, delta)
-            if (
-                support_form_value(cand, sf) < 0
-                or support_form_value(v - cand, sf) < 0
-                or support_form_value(v, sf) < 0
-            ):
+            negative = _negative_q(mid_b, mid_w, delta_at(mid_b, mid_w))
+            if negative(v):
+                continue
+            cands = [c for c in cands if not (negative(c) or negative(v - c))]
+            if not cands:
                 continue
             q_check = Check.PASS
-        feas = Check.UNKNOWN
-        if cand.r != 0 and gg >= 4 and _segment_meets_uf(
-            slope, w_ref, Fraction(0), parts, gg
-        ):
-            feas = (
-                Check.FAIL
-                if region_uf(project(cand), gg)
-                else Check.PASS
-            )
-        rec = merged.setdefault(
-            line.as_tuple(),
-            {
-                "line": line,
-                "witnesses": set(),
-                "intervals": [],
-                "q": set(),
-                "feas": set(),
-            },
-        )
-        rec["witnesses"].add(cand)
-        rec["intervals"].extend(parts)
-        rec["q"].add(q_check)
-        rec["feas"].add(feas)
+        meets_uf = None
+        for cand in cands:
+            feas = Check.UNKNOWN
+            if cand.r != 0 and gg >= 4:
+                if meets_uf is None:
+                    meets_uf = _segment_meets_uf(slope, w_ref, Fraction(0),
+                                                 parts, gg)
+                if meets_uf:
+                    feas = (
+                        Check.FAIL
+                        if region_uf(project(cand), gg)
+                        else Check.PASS
+                    )
+            feas_checks.add(feas)
+        witnesses.update(cands)
+        intervals.extend(parts)
+        q_checks.add(q_check)
+    if not witnesses:
+        return None
 
-    walls = []
-    for rec in merged.values():
-        line = rec["line"]
-        hull = _interval_hull(rec["intervals"])
-        p0 = PlanePoint(hull[0], line.w_at(hull[0]))
-        p1 = PlanePoint(hull[1], line.w_at(hull[1]))
-        q_verdict = Check.PASS if Check.PASS in rec["q"] else Check.UNKNOWN
-        if Check.FAIL in rec["feas"]:
-            feas_verdict = Check.FAIL
-        elif Check.PASS in rec["feas"]:
-            feas_verdict = Check.PASS
-        else:
-            feas_verdict = Check.UNKNOWN
-        region_verdict = _segment_region_verdict(line, hull, model)
-        walls.append(
-            Wall(
-                owner=v,
-                destabilizers=tuple(
-                    sorted(rec["witnesses"], key=NumClass.as_tuple)
-                ),
-                line=line,
-                nu_value=line.slope(),
-                segment=(p0, p1),
-                verdicts=(
-                    ("im_positive", Check.PASS),
-                    ("q_nonneg", q_verdict),
-                    ("feasibility", feas_verdict),
-                    ("region", region_verdict),
-                ),
-            )
-        )
-    walls.sort(key=_sort_key)
-    return walls
+    hull = _interval_hull(intervals)
+    p0 = PlanePoint(hull[0], line.w_at(hull[0]))
+    p1 = PlanePoint(hull[1], line.w_at(hull[1]))
+    q_verdict = Check.PASS if Check.PASS in q_checks else Check.UNKNOWN
+    if Check.FAIL in feas_checks:
+        feas_verdict = Check.FAIL
+    elif Check.PASS in feas_checks:
+        feas_verdict = Check.PASS
+    else:
+        feas_verdict = Check.UNKNOWN
+    return Wall(
+        owner=v,
+        destabilizers=tuple(sorted(witnesses, key=NumClass.as_tuple)),
+        line=line,
+        nu_value=line.slope(),
+        segment=(p0, p1),
+        verdicts=(
+            ("im_positive", Check.PASS),
+            ("q_nonneg", q_verdict),
+            ("feasibility", feas_verdict),
+            ("region", _segment_region_verdict(line, hull, model)),
+        ),
+    )
 
 
 def _segment_region_verdict(line: RationalLine, hull, model: BNModel) -> Check:
@@ -700,7 +755,7 @@ def _ray_sort_key(d):
     upper = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
     # within either half-plane, angle increases as -dx/dy increases; the
     # boundary rays (dy == 0) open their half-plane
-    return (upper, Fraction(-dx, dy) if dy != 0 else Fraction(-(10**18)))
+    return (upper, dy != 0, Fraction(-dx, dy) if dy != 0 else 0)
 
 
 def _primitive(dx: int, dy: int) -> tuple:

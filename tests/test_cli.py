@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -294,3 +295,52 @@ def test_svg_write_failure_raises_io_error(tmp_path):
                            "--rank-bound", "0",
                            "--out", str(tmp_path / "nope" / "x.svg")])
     assert code == 1 and "cannot write SVG" in err
+
+
+def test_cache_entry_not_an_object_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    base = invoke(WALL_ARGS + ["--format", "json"])
+    invoke(WALL_ARGS + ["--format", "json", "--cache-dir", str(cache)])
+    (entry,) = cache.glob("*.json")
+    for text in ("[1,2]", "null", '"walls"', "3"):
+        entry.write_text(text)
+        again = invoke(WALL_ARGS + ["--format", "json",
+                                    "--cache-dir", str(cache)])
+        assert again == base
+        assert json.loads(entry.read_text())["walls"] == json.loads(base[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--point", "1/0,1"],
+    ["region", "--point", "1,x"],
+    ["bn", "--at", "1/0"],
+    ["mualpha", "--class", "2,3,1", "--alpha", "1/0"],
+    ["ray", "--class", "2,3,1", "--alpha", "one"],
+    ["glue", "--point=-1/0,2"],
+])
+def test_malformed_rational_arguments_are_usage_errors(argv):
+    code, out, _ = invoke(argv)
+    assert (code, out) == (2, "")
+
+
+#: sha256 of `walls --format json` at rank bound 3 with the default
+#: window, fixed so that a faster enumerator must keep every output byte
+GOLDEN_WALLS_SHA256 = {
+    ("2,3,1", "2", "general"):
+        "84da04b01f1f2aa29894881f16eefd9548d2eb72dfcd8e653739d91993246b5d",
+    ("2,4,0", "5", "mercat"):
+        "62f1214f968e8ecf2ed65b7c71d12621eab4aae5e7490efcfc01342f92ca1eff",
+    ("0,3,1", "2", "general"):
+        "3f8471d408395d9d7ba6423bbd4497e34122b6dd1a9f5ddd199b1a570b49874a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WALLS_SHA256))
+def test_walls_json_golden_digest(case):
+    cls, genus, model = case
+    code, out, _ = invoke(["walls", "--class", cls, "--genus", genus,
+                           "--model", model, "--rank-bound", "3",
+                           "--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_WALLS_SHA256[case]

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cswalls.charges import PlanePoint, nu
-from cswalls.envelopes import make_model
+from cswalls.envelopes import PLFunction, _lower_pl, make_model
 from cswalls.errors import (
     DomainError,
     MixedOwnership,
@@ -142,6 +143,94 @@ def test_find_delta_examples_and_certificate():
         find_delta(1, 1, g3)  # upper(1) = 3/2
     with pytest.raises(NotAboveEnvelope):
         find_delta(1, F(3, 2), g3)  # exactly on the envelope
+
+
+def _user_model_with_overrides():
+    upper = PLFunction(
+        ((F(0), F(1, 2), F(1)), (F(2), F(1, 3), F(2)), (F(4), F(1), F(2))),
+        F(0), F(0),
+        ((F(0), F(1)), (F(1), F(5, 2)), (F(7, 2), F(17, 6)), (F(4), F(3))),
+    )
+    return make_model("user", 3, (_lower_pl(3), upper, False))
+
+
+def _user_model_concave():
+    # concave kinks at 1/2 and 1, so parabola vertices inside a piece
+    # decide some certificates
+    upper = PLFunction(
+        ((F(0), F(2), F(0)), (F(1, 2), F(1, 2), F(1)),
+         (F(1), F(1, 4), F(5, 4)), (F(4), F(1), F(2))),
+        F(0), F(0), ((F(1, 2), F(3, 2)),),
+    )
+    return make_model("user", 3, (_lower_pl(3), upper, False))
+
+
+GENERAL2, CONCAVE = make_model("general", 2), _user_model_concave()
+DELTA_MODELS = [make_model("general", g) for g in (1, 3)] + [
+    make_model("mercat", g) for g in (4, 5, 6)
+] + [make_model("elliptic", 1), _user_model_with_overrides(), GENERAL2,
+     CONCAVE]
+
+
+def _special_points(model):
+    upper = model.upper
+    xs = set(upper.breakpoints) | {x for x, _ in upper.point_values}
+    return sorted(xs | {x + d for x in xs for d in (F(-1, 7), F(1, 5))})
+
+
+@st.composite
+def above_upper(draw):
+    model = draw(st.sampled_from(DELTA_MODELS))
+    b0 = draw(st.one_of(
+        st.sampled_from(_special_points(model)),
+        st.fractions(min_value=-6, max_value=14, max_denominator=12),
+    ))
+    excess = draw(st.fractions(min_value=F(1, 60), max_value=20,
+                               max_denominator=60))
+    return model, b0, model.upper(b0) + excess
+
+
+@settings(max_examples=300, deadline=None)
+@given(above_upper())
+# at twice the answer a certificate row is exactly zero: a piece end,
+# then a parabola vertex inside its piece
+@example((GENERAL2, F(-1, 2), F(1)))
+@example((CONCAVE, F(0), F(1, 16)))
+@example((CONCAVE, F(1, 4), F(9, 16)))
+def test_find_delta_returns_the_first_certifying_halving(case):
+    model, b0, w0 = case
+    head = w0 - model.upper(b0)
+    delta = find_delta(b0, w0, model)
+    ratio = head / delta
+    assert ratio.denominator == 1 and ratio >= 2
+    assert ratio.numerator & (ratio.numerator - 1) == 0  # a power of two
+    assert all(q > 0 for _, q in delta_certificate(b0, w0, delta, model))
+    if delta < head / 2:
+        rows = delta_certificate(b0, w0, 2 * delta, model)
+        assert any(q <= 0 for _, q in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=30), st.fractions(max_denominator=30),
+       st.fractions(min_value=F(1, 50), max_value=40, max_denominator=50),
+       st.tuples(*[st.integers(-60, 60)] * 3))
+def test_negative_q_matches_support_form_value(b0, w0, delta, rdn):
+    from cswalls.walls import _negative_q
+
+    v = NumClass(*rdn)
+    expected = support_form_value(v, SupportForm(b0, w0, delta)) < 0
+    assert _negative_q(b0, w0, delta)(v) == expected
+
+
+def test_ray_sort_key_is_exact_for_big_integer_rays():
+    from cswalls.walls import _ray_sort_key
+
+    ccw = [(1, 0), (10**19, 1), (1, 1), (0, 1), (-(10**19), 1), (-1, 0),
+           (-(10**19), -1), (0, -1), (1, -1), (10**19, -1)]
+    for seed in range(5):
+        rays = ccw[:]
+        random.Random(seed).shuffle(rays)
+        assert sorted(rays, key=_ray_sort_key) == ccw
 
 
 def test_ray_line_examples():
