@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -35,20 +34,17 @@ from .classify import full_classification
 from .envelopes import BNModel, make_model, model_from_json, region_uc, region_uf
 from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
-    chamber_report_from_json,
     chamber_report_to_json,
     dumps,
     gl_element_to_json,
     rat,
     unrat,
-    wall_to_json,
     walls_from_json,
     walls_to_json,
 )
 from .lattice import NumClass, dual_class, euler, mutate_left, project, serre_class
 from .svg import render_svg
 from .walls import (
-    Wall,
     Window,
     bogomolov_verdict,
     chamber_decomposition,
@@ -102,11 +98,20 @@ def parse_class(text: str) -> NumClass:
 
 
 def parse_rat(text: str):
-    """A rational argument; a malformed one is a usage error."""
+    """A rational argument; a malformed one is a usage error (argparse
+    reports it from a `type=` callback, `run` after parsing)."""
     try:
         return rat(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def parse_finite(text: str) -> float:
+    """A float argument; NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_point(text: str) -> PlanePoint:
@@ -120,7 +125,7 @@ def parse_window(text: str) -> Window:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"a window is bmin,bmax,wmin,wmax; got {text!r}")
-    return Window(*(rat(p) for p in parts))
+    return Window(*(parse_rat(p) for p in parts))
 
 
 def _load_config_file(environ) -> dict:
@@ -159,6 +164,8 @@ def resolve_config(args, environ) -> Config:
     )
     rank_bound = int(pick("rank_bound", args.rank_bound))
     tol = float(pick("tol", args.tol))
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     fmt = str(pick("format", args.format))
     cache_dir = pick("cache_dir", args.cache_dir)
     if fmt not in ("json", "csv", "text"):
@@ -279,12 +286,22 @@ def _print_value(value, fmt, out, as_json):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *a, **kw):
+    """Accepts negative-looking option values and, given `streams` =
+    (stdout, stderr), writes its usage, help and version text there
+    instead of to the process's streams."""
+
+    def __init__(self, *a, streams=None, **kw):
         super().__init__(*a, **kw)
         self._negative_number_matcher = _NEGATIVE_VALUE
+        self._streams = streams
+
+    def _print_message(self, message, file=None):
+        if self._streams is not None:
+            file = self._streams[0 if file is sys.stdout else 1]
+        super()._print_message(message, file)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(streams=None) -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--genus", type=int, default=None)
     common.add_argument("--model", default=None,
@@ -298,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["json", "csv", "text"])
     common.add_argument("--cache-dir", dest="cache_dir", default=None)
 
-    parser = _Parser(prog="cswalls", description=__doc__)
+    parser = _Parser(prog="cswalls", description=__doc__, streams=streams)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
 
     def cmd(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+        return sub.add_parser(name, parents=[common], streams=streams, **kw)
 
     p = cmd("euler", help="Euler pairing of two classes")
     p.add_argument("--v1", required=True, type=parse_class)
@@ -378,14 +395,14 @@ def _parse_complex(text: str) -> ComplexRational:
     parts = text.split(",")
     if len(parts) != 2:
         raise CswallsError(f"a complex value is re,im; got {text!r}")
-    return ComplexRational(rat(parts[0]), rat(parts[1]))
+    return ComplexRational(parse_rat(parts[0]), parse_rat(parts[1]))
 
 
 def run(argv, stdout=None, stderr=None, environ=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     environ = environ if environ is not None else os.environ
-    parser = build_parser()
+    parser = build_parser((stdout, stderr))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -399,7 +416,7 @@ def run(argv, stdout=None, stderr=None, environ=None) -> int:
     except CswallsError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2
 
@@ -490,7 +507,7 @@ def _dispatch(args, cfg: Config, out, err) -> int:
             if len(parts) != 3:
                 raise CswallsError("lifts must be phi1,phi2,phi3")
             lifts = tuple(
-                None if p == "-" else float(p) for p in parts
+                None if p == "-" else parse_finite(p) for p in parts
             )
         flags = frozenset(f for f in args.flags.split(",") if f)
         data = ChargeData(

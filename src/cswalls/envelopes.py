@@ -17,14 +17,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusOutOfRange, InvalidEnvelope
 from .lattice import Genus, GenusLike, genus_value
-
-Rat = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -130,14 +128,15 @@ class PLFunction:
     @cached_property
     def scaled(self) -> tuple:
         """The function over one common denominator m, for exact integer
-        arithmetic: (m, parts, knots).
+        arithmetic: (m, parts, knots, points).
 
         `parts` lists (lo, hi, slope, intercept) of each of
         `affine_parts` times m (None for an unbounded side), so at the
         point x/m the part's value is (slope*x + intercept*m)/m^2.
         `knots` lists (x, value) with x times m and value times m^2: each
         part's value at its finite ends, then every point override,
-        without repeats.
+        without repeats.  `points` lists the point overrides (x, value),
+        both times m.
         """
         lines = [(lo, hi, s, v - s * ref)
                  for lo, hi, s, v, ref in self.affine_parts()]
@@ -153,8 +152,9 @@ class PLFunction:
         parts = tuple(tuple(sc(q) for q in row) for row in lines)
         knots = [(x, s * x + i * m) for lo, hi, s, i in parts
                  for x in (lo, hi) if x is not None]
-        knots.extend((sc(x), sc(v) * m) for x, v in self.point_values)
-        return m, parts, tuple(dict.fromkeys(knots))
+        points = tuple((sc(x), sc(v)) for x, v in self.point_values)
+        knots.extend((x, v * m) for x, v in points)
+        return m, parts, tuple(dict.fromkeys(knots)), points
 
     def to_json(self) -> dict:
         return {
@@ -335,6 +335,20 @@ def _general_upper_pl(g: int) -> PLFunction:
     return PLFunction(pieces, Fraction(0), Fraction(0), overrides)
 
 
+@lru_cache(maxsize=64)
+def mercat_bound_pl(g: int) -> PLFunction:
+    """`mercat_upper` as a PLFunction on b > 0, for g >= 4 (its left tail,
+    0 on b < 0, lies outside the bound's domain).  At g = 4 the middle
+    piece is empty and dropped."""
+    b1, b2, b3 = _mercat_breaks(g)
+    inv_g = Fraction(1, g)
+    pieces = [(Fraction(0), inv_g, 1 - inv_g)]
+    if b1 < b2:
+        pieces.append((b1, Fraction(1, 2), b1 / 2))
+    pieces += [(b2, 1 - inv_g, b2 / 2), (b3, Fraction(1), Fraction(2 * g - 2))]
+    return PLFunction(tuple(pieces), Fraction(0), Fraction(0))
+
+
 def _mercat_upper_pl(g: int) -> PLFunction:
     # Pointwise min of the general and Mercat bounds on b > 0: the Mercat
     # bound wins on (0, 2g-2], the forced tail x+1-g wins beyond.  The
@@ -364,9 +378,6 @@ def _elliptic_pl() -> PLFunction:
     pieces = ((Fraction(0), Fraction(1), Fraction(0)),)
     return PLFunction(pieces, Fraction(0), Fraction(0),
                       ((Fraction(0), Fraction(1)),))
-
-
-MODEL_KINDS = ("general", "mercat", "elliptic", "user")
 
 
 def make_model(kind: str, g: GenusLike,

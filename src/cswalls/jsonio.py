@@ -21,7 +21,6 @@ from .walls import (
     Check,
     RationalLine,
     Wall,
-    Window,
 )
 
 
@@ -179,19 +178,6 @@ def gl_element_to_json(el: GLElement) -> dict:
 def gl_element_from_json(doc: dict) -> GLElement:
     (a, b), (c, d) = doc["m"]
     return GLElement(rat(a), rat(b), rat(c), rat(d), int(doc["winding"]))
-
-
-def point_to_json(p: PlanePoint) -> list:
-    return [unrat(p.b), unrat(p.w)]
-
-
-def window_to_json(win: Window) -> list:
-    return [
-        unrat(win.b_min),
-        unrat(win.b_max),
-        unrat(win.w_min),
-        unrat(win.w_max),
-    ]
 
 
 # --- models ---------------------------------------------------------------

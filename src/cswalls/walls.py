@@ -17,8 +17,15 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charges import PlanePoint, nu
-from .envelopes import BNModel, RegionVerdict, region_uc, region_uf
+from .charges import PlanePoint
+from .envelopes import (
+    BNModel,
+    PLFunction,
+    RegionVerdict,
+    mercat_bound_pl,
+    region_uc,
+    region_uf,
+)
 from .errors import (
     DomainError,
     MixedOwnership,
@@ -26,7 +33,7 @@ from .errors import (
     ZeroAlpha,
     ZeroRank,
 )
-from .lattice import Genus, GenusLike, NumClass, genus_value, project
+from .lattice import GenusLike, NumClass, genus_value, project
 
 
 class Check(str, Enum):
@@ -187,25 +194,74 @@ def delta_certificate(b0, w0, delta, model: BNModel) -> list:
     return rows
 
 
+def _pl_at(pl: PLFunction, xn: int, xd: int) -> tuple:
+    """(value, left limit, right limit) of pl at x = xn/xd (xd > 0), each
+    as a numerator over m*xd, m being the denominator of `pl.scaled`."""
+    m, parts, _, points = pl.scaled
+    xm = xn * m
+    # find the part holding x, and the one to its left when x is that
+    # part's low end; a part's value at x is (s*xn + i*xd)/(m*xd)
+    prev = None
+    for part in parts:
+        if part[1] is None or xm < part[1] * xd:
+            break
+        prev = part
+    if part[0] is None or part[0] * xd != xm:
+        prev = part
+    right = part[2] * xn + part[3] * xd
+    left = prev[2] * xn + prev[3] * xd
+    for px, pv in points:
+        if px * xd == xm:
+            return pv * xd, left, right
+    return right, left, right
+
+
+def _headroom(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
+    """(hn, hd) with hn/hd = w0 - upper(b0) for b0 = bn/bd and w0 = wn/wd
+    (bd, wd > 0) when w0 lies strictly above upper(b0) and above both
+    one-sided limits of upper at b0; None otherwise.  Without the limits
+    no parabola through (b0, w0 - delta) can clear upper near b0."""
+    value, left, right = _pl_at(upper, bn, bd)
+    den = upper.scaled[0] * bd
+    wden = wn * den
+    if wden <= max(value, left, right) * wd:
+        return None
+    hn, hd = wden - value * wd, den * wd
+    g = gcd(hn, hd)
+    return hn // g, hd // g
+
+
 def find_delta(b0, w0, model: BNModel) -> Fraction:
     """Largest delta in {(w0 - upper(b0))/2^k : k >= 1} whose parabola
     dominates the upper envelope everywhere, certified exactly.
+
+    Raises NotAboveEnvelope unless w0 lies strictly above upper(b0) and
+    above both one-sided limits of upper at b0 (a jump there leaves no
+    certifiable delta).
+    """
+    b0, w0 = Fraction(b0), Fraction(w0)
+    bn, bd = b0.numerator, b0.denominator
+    wn, wd = w0.numerator, w0.denominator
+    head = _headroom(model.upper, bn, bd, wn, wd)
+    if head is None:
+        raise NotAboveEnvelope(
+            f"({b0},{w0}) is not above the upper envelope and its "
+            f"one-sided limits there (upper({b0}) = {model.upper(b0)})"
+        )
+    en, ed = _delta_core(bn, bd, wn, wd, *head, model.upper.scaled)
+    return Fraction(en, ed)
+
+
+def _delta_core(bn, bd, wn, wd, hn, hd, scaled) -> tuple:
+    """`find_delta` in integers: b0 = bn/bd, w0 = wn/wd and head = hn/hd
+    (positive denominators, head > 0), with `scaled` the upper envelope's
+    `PLFunction.scaled`.  Returns delta = head/2^k as (hn, hd << k).
 
     The rows are those of `delta_certificate`, decided in integers: with
     delta = head/2^k and every rational on a common denominator, each
     row's sign is that of an integer expression in 2^k.
     """
-    b0, w0 = Fraction(b0), Fraction(w0)
-    head = w0 - model.upper(b0)
-    if head <= 0:
-        raise NotAboveEnvelope(
-            f"({b0},{w0}) is not above the upper envelope "
-            f"(upper({b0}) = {model.upper(b0)})"
-        )
-    m, parts, knots = model.upper.scaled
-    bn, bd = b0.numerator, b0.denominator
-    wn, wd = w0.numerator, w0.denominator
-    hn, hd = head.numerator, head.denominator
+    m, parts, knots, _ = scaled
     bm = bn * m
     # A knot (x/m, u/m^2) gives the row t^2/delta + c - delta with
     # t = x/m - b0 and c = w0 - u/m^2; times head*2^k*(m*bd)^2*wd*hd^2
@@ -245,10 +301,11 @@ def find_delta(b0, w0, model: BNModel) -> Fraction:
 
     for k in range(1, 257):
         if certified(k):
-            return Fraction(hn, hd << k)
+            return hn, hd << k
     raise DomainError(
-        f"no validating delta found below {head} at ({b0},{w0})"
-    )  # pragma: no cover - the parabola always wins for small delta
+        f"no validating delta found below {Fraction(hn, hd)} at "
+        f"({Fraction(bn, bd)},{Fraction(wn, wd)})"
+    )
 
 
 def wall_line(v: NumClass, v_sub: NumClass):
@@ -327,55 +384,6 @@ def _intersect(lo1, hi1, lo2, hi2) -> tuple:
     return lo, hi
 
 
-def _affine_above_pl(slope, value, ref, pl, lo: Fraction, hi: Fraction):
-    """Closures of {x in [lo, hi] : slope*(x-ref)+value > pl(x)} as a list
-    of closed intervals, point-override holes removed."""
-    out = []
-    for plo, phi, s, v, pref in pl.affine_parts():
-        a = max(lo, plo) if plo is not None else lo
-        b = min(hi, phi) if phi is not None else hi
-        if a > b:
-            continue
-        # difference (slope - s)*x + const > 0 on [a, b]
-        ca = slope - s
-        cc = (value - slope * ref) - (v - s * pref)
-        slo, shi, empty = _solve_linear(ca, cc, strict=True)
-        if empty:
-            continue
-        ilo, ihi = _intersect(a, b, slo, shi)
-        if ilo < ihi:
-            out.append([ilo, ihi])
-    out.sort()
-    merged = []
-    for seg in out:
-        if merged and seg[0] <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], seg[1])
-        else:
-            merged.append(seg)
-    # carve out override points where the affine fails to clear the spike
-    final = []
-    for a, b in merged:
-        cuts = [a]
-        holes = []
-        for x, vo in pl.point_values:
-            if a < x < b and value + slope * (x - ref) <= vo:
-                holes.append(x)
-        pieces = []
-        start = a
-        for h in sorted(holes):
-            pieces.append((start, h))
-            start = h
-        pieces.append((start, b))
-        final.extend((p, q) for p, q in pieces if p < q)
-    return [(a, b) for a, b in final]
-
-
-def _interval_hull(intervals) -> Optional[tuple]:
-    if not intervals:
-        return None
-    return (min(a for a, _ in intervals), max(b for _, b in intervals))
-
-
 # ---------------------------------------------------------------------------
 # wall enumeration
 
@@ -415,11 +423,16 @@ def _int_range(x: Fraction, y: Fraction):
     return range(ceil(lo), floor(hi) + 1)
 
 
+def _pairs(interval) -> tuple:
+    return tuple((x.numerator, x.denominator) for x in interval)
+
+
 def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
     """Yield (candidate, Im interval) for the destabilizer classes with
     |r'| <= rank_bound that can carry a genuine wall segment inside the
     window box (a finite, complete superset; exact clipping happens
-    downstream).  The Im interval is `_im_interval` of the candidate."""
+    downstream).  The Im interval is `_im_interval` of the candidate, as
+    a pair of (numerator, denominator) pairs."""
     r, d, n = v.r, v.d, v.n
     if v.r != 0:
         beta, eta = project(v)
@@ -447,6 +460,7 @@ def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
                 if gi is None:
                     continue
                 gl, gh = gi
+                gi = _pairs(gi)
                 slo, shi = _slope_range(gl, gh, beta, eta, window)
                 bb = Fraction(r * dp - rp * d)
                 # slope = (n'*r - n*r')/B  =>  n' = (slope*B + n*r')/r
@@ -469,6 +483,7 @@ def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
                 if gi is None:
                     continue
                 gl, gh = gi
+                gi = _pairs(gi)
                 # line n*r'*b - r'*d*w = n*d' - n'*d ; the functional
                 # A*b + B*w over the genuine box bounds C, hence n'
                 aa, bb = Fraction(n * rp), Fraction(-rp * d)
@@ -484,64 +499,49 @@ def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
                     yield NumClass(rp, dp, np_), gi
 
 
-def _segment_meets_uf(slope, value, ref, intervals, g: int) -> bool:
-    """Does the affine w(b) lie strictly above the Mercat bound with b > 0
-    somewhere inside the given closed b-intervals?"""
-    b1, b2, b3 = (2 + Fraction(2, g - 2), 2 * g - 4 - Fraction(2, g - 2),
-                  Fraction(3 * g - 3))
-    inv_g = Fraction(1, g)
-    pieces = (
-        (Fraction(0), b1, inv_g, 1 - inv_g, Fraction(0)),
-        (b1, b2, Fraction(1, 2), b1 / 2, b1),
-        (b2, b3, 1 - inv_g, b2 / 2, b2),
-        (b3, None, Fraction(1), Fraction(2 * g - 2), b3),
-    )
+def _segment_meets_uf(line: RationalLine, intervals, g: int) -> bool:
+    """Does the line (B != 0) lie strictly above the Mercat bound with
+    b > 0 somewhere inside the given closed intervals of pairs?"""
+    A, B, C = line.A, line.B, line.C
+    sb = 1 if B > 0 else -1
+    m, parts, _, _ = mercat_bound_pl(g).scaled
+    mA, mC = m * A, m * C
     for lo, hi in intervals:
-        for plo, phi, s, pv, pref in pieces:
-            a = max(lo, plo)
-            b = min(hi, phi) if phi is not None else hi
-            if a > b:
+        for plo, phi, s, i in parts[1:]:  # the left tail lies in b < 0
+            a = lo if plo * lo[1] <= lo[0] * m else (plo, m)
+            b = hi if phi is None or phi * hi[1] >= hi[0] * m else (phi, m)
+            if a[0] * b[1] > b[0] * a[1] or b[0] <= 0:
                 continue
-            diff_a = value + slope * (a - ref) - (pv + s * (a - pref))
-            diff_b = value + slope * (b - ref) - (pv + s * (b - pref))
-            # the affine difference is positive somewhere on [a, b], and
-            # continuity pushes the witness into {b > 0}
-            if b > 0 and max(diff_a, diff_b) > 0:
+            # the affine difference w - (s*x + i)/m is positive somewhere
+            # on [a, b], and continuity pushes the witness into {b > 0}
+            ca, cc = -sb * (mA + B * s), sb * (mC - B * i)
+            if ca * a[0] + cc * a[1] > 0 or ca * b[0] + cc * b[1] > 0:
                 return True
     return False
 
 
 def _negative_q(b0: Fraction, w0: Fraction, delta: Fraction):
-    """Predicate v -> support_form_value(v, SupportForm(b0, w0, delta)) < 0,
-    decided in integers: delta*Q(v) times bd^2*wd*ed^2 > 0 is
-    (d*bd - bn*r)^2*wd*ed^2 + r*(r*kb - n*kc) with kb, kc below."""
-    bn, bd = b0.numerator, b0.denominator
-    wn, wd = w0.numerator, w0.denominator
-    en, ed = delta.numerator, delta.denominator
+    """Predicate v -> support_form_value(v, SupportForm(b0, w0, delta)) < 0."""
+    negative = _negative_q_core(b0.numerator, b0.denominator, w0.numerator,
+                                w0.denominator, delta.numerator,
+                                delta.denominator)
+    return lambda v: negative(v.r, v.d, v.n)
+
+
+def _negative_q_core(bn, bd, wn, wd, en, ed):
+    """`_negative_q` in integers, for b0 = bn/bd, w0 = wn/wd and delta =
+    en/ed with positive denominators, as a predicate on (r, d, n):
+    delta*Q(r,d,n) times bd^2*wd*ed^2 is (d*bd - bn*r)^2*wd*ed^2 +
+    r*(r*kb - n*kc) with kb, kc below."""
     ka = wd * ed * ed
     kb = en * (wn * ed - en * wd) * bd * bd
     kc = en * ed * bd * bd * wd
 
-    def negative(v: NumClass) -> bool:
-        lin = v.d * bd - bn * v.r
-        return lin * lin * ka + v.r * (v.r * kb - v.n * kc) < 0
+    def negative(r: int, d: int, n: int) -> bool:
+        lin = d * bd - bn * r
+        return lin * lin * ka + r * (r * kb - n * kc) < 0
 
     return negative
-
-
-def _clip_to_window(slope: Fraction, w_ref: Fraction, window: Window):
-    """Closed b-range where w_ref + slope*b stays inside the window box;
-    None when empty."""
-    blo, bhi = window.b_min, window.b_max
-    for a, c in ((slope, w_ref - window.w_min),
-                 (-slope, window.w_max - w_ref)):
-        lo, hi, empty = _solve_linear(a, c, strict=False)
-        if empty:
-            return None
-        blo, bhi = _intersect(blo, bhi, lo, hi)
-    if blo > bhi:
-        return None
-    return blo, bhi
 
 
 def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
@@ -564,13 +564,9 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     if rank_bound == 0:
         return []
 
-    deltas: Dict[tuple, Fraction] = {}
-
-    def delta_at(b0, w0):
-        key = (b0, w0)
-        if key not in deltas:
-            deltas[key] = find_delta(b0, w0, model)
-        return deltas[key]
+    # support-form predicates by midpoint (None: not certified above the
+    # upper envelope), shared by every line through the same point
+    prune_at: Dict[tuple, object] = {}
 
     # Bucket the candidates by line, then by Im interval: the window clip
     # and the carve depend on the line alone, the segment and its support
@@ -589,45 +585,135 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
 
     walls = []
     for line, groups in by_line.values():
-        wall = _line_wall(v, gg, line, groups, window, model, delta_at)
+        wall = _line_wall(v, gg, line, groups, window, model, prune_at)
         if wall is not None:
             walls.append(wall)
     walls.sort(key=_sort_key)
     return walls
 
 
+# ---------------------------------------------------------------------------
+# per-line work in integers: a b-value is a pair (num, den) with den > 0,
+# and pairs compare by cross-multiplication
+
+
+def _clip(line: RationalLine, window: Window):
+    """Closed b-range (lo, hi) of pairs where the line (B != 0) stays inside
+    the window box; None when empty."""
+    A, B, C = line.A, line.B, line.C
+    sb = 1 if B > 0 else -1
+    lo = (window.b_min.numerator, window.b_min.denominator)
+    hi = (window.b_max.numerator, window.b_max.denominator)
+    for bound, sign in ((window.w_min, 1), (window.w_max, -1)):
+        p, q = bound.numerator, bound.denominator
+        # sign*(w(b) - p/q) >= 0  <=>  a*b + c >= 0
+        k = sign * sb
+        a, c = -k * q * A, k * (q * C - B * p)
+        if a == 0:
+            if c < 0:
+                return None
+        elif a > 0:
+            if -c * lo[1] > lo[0] * a:
+                lo = (-c, a)
+        elif c * hi[1] < hi[0] * -a:
+            hi = (c, -a)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return lo, hi
+
+
+def _carve(line: RationalLine, lower: PLFunction, lo: tuple, hi: tuple):
+    """Closures of {b in [lo, hi] : w(b) > lower(b)} on the line (B != 0),
+    with the point overrides that w fails to clear cut out: a sorted list
+    of disjoint (lo, hi) pairs."""
+    A, B, C = line.A, line.B, line.C
+    sb = 1 if B > 0 else -1
+    m, parts, _, points = lower.scaled
+    mA, mC = m * A, m * C
+    out = []
+    for plo, phi, s, i in parts:
+        a = lo if plo is None or plo * lo[1] <= lo[0] * m else (plo, m)
+        b = hi if phi is None or phi * hi[1] >= hi[0] * m else (phi, m)
+        # w(b) > (s*b + i)/m  <=>  ca*b + cc > 0
+        ca, cc = -sb * (mA + B * s), sb * (mC - B * i)
+        if ca == 0:
+            if cc <= 0:
+                continue
+        elif ca > 0:
+            if -cc * a[1] > a[0] * ca:
+                a = (-cc, ca)
+        elif cc * b[1] < b[0] * -ca:
+            b = (cc, -ca)
+        if a[0] * b[1] >= b[0] * a[1]:
+            continue
+        # parts ascend, so a piece starts at or after the previous end
+        if out and a[0] * out[-1][1][1] == out[-1][1][0] * a[1]:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    if not points:
+        return out
+    # w(x) <= v at an override (x/m, v/m) puts a hole at x/m
+    holes = [(x, m) for x, v in points if sb * (v * B - mC + A * x) >= 0]
+    final = []
+    for a, b in out:
+        for h in holes:
+            if a[0] * h[1] < h[0] * a[1] and h[0] * b[1] < b[0] * h[1]:
+                final.append((a, h))
+                a = h
+        final.append((a, b))
+    return final
+
+
 def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
-               window: Window, model: BNModel, delta_at) -> Optional[Wall]:
+               window: Window, model: BNModel,
+               prune_at: dict) -> Optional[Wall]:
     """The wall that `line` carries for its candidates, grouped by Im
     interval, or None when every candidate is rejected."""
-    slope = Fraction(-line.A, line.B)
-    w_ref = Fraction(line.C, line.B)
-    clipped = _clip_to_window(slope, w_ref, window)
+    clipped = _clip(line, window)
     if clipped is None:
         return None
     # above the lower envelope, then inside each genuine interval
-    carved = _affine_above_pl(slope, w_ref, Fraction(0), model.lower,
-                              *clipped)
+    carved = _carve(line, model.lower, *clipped)
     if not carved:
         return None
-    witnesses, intervals, q_checks, feas_checks = set(), [], set(), set()
+    A, B, C = line.A, line.B, line.C
+    r, d, n = v.r, v.d, v.n
+    witnesses, q_checks, feas_checks = set(), set(), set()
+    lo = hi = None  # hull of the accepted parts
     for (gl, gh), cands in groups.items():
-        parts = [
-            (max(a, gl), min(b, gh))
-            for a, b in carved
-            if max(a, gl) < min(b, gh)
-        ]
+        parts = []
+        for a, b in carved:
+            if a[0] * gl[1] < gl[0] * a[1]:
+                a = gl
+            if gh[0] * b[1] < b[0] * gh[1]:
+                b = gh
+            if a[0] * b[1] < b[0] * a[1]:
+                parts.append((a, b))
         if not parts:
             continue
-        hull = _interval_hull(parts)
-        mid_b = (hull[0] + hull[1]) / 2
-        mid_w = line.w_at(mid_b)
+        # segment midpoint b0 = bn/bd and w0 = (C*bd - A*bn)/(B*bd)
+        (pn, pd), (qn, qd) = parts[0][0], parts[-1][1]
+        bn, bd = pn * qd + qn * pd, 2 * pd * qd
+        g = gcd(bn, bd)
+        bn, bd = bn // g, bd // g
+        wn, wd = C * bd - A * bn, B * bd
+        g = gcd(wn, wd) if wd > 0 else -gcd(wn, wd)
+        wn, wd = wn // g, wd // g
+        key = (bn, bd, wn, wd)
+        if key not in prune_at:
+            head = _headroom(model.upper, bn, bd, wn, wd)
+            prune_at[key] = None if head is None else _negative_q_core(
+                bn, bd, wn, wd,
+                *_delta_core(bn, bd, wn, wd, *head, model.upper.scaled))
+        negative = prune_at[key]
         q_check = Check.UNKNOWN
-        if mid_w > model.upper(mid_b):
-            negative = _negative_q(mid_b, mid_w, delta_at(mid_b, mid_w))
-            if negative(v):
+        if negative is not None:
+            if negative(r, d, n):
                 continue
-            cands = [c for c in cands if not (negative(c) or negative(v - c))]
+            cands = [c for c in cands if not (
+                negative(c.r, c.d, c.n)
+                or negative(r - c.r, d - c.d, n - c.n))]
             if not cands:
                 continue
             q_check = Check.PASS
@@ -636,8 +722,7 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
             feas = Check.UNKNOWN
             if cand.r != 0 and gg >= 4:
                 if meets_uf is None:
-                    meets_uf = _segment_meets_uf(slope, w_ref, Fraction(0),
-                                                 parts, gg)
+                    meets_uf = _segment_meets_uf(line, parts, gg)
                 if meets_uf:
                     feas = (
                         Check.FAIL
@@ -646,14 +731,16 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
                     )
             feas_checks.add(feas)
         witnesses.update(cands)
-        intervals.extend(parts)
+        if lo is None or pn * lo[1] < lo[0] * pd:
+            lo = (pn, pd)
+        if hi is None or qn * hi[1] > hi[0] * qd:
+            hi = (qn, qd)
         q_checks.add(q_check)
     if not witnesses:
         return None
 
-    hull = _interval_hull(intervals)
-    p0 = PlanePoint(hull[0], line.w_at(hull[0]))
-    p1 = PlanePoint(hull[1], line.w_at(hull[1]))
+    p0, p1 = (PlanePoint(Fraction(bn, bd), Fraction(C * bd - A * bn, B * bd))
+              for bn, bd in (lo, hi))
     q_verdict = Check.PASS if Check.PASS in q_checks else Check.UNKNOWN
     if Check.FAIL in feas_checks:
         feas_verdict = Check.FAIL
@@ -671,31 +758,35 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
             ("im_positive", Check.PASS),
             ("q_nonneg", q_verdict),
             ("feasibility", feas_verdict),
-            ("region", _segment_region_verdict(line, hull, model)),
+            ("region", _segment_region_verdict(line, lo, hi, model.upper)),
         ),
     )
 
 
-def _segment_region_verdict(line: RationalLine, hull, model: BNModel) -> Check:
-    """Pass when the open segment is certified above the upper envelope."""
-    lo, hi = hull
-    slope = Fraction(-line.A, line.B)
-    ref_w = line.w_at(lo)
-    probes = [lo, hi, (lo + hi) / 2]
-    for x in model.upper.breakpoints:
-        if lo < x < hi:
-            probes.append(x)
-    for x, _ in model.upper.point_values:
-        if lo < x < hi:
-            probes.append(x)
-    ok = True
-    for x in probes:
-        w = ref_w + slope * (x - lo)
-        diff = w - model.upper(x)
-        if diff < 0 or (diff == 0 and lo < x < hi):
-            ok = False
-            break
-    return Check.PASS if ok else Check.UNKNOWN
+def _segment_region_verdict(line: RationalLine, lo: tuple, hi: tuple,
+                            upper: PLFunction) -> Check:
+    """Pass when the open segment of the line (B != 0) over [lo, hi], as
+    pairs, is certified above the upper envelope: at both ends w >= upper,
+    and w > upper at the midpoint and at every breakpoint and point
+    override strictly inside."""
+    A, B, C = line.A, line.B, line.C
+    sb = 1 if B > 0 else -1
+    m, parts, _, points = upper.scaled
+
+    def clears(xn, xd, strict):
+        # w(x) - upper(x) = (m*(C*xd - A*xn) - B*value)/(B*m*xd)
+        diff = sb * (m * (C * xd - A * xn) - B * _pl_at(upper, xn, xd)[0])
+        return diff > 0 if strict else diff >= 0
+
+    if not (clears(*lo, False) and clears(*hi, False)):
+        return Check.UNKNOWN
+    knots = [part[0] for part in parts[1:]] + [x for x, _ in points]
+    inner = [(x, m) for x in knots
+             if lo[0] * m < x * lo[1] and x * hi[1] < hi[0] * m]
+    inner.append((lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]))
+    if all(clears(xn, xd, True) for xn, xd in inner):
+        return Check.PASS
+    return Check.UNKNOWN
 
 
 # ---------------------------------------------------------------------------

@@ -317,10 +317,54 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
     ["mualpha", "--class", "2,3,1", "--alpha", "1/0"],
     ["ray", "--class", "2,3,1", "--alpha", "one"],
     ["glue", "--point=-1/0,2"],
+    ["walls", "--class", "2,3,1", "--window", "1/0,1,0,1"],
+    ["classify", "--z1", "1/0,1", "--z2", "1,1", "--z3", "0,1"],
 ])
 def test_malformed_rational_arguments_are_usage_errors(argv):
     code, out, _ = invoke(argv)
     assert (code, out) == (2, "")
+
+
+CLASSIFY_ARGS = ["classify", "--z1", "1,1", "--z2", "-1,1", "--z3", "0,1"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--tol", "nan"], ["--tol", "inf"], ["--lifts", "nan,-,-"],
+    ["--lifts=-,-inf,-"],
+])
+def test_non_finite_floats_are_usage_errors(extra):
+    code, out, err = invoke(CLASSIFY_ARGS + extra)
+    assert (code, out) == (2, "") and "finite" in err
+
+
+def test_non_finite_tol_from_config_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": NaN}')
+    code, out, err = invoke(CLASSIFY_ARGS, {"CSWALLS_CONFIG": str(cfg)})
+    assert (code, out) == (2, "") and "finite" in err
+
+
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    code, out, err = invoke(["euler", "--v1", "1,2", "--v2", "0,0,1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cswalls euler") and "error:" in err
+    assert invoke(["--version"]) == (0, "0.1.0\n", "")
+    code, out, err = invoke(["walls", "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: cswalls walls")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_upper_envelope_jumping_down_is_not_an_error(tmp_path):
+    path = tmp_path / "jump.json"
+    path.write_text(json.dumps({
+        "lower": [["0", "0", "0"], ["0", "0", "0"], ["1", "1", "0"]],
+        "upper": [["0", "0", "0"], ["0", "3/4", "1"],
+                  ["1/2", "1/3", "11/8"], ["2", "1", "1"]],
+        "exact": False,
+    }))
+    code, out, err = invoke(["walls", "--class", "0,2,0", "--genus", "2",
+                             "--rank-bound", "2", "--model", f"user:{path}"])
+    assert (code, err) == (0, "") and "2*w = 3" in out
 
 
 #: sha256 of `walls --format json` at rank bound 3 with the default

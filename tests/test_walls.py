@@ -420,16 +420,22 @@ def test_segments_above_lower_envelope():
         assert mid_w > m.lower(mid_b)
 
 
-def test_affine_above_pl_carves_isolated_spikes():
-    from cswalls.walls import _affine_above_pl
+def _carve_fractions(line, pl, lo, hi):
+    from cswalls.walls import _carve
 
+    pieces = _carve(line, pl, (lo.numerator, lo.denominator),
+                    (hi.numerator, hi.denominator))
+    return [(F(*a), F(*b)) for a, b in pieces]
+
+
+def test_affine_above_pl_carves_isolated_spikes():
     ell = make_model("elliptic", 1)
     # constant height 1/2: above the elliptic envelope for b < 1/2 except
     # at the isolated spike value 1 at b = 0
-    parts = _affine_above_pl(F(0), F(1, 2), F(0), ell.lower, F(-2), F(2))
+    parts = _carve_fractions(RationalLine(0, 2, 1), ell.lower, F(-2), F(2))
     assert parts == [(F(-2), F(0)), (F(0), F(1, 2))]
     # height 2 clears the spike: single component up to b = 2
-    parts = _affine_above_pl(F(0), F(2), F(0), ell.lower, F(-2), F(2))
+    parts = _carve_fractions(RationalLine(0, 1, 2), ell.lower, F(-2), F(2))
     assert parts == [(F(-2), F(2))]
 
 
@@ -460,3 +466,92 @@ def test_enumerate_walls_elliptic_model():
         mid_b = (p0.b + p1.b) / 2
         assert (p0.w + p1.w) / 2 > ell.lower(mid_b)
     assert spiked > 0  # the spike-crossing configuration is exercised
+
+
+def _user_model_lower_spikes():
+    lower = PLFunction(
+        ((F(0), F(0), F(0)), (F(2), F(1), F(0))), F(0), F(0),
+        ((F(1), F(1, 2)), (F(3, 2), F(1, 3)), (F(3), F(2))),
+    )
+    upper = PLFunction(
+        ((F(0), F(1, 2), F(1)), (F(4), F(1), F(2))), F(0), F(0),
+        ((F(4), F(3)),),
+    )
+    return make_model("user", 3, (lower, upper, False))
+
+
+CARVE_MODELS = [make_model("general", g) for g in (2, 3, 4, 5)] + [
+    make_model("mercat", g) for g in (4, 5, 6)
+] + [make_model("elliptic", 1), _user_model_lower_spikes()]
+
+
+@st.composite
+def line_window_model(draw):
+    model = draw(st.sampled_from(CARVE_MODELS))
+    b = st.fractions(min_value=-6, max_value=12, max_denominator=6)
+    w = st.fractions(min_value=-2, max_value=10, max_denominator=6)
+    b_min, b_max = sorted(draw(st.lists(b, min_size=2, max_size=2,
+                                        unique=True)))
+    w_min, w_max = sorted(draw(st.lists(w, min_size=2, max_size=2,
+                                        unique=True)))
+    bb = draw(st.integers(-9, 9).filter(lambda x: x != 0))
+    line = RationalLine(draw(st.integers(-9, 9)), bb,
+                        draw(st.integers(-40, 40)))
+    return line, Window(b_min, b_max, w_min, w_max), model
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_window_model())
+def test_integer_clip_and_carve_agree_with_fractions(case):
+    from cswalls.walls import _carve, _clip
+
+    line, win, model = case
+    clipped = _clip(line, win)
+    if clipped is None:
+        # the line misses the closed box: every corner strictly on one side
+        sides = {line.value_at(b, w) > 0 for b, w in win.corners()}
+        assert len(sides) == 1 and all(
+            line.value_at(b, w) != 0 for b, w in win.corners())
+        return
+    lo, hi = F(*clipped[0]), F(*clipped[1])
+    for x in (lo, hi):
+        assert win.contains(PlanePoint(x, line.w_at(x)))
+    # each end is tight: a window side, or the line leaves the strip there
+    assert lo == win.b_min or line.w_at(lo) in (win.w_min, win.w_max)
+    assert hi == win.b_max or line.w_at(hi) in (win.w_min, win.w_max)
+
+    lower = model.lower
+
+    def above(x):
+        return line.w_at(x) > lower(x)
+
+    pieces = [(F(*a), F(*b)) for a, b in _carve(line, lower, *clipped)]
+    for a, b in pieces:
+        assert lo <= a < b <= hi
+        assert above((a + b) / 2)
+    for (_, b), (a, _) in zip(pieces, pieces[1:]):
+        assert b <= a
+        assert not above((a + b) / 2)
+    # every override the line fails to clear is cut out
+    for x, vo in lower.point_values:
+        if line.w_at(x) <= vo:
+            assert not any(a < x < b for a, b in pieces)
+
+
+def test_upper_envelope_jumping_down_leaves_midpoints_unpruned():
+    model = make_model("user", 2, (
+        PLFunction(((F(0), F(0), F(0)), (F(1), F(1), F(0))), F(0), F(0)),
+        PLFunction(((F(0), F(3, 4), F(1)), (F(1, 2), F(1, 3), F(11, 8)),
+                    (F(2), F(1), F(1))), F(0), F(0)),
+        False,
+    ))
+    # upper(2) = 1 < 3/2, but the left limit at 2 is 15/8
+    assert model.upper(2) == 1
+    with pytest.raises(NotAboveEnvelope):
+        find_delta(2, F(3, 2), model)
+    delta = find_delta(2, 2, model)  # above the left limit too
+    assert all(q > 0 for _, q in delta_certificate(2, 2, delta, model))
+    # a segment midpoint at (2, 3/2) is left unpruned instead of failing
+    win = Window(F(-4), F(4), F(1, 4), F(8))
+    walls = enumerate_walls(NumClass(0, 2, 0), 2, win, 2, model)
+    assert (0, 2, 3) in {w.line.as_tuple() for w in walls}
