@@ -197,7 +197,10 @@ def _cache_key(v: NumClass, cfg: Config, model: BNModel) -> dict:
     }
 
 
-def cached_walls(v: NumClass, cfg: Config, model: BNModel, stderr) -> list:
+def cached_walls(v: NumClass, cfg: Config, model: BNModel, stderr) -> tuple:
+    """(walls, docs): the walls of v, read from the cache entry when it
+    holds them, and the `walls_to_json` documents of a freshly computed
+    result that went into a new entry (None otherwise)."""
     key = _cache_key(v, cfg, model)
     entry_path = None
     if cfg.cache_dir:
@@ -209,21 +212,25 @@ def cached_walls(v: NumClass, cfg: Config, model: BNModel, stderr) -> list:
             with open(entry_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             if isinstance(doc, dict) and doc.get("key") == key:
-                return walls_from_json(doc["walls"])
+                return walls_from_json(doc["walls"]), None
         except (OSError, json.JSONDecodeError, KeyError, ValueError,
                 TypeError, CswallsError):
             pass  # corrupt or mismatched entries are recomputed
     walls = enumerate_walls(v, cfg.genus, cfg.window, cfg.rank_bound, model)
+    docs = None
     if entry_path is not None:
+        docs = walls_to_json(walls)
         try:
             os.makedirs(cfg.cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(dumps({"key": key, "walls": walls_to_json(walls)}))
+                # json.dumps (not json.dump) runs the C encoder
+                fh.write(json.dumps({"key": key, "walls": docs},
+                                    sort_keys=True, separators=(",", ":")))
             os.replace(tmp, entry_path)
         except OSError as exc:
             print(f"warning: cache write failed: {exc}", file=stderr)
-    return walls
+    return walls, docs
 
 
 # --- renderers -------------------------------------------------------------
@@ -233,9 +240,11 @@ def _triple_text(v: NumClass) -> str:
     return f"{v.r},{v.d},{v.n}"
 
 
-def render_walls(walls, fmt: str, out) -> None:
+def render_walls(walls, fmt: str, out, docs=None) -> None:
+    """Write the walls in `fmt`; `docs`, when given, are their
+    `walls_to_json` documents."""
     if fmt == "json":
-        out.write(dumps(walls_to_json(walls)))
+        out.write(dumps(walls_to_json(walls) if docs is None else docs))
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -475,11 +484,11 @@ def _dispatch(args, cfg: Config, out, err) -> int:
         _print_value(text, fmt, out, {"mu_alpha": text})
     elif cmd == "walls":
         model = cfg.model()
-        walls = cached_walls(args.cls, cfg, model, err)
-        render_walls(walls, fmt, out)
+        walls, docs = cached_walls(args.cls, cfg, model, err)
+        render_walls(walls, fmt, out, docs)
     elif cmd == "chambers":
         model = cfg.model()
-        walls = cached_walls(args.cls, cfg, model, err)
+        walls, _ = cached_walls(args.cls, cfg, model, err)
         report = chamber_decomposition(args.cls, walls, cfg.window, model)
         doc = chamber_report_to_json(report)
         if fmt == "json":
@@ -544,7 +553,7 @@ def _dispatch(args, cfg: Config, out, err) -> int:
             )
     elif cmd == "plot":
         model = cfg.model()
-        walls = cached_walls(args.cls, cfg, model, err)
+        walls, _ = cached_walls(args.cls, cfg, model, err)
         render_svg(walls, cfg.window, args.out, model=model, owner=args.cls)
     else:  # pragma: no cover - argparse restricts the choices
         raise CswallsError(f"unknown command {cmd}")

@@ -96,15 +96,16 @@ class PLFunction:
         slopes = [self.left_slope] + [s for _, s, _ in self.pieces]
         return all(a <= b for a, b in zip(slopes, slopes[1:]))
 
-    @property
+    @cached_property
     def breakpoints(self) -> Tuple[Fraction, ...]:
         return tuple(x for x, _, _ in self.pieces)
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        for xo, vo in self.point_values:
-            if xo == x:
-                return vo
+        if self.point_values:
+            for xo, vo in self.point_values:
+                if xo == x:
+                    return vo
         x1 = self.pieces[0][0]
         if x < x1:
             return self.left_value + self.left_slope * (x - x1)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charges import PlanePoint
@@ -361,148 +361,98 @@ def _sort_key(wall: Wall):
 
 
 # ---------------------------------------------------------------------------
-# interval helpers (closed rational intervals, None = unbounded side)
+# wall enumeration in integers: a b-value is a pair (num, den) with den > 0,
+# pairs compare by cross-multiplication, and a line is its (A, B, C) tuple
 
 
-def _solve_linear(a: Fraction, c: Fraction, strict: bool) -> tuple:
-    """{x : a*x + c > 0} (strict) or {x : a*x + c >= 0} as (lo, hi,
-    empty) with None for an open side.  The boundary root is kept either
-    way (callers treat returned intervals as closed), so strictness only
-    decides the constant case a == 0."""
-    if a == 0:
-        holds = c > 0 if strict else c >= 0
-        return (None, None, not holds)
-    root = -c / a
-    if a > 0:
-        return (root, None, False)
-    return (None, root, False)
+def _pair(x: Fraction) -> tuple:
+    return x.numerator, x.denominator
 
 
-def _intersect(lo1, hi1, lo2, hi2) -> tuple:
-    lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
-    hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
-    return lo, hi
+def _reduced(num: int, den: int) -> tuple:
+    """num/den (den != 0) as the pair of the equal Fraction."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
-# ---------------------------------------------------------------------------
-# wall enumeration
-
-
-def _im_interval(v: NumClass, v_sub: NumClass, window: Window):
-    """Open b-interval where Im Z(v_sub) > 0 and Im Z(v - v_sub) > 0,
-    clipped to the window's b-range; None when empty."""
-    lo1, hi1, e1 = _solve_linear(
-        Fraction(-v_sub.r), Fraction(v_sub.d), strict=True
-    )
-    lo2, hi2, e2 = _solve_linear(
-        Fraction(v_sub.r - v.r), Fraction(v.d - v_sub.d), strict=True
-    )
-    if e1 or e2:
-        return None
-    lo, hi = _intersect(lo1, hi1, lo2, hi2)
-    lo = window.b_min if lo is None else max(lo, window.b_min)
-    hi = window.b_max if hi is None else min(hi, window.b_max)
-    if lo >= hi:
-        return None
-    return (lo, hi)
-
-
-def _slope_range(gl: Fraction, gh: Fraction, beta: Fraction, eta: Fraction,
-                 window: Window):
-    """Range of slopes of lines through (beta, eta) meeting the closed box
-    [gl, gh] x [w_min, w_max], assuming beta is outside [gl, gh]."""
-    slopes = []
-    for b in (gl, gh):
-        for w in (window.w_min, window.w_max):
-            slopes.append((w - eta) / (b - beta))
-    return min(slopes), max(slopes)
-
-
-def _int_range(x: Fraction, y: Fraction):
-    lo, hi = (x, y) if x <= y else (y, x)
-    return range(ceil(lo), floor(hi) + 1)
-
-
-def _pairs(interval) -> tuple:
-    return tuple((x.numerator, x.denominator) for x in interval)
-
-
-def _candidate_triples(v: NumClass, window: Window, rank_bound: int):
-    """Yield (candidate, Im interval) for the destabilizer classes with
+def _candidates(v: NumClass, window: Window, rank_bound: int):
+    """Yield ((r', d', n'), Im interval) for the destabilizer classes with
     |r'| <= rank_bound that can carry a genuine wall segment inside the
     window box (a finite, complete superset; exact clipping happens
-    downstream).  The Im interval is `_im_interval` of the candidate, as
-    a pair of (numerator, denominator) pairs."""
+    downstream).  The Im interval is the open b-range where Im Z(v') > 0
+    and Im Z(v - v') > 0, clipped to the window, as a pair of reduced
+    pairs; candidates whose interval is empty are skipped, and so are
+    those with r*d' - r'*d = 0, whose wall line would be vertical."""
     r, d, n = v.r, v.d, v.n
-    if v.r != 0:
-        beta, eta = project(v)
-        # relaxed generation: exists b in window with
-        # 0 <= d' - b*r' <= d - b*r
-        flo, fhi, empty = _solve_linear(Fraction(-r), Fraction(d),
-                                        strict=True)
-        if empty:
-            return
-        flo = window.b_min if flo is None else max(flo, window.b_min)
-        fhi = window.b_max if fhi is None else min(fhi, window.b_max)
-        if flo > fhi:
-            return
-        for rp in range(-rank_bound, rank_bound + 1):
-            dlo = min(flo * rp, fhi * rp)
-            dhi = max(d + flo * (rp - r), d + fhi * (rp - r))
-            for dp in _int_range(dlo, dhi):
-                if rp == 0 and dp < 1:
-                    continue
-                if r * dp - rp * d == 0:
-                    # the line would be vertical through the projection,
-                    # where Im Z(v') vanishes: never genuine
-                    continue
-                gi = _im_interval(v, NumClass(rp, dp, 0), window)
-                if gi is None:
-                    continue
-                gl, gh = gi
-                gi = _pairs(gi)
-                slo, shi = _slope_range(gl, gh, beta, eta, window)
-                bb = Fraction(r * dp - rp * d)
-                # slope = (n'*r - n*r')/B  =>  n' = (slope*B + n*r')/r
-                n_from = (slo * bb + n * rp) / r
-                n_to = (shi * bb + n * rp) / r
-                for np_ in _int_range(n_from, n_to):
-                    if rp == 0 and gcd(dp, abs(np_)) != 1:
-                        continue
-                    yield NumClass(rp, dp, np_), gi
-    else:
-        if d == 0:
-            return
-        for rp in range(-rank_bound, rank_bound + 1):
-            if rp == 0:
+    blo, bhi = _pair(window.b_min), _pair(window.b_max)
+    ws = (_pair(window.w_min), _pair(window.w_max))
+    # relaxed generation: some b in [flo, fhi] has 0 <= d' - b*r' <= d - b*r
+    flo, fhi = blo, bhi
+    if r > 0 and d * fhi[1] < fhi[0] * r:
+        fhi = (d, r)
+    elif r < 0 and d * flo[1] < flo[0] * r:
+        flo = (-d, -r)
+    elif r == 0 and d == 0:
+        return
+    (ln, ld), (hn, hd) = flo, fhi
+    if ln * hd > hn * ld:
+        return
+    for rp in range(-rank_bound, rank_bound + 1):
+        # d' from the extremes of b*r' and d + b*(r' - r) at b = flo, fhi,
+        # in either order
+        p1, p2 = ln * rp, hn * rp
+        p3, p4 = d * ld + ln * (rp - r), d * hd + hn * (rp - r)
+        dp_from = min(min(-(-p1 // ld), -(-p2 // hd)),
+                      max(-(-p3 // ld), -(-p4 // hd)))
+        dp_to = max(min(p1 // ld, p2 // hd), max(p3 // ld, p4 // hd))
+        for dp in range(dp_from, dp_to + 1):
+            if rp == 0 and dp < 1:
                 continue
-            dlo = min(window.b_min * rp, window.b_max * rp)
-            dhi = max(d + window.b_min * rp, d + window.b_max * rp)
-            for dp in _int_range(dlo, dhi):
-                gi = _im_interval(v, NumClass(rp, dp, 0), window)
-                if gi is None:
+            bb = r * dp - rp * d
+            if bb == 0:
+                # the line would be vertical through the projection, where
+                # Im Z(v') vanishes (or r = r' = 0: no line): never genuine
+                continue
+            # Im Z(v') = d' - b*r' and Im Z(v - v') = (d - d') - b*(r - r'),
+            # each c - a*b > 0
+            lo, hi = blo, bhi
+            for a, c in ((rp, dp), (r - rp, d - dp)):
+                if a > 0:
+                    if c * hi[1] < hi[0] * a:
+                        hi = (c, a)
+                elif a < 0:
+                    if c * lo[1] < lo[0] * a:
+                        lo = (-c, -a)
+                elif c <= 0:
+                    lo = hi
+            if lo[0] * hi[1] >= hi[0] * lo[1]:
+                continue
+            gi = (_reduced(*lo), _reduced(*hi))
+            # n' = (n*(d' - r'*b) - B*w)/(d - r*b) puts (b, w) on the wall
+            # line.  It is affine in the line's one free parameter (its
+            # slope through the projection, or its intercept at r = 0), so
+            # its range over the box [Im interval] x [w_min, w_max] is
+            # spanned by the four corners (d - r*b != 0 there)
+            corners = []
+            for bn, bd in gi:
+                p, q, e = n * (dp * bd - rp * bn), bb * bd, d * bd - r * bn
+                for wn, wd in ws:
+                    num, den = p * wd - q * wn, e * wd
+                    corners.append((num, den) if den > 0 else (-num, -den))
+            np_from = min(-(-num // den) for num, den in corners)
+            np_to = max(num // den for num, den in corners)
+            for np_ in range(np_from, np_to + 1):
+                if rp == 0 and gcd(dp, np_) != 1:
                     continue
-                gl, gh = gi
-                gi = _pairs(gi)
-                # line n*r'*b - r'*d*w = n*d' - n'*d ; the functional
-                # A*b + B*w over the genuine box bounds C, hence n'
-                aa, bb = Fraction(n * rp), Fraction(-rp * d)
-                vals = [
-                    aa * b + bb * w
-                    for b in (gl, gh)
-                    for w in (window.w_min, window.w_max)
-                ]
-                # C = n*d' - n'*d  =>  n' = (n*d' - C)/d
-                n_from = (n * dp - min(vals)) / d
-                n_to = (n * dp - max(vals)) / d
-                for np_ in _int_range(n_from, n_to):
-                    yield NumClass(rp, dp, np_), gi
+                yield (rp, dp, np_), gi
 
 
-def _segment_meets_uf(line: RationalLine, intervals, g: int) -> bool:
+def _segment_meets_uf(line: tuple, intervals, g: int) -> bool:
     """Does the line (B != 0) lie strictly above the Mercat bound with
     b > 0 somewhere inside the given closed intervals of pairs?"""
-    A, B, C = line.A, line.B, line.C
+    A, B, C = line
     sb = 1 if B > 0 else -1
     m, parts, _, _ = mercat_bound_pl(g).scaled
     mA, mC = m * A, m * C
@@ -571,20 +521,20 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     # Bucket the candidates by line, then by Im interval: the window clip
     # and the carve depend on the line alone, the segment and its support
     # form on the interval too (complementary witnesses share both).
-    by_line: Dict[tuple, tuple] = {}
-    for cand, gi in _candidate_triples(v, window, rank_bound):
-        line = wall_line(v, cand)
-        if line is EVERYWHERE_EQUAL or line is NO_WALL:
-            continue
-        if line.B == 0:
-            continue  # vertical lines never carry genuine segments
-        key = line.as_tuple()
-        if key not in by_line:
-            by_line[key] = (line, {})
-        by_line[key][1].setdefault(gi, []).append(cand)
+    r, d, n = v.r, v.d, v.n
+    by_line: Dict[tuple, dict] = {}
+    for cand, gi in _candidates(v, window, rank_bound):
+        rp, dp, np_ = cand
+        # wall_line(v, cand) as RationalLine normalizes it; B != 0 here
+        a, b, c = n * rp - np_ * r, r * dp - rp * d, n * dp - np_ * d
+        g = gcd(a, b, c)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        key = (a // g, b // g, c // g)
+        by_line.setdefault(key, {}).setdefault(gi, []).append(cand)
 
     walls = []
-    for line, groups in by_line.values():
+    for line, groups in by_line.items():
         wall = _line_wall(v, gg, line, groups, window, model, prune_at)
         if wall is not None:
             walls.append(wall)
@@ -592,18 +542,12 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     return walls
 
 
-# ---------------------------------------------------------------------------
-# per-line work in integers: a b-value is a pair (num, den) with den > 0,
-# and pairs compare by cross-multiplication
-
-
-def _clip(line: RationalLine, window: Window):
+def _clip(line: tuple, window: Window):
     """Closed b-range (lo, hi) of pairs where the line (B != 0) stays inside
     the window box; None when empty."""
-    A, B, C = line.A, line.B, line.C
+    A, B, C = line
     sb = 1 if B > 0 else -1
-    lo = (window.b_min.numerator, window.b_min.denominator)
-    hi = (window.b_max.numerator, window.b_max.denominator)
+    lo, hi = _pair(window.b_min), _pair(window.b_max)
     for bound, sign in ((window.w_min, 1), (window.w_max, -1)):
         p, q = bound.numerator, bound.denominator
         # sign*(w(b) - p/q) >= 0  <=>  a*b + c >= 0
@@ -622,11 +566,11 @@ def _clip(line: RationalLine, window: Window):
     return lo, hi
 
 
-def _carve(line: RationalLine, lower: PLFunction, lo: tuple, hi: tuple):
+def _carve(line: tuple, lower: PLFunction, lo: tuple, hi: tuple):
     """Closures of {b in [lo, hi] : w(b) > lower(b)} on the line (B != 0),
     with the point overrides that w fails to clear cut out: a sorted list
     of disjoint (lo, hi) pairs."""
-    A, B, C = line.A, line.B, line.C
+    A, B, C = line
     sb = 1 if B > 0 else -1
     m, parts, _, points = lower.scaled
     mA, mC = m * A, m * C
@@ -665,11 +609,11 @@ def _carve(line: RationalLine, lower: PLFunction, lo: tuple, hi: tuple):
     return final
 
 
-def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
+def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
                window: Window, model: BNModel,
                prune_at: dict) -> Optional[Wall]:
-    """The wall that `line` carries for its candidates, grouped by Im
-    interval, or None when every candidate is rejected."""
+    """The wall that `line` carries for its (r', d', n') candidates,
+    grouped by Im interval, or None when every candidate is rejected."""
     clipped = _clip(line, window)
     if clipped is None:
         return None
@@ -677,7 +621,7 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
     carved = _carve(line, model.lower, *clipped)
     if not carved:
         return None
-    A, B, C = line.A, line.B, line.C
+    A, B, C = line
     r, d, n = v.r, v.d, v.n
     witnesses, q_checks, feas_checks = set(), set(), set()
     lo = hi = None  # hull of the accepted parts
@@ -712,21 +656,20 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
             if negative(r, d, n):
                 continue
             cands = [c for c in cands if not (
-                negative(c.r, c.d, c.n)
-                or negative(r - c.r, d - c.d, n - c.n))]
+                negative(*c) or negative(r - c[0], d - c[1], n - c[2]))]
             if not cands:
                 continue
             q_check = Check.PASS
         meets_uf = None
         for cand in cands:
             feas = Check.UNKNOWN
-            if cand.r != 0 and gg >= 4:
+            if cand[0] != 0 and gg >= 4:
                 if meets_uf is None:
                     meets_uf = _segment_meets_uf(line, parts, gg)
                 if meets_uf:
                     feas = (
                         Check.FAIL
-                        if region_uf(project(cand), gg)
+                        if region_uf(project(NumClass(*cand)), gg)
                         else Check.PASS
                     )
             feas_checks.add(feas)
@@ -748,11 +691,12 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
         feas_verdict = Check.PASS
     else:
         feas_verdict = Check.UNKNOWN
+    rational = RationalLine(A, B, C)
     return Wall(
         owner=v,
-        destabilizers=tuple(sorted(witnesses, key=NumClass.as_tuple)),
-        line=line,
-        nu_value=line.slope(),
+        destabilizers=tuple(NumClass(*c) for c in sorted(witnesses)),
+        line=rational,
+        nu_value=rational.slope(),
         segment=(p0, p1),
         verdicts=(
             ("im_positive", Check.PASS),
@@ -763,13 +707,13 @@ def _line_wall(v: NumClass, gg: int, line: RationalLine, groups: dict,
     )
 
 
-def _segment_region_verdict(line: RationalLine, lo: tuple, hi: tuple,
+def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
                             upper: PLFunction) -> Check:
     """Pass when the open segment of the line (B != 0) over [lo, hi], as
     pairs, is certified above the upper envelope: at both ends w >= upper,
     and w > upper at the midpoint and at every breakpoint and point
     override strictly inside."""
-    A, B, C = line.A, line.B, line.C
+    A, B, C = line
     sb = 1 if B > 0 else -1
     m, parts, _, points = upper.scaled
 

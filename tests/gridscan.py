@@ -24,7 +24,14 @@ def grid_oracle(v, g, window, rank_bound, model, cells):
           for j in range(cells + 1)]
     ws = [window.w_min + (window.w_max - window.w_min) * F(i, cells)
           for i in range(cells + 1)]
-    lower_at = [model.lower(b) for b in bs]
+    # every node shares one denominator per axis, so the sign tests below
+    # run on the integer node coordinates bi[j] = bs[j]*db, wi[i] = ws[i]*dw
+    db = math.lcm(*(b.denominator for b in bs))
+    dw = math.lcm(*(w.denominator for w in ws))
+    bi = [int(b * db) for b in bs]
+    wi = [int(w * dw) for w in ws]
+    # w > lower(b) at a node <=> wi > floor(lower(b)*dw)
+    lower_at = [math.floor(model.lower(b) * dw) for b in bs]
 
     def candidates():
         out = []
@@ -137,12 +144,16 @@ def grid_oracle(v, g, window, rank_bound, model, cells):
             continue
         A, B, C = line.as_tuple()
         col_ok = [
-            (cand.d - b * cand.r > 0)
-            and ((d - cand.d) - b * (r - cand.r) > 0)
-            for b in bs
+            (cand.d * db - b * cand.r > 0)
+            and ((d - cand.d) * db - b * (r - cand.r) > 0)
+            for b in bi
         ]
         if not any(col_ok):
             continue
+        # sign of A*b + B*w - C at node (j, i) is that of col[j] + row[i]
+        col = [(A * b - C * db) * dw for b in bi]
+        row = [B * w * db for w in wi]
+        step = wi[1] - wi[0]
         detected = False
         for j in range(cells):
             if not (col_ok[j] or col_ok[j + 1]):
@@ -151,25 +162,21 @@ def grid_oracle(v, g, window, rank_bound, model, cells):
             # zero; restrict the row scan to that band (cells where all
             # four corners lie strictly on one side are sign-constant)
             if B != 0:
-                w_left = F(C - A * bs[j], B)
-                w_right = F(C - A * bs[j + 1], B)
-                w_lo, w_hi = min(w_left, w_right), max(w_left, w_right)
-                if w_hi < ws[0] or w_lo > ws[cells]:
+                # w(b)*dw = -col/(B*db) at both ends of the column pair
+                w_lo, w_hi = sorted(F(-col[jj], B * db) for jj in (j, j + 1))
+                if w_hi < wi[0] or w_lo > wi[cells]:
                     continue
-                step = ws[1] - ws[0]
-                i0 = max(0, math.floor((w_lo - ws[0]) / step) - 1)
-                i1 = min(cells - 1, math.ceil((w_hi - ws[0]) / step) + 1)
+                i0 = max(0, math.floor((w_lo - wi[0]) / step) - 1)
+                i1 = min(cells - 1, math.ceil((w_hi - wi[0]) / step) + 1)
             else:
                 i0, i1 = 0, cells - 1
             for i in range(i0, i1 + 1):
-                corners = [(bs[j], ws[i], j), (bs[j + 1], ws[i], j + 1),
-                           (bs[j + 1], ws[i + 1], j + 1),
-                           (bs[j], ws[i + 1], j)]
+                corners = [(j, i), (j + 1, i), (j + 1, i + 1), (j, i + 1)]
                 data = []
-                for b, w, jj in corners:
-                    val = A * b + B * w - C
+                for jj, ii in corners:
+                    val = col[jj] + row[ii]
                     sign = 0 if val == 0 else (1 if val > 0 else -1)
-                    data.append((sign, col_ok[jj] and w > lower_at[jj]))
+                    data.append((sign, col_ok[jj] and wi[ii] > lower_at[jj]))
                 for k in range(4):
                     s1, g1 = data[k]
                     s2, g2 = data[(k + 1) % 4]

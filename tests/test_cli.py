@@ -121,6 +121,38 @@ def test_cache_equals_no_cache(tmp_path):
     assert fourth == base
 
 
+def test_cache_reads_indented_entries_and_writes_compact_ones(
+        tmp_path, monkeypatch):
+    import cswalls.cli as cli
+    from cswalls.jsonio import dumps
+
+    cache = tmp_path / "cache"
+    base = invoke(WALL_ARGS + ["--format", "json"])
+    assert invoke(WALL_ARGS + ["--format", "json",
+                               "--cache-dir", str(cache)]) == base
+    (entry,) = cache.glob("*.json")
+    text = entry.read_text()
+    doc = json.loads(text)
+    # compact JSON with sorted keys, named by the digest of the compact key
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(json.dumps(
+        doc["key"], sort_keys=True, separators=(",", ":")).encode())
+    assert entry.name == digest.hexdigest() + ".json"
+    # an entry in the older indented form is a hit, read without enumerating
+    indented = dumps(doc)
+    entry.write_text(indented)
+
+    def must_not_enumerate(*args):
+        raise AssertionError("enumerate_walls called on a cache hit")
+
+    csv_base = invoke(WALL_ARGS + ["--format", "csv"])
+    monkeypatch.setattr(cli, "enumerate_walls", must_not_enumerate)
+    for fmt, expected in (("json", base), ("csv", csv_base)):
+        assert invoke(WALL_ARGS + ["--format", fmt,
+                                   "--cache-dir", str(cache)]) == expected
+    assert entry.read_text() == indented
+
+
 def test_chambers_command():
     code, out, _ = invoke(["chambers", "--class", "2,3,1", "--genus", "2",
                            "--window", "-3,3,1/2,6", "--rank-bound", "2",

@@ -423,7 +423,7 @@ def test_segments_above_lower_envelope():
 def _carve_fractions(line, pl, lo, hi):
     from cswalls.walls import _carve
 
-    pieces = _carve(line, pl, (lo.numerator, lo.denominator),
+    pieces = _carve(line.as_tuple(), pl, (lo.numerator, lo.denominator),
                     (hi.numerator, hi.denominator))
     return [(F(*a), F(*b)) for a, b in pieces]
 
@@ -506,7 +506,7 @@ def test_integer_clip_and_carve_agree_with_fractions(case):
     from cswalls.walls import _carve, _clip
 
     line, win, model = case
-    clipped = _clip(line, win)
+    clipped = _clip(line.as_tuple(), win)
     if clipped is None:
         # the line misses the closed box: every corner strictly on one side
         sides = {line.value_at(b, w) > 0 for b, w in win.corners()}
@@ -525,7 +525,7 @@ def test_integer_clip_and_carve_agree_with_fractions(case):
     def above(x):
         return line.w_at(x) > lower(x)
 
-    pieces = [(F(*a), F(*b)) for a, b in _carve(line, lower, *clipped)]
+    pieces = [(F(*a), F(*b)) for a, b in _carve(line.as_tuple(), lower, *clipped)]
     for a, b in pieces:
         assert lo <= a < b <= hi
         assert above((a + b) / 2)
@@ -555,3 +555,118 @@ def test_upper_envelope_jumping_down_leaves_midpoints_unpruned():
     win = Window(F(-4), F(4), F(1, 4), F(8))
     walls = enumerate_walls(NumClass(0, 2, 0), 2, win, 2, model)
     assert (0, 2, 3) in {w.line.as_tuple() for w in walls}
+
+
+def _fraction_candidates(v, window, rank_bound):
+    """The Fraction candidate generator that `enumerate_walls` used before
+    its integer rewrite, kept as the reference for `_candidates`: yields
+    ((r', d', n'), Im interval as a pair of (numerator, denominator))."""
+
+    def solve_linear(a, c):
+        # {x : a*x + c > 0} as (lo, hi, empty), None for an open side
+        if a == 0:
+            return None, None, not c > 0
+        root = -c / a
+        return (root, None, False) if a > 0 else (None, root, False)
+
+    def im_interval(v_sub):
+        lo1, hi1, e1 = solve_linear(F(-v_sub.r), F(v_sub.d))
+        lo2, hi2, e2 = solve_linear(F(v_sub.r - v.r), F(v.d - v_sub.d))
+        if e1 or e2:
+            return None
+        lo = max(x for x in (lo1, lo2, window.b_min) if x is not None)
+        hi = min(x for x in (hi1, hi2, window.b_max) if x is not None)
+        return None if lo >= hi else (lo, hi)
+
+    def slope_range(gl, gh, beta, eta):
+        slopes = [(w - eta) / (b - beta) for b in (gl, gh)
+                  for w in (window.w_min, window.w_max)]
+        return min(slopes), max(slopes)
+
+    def int_range(x, y):
+        lo, hi = (x, y) if x <= y else (y, x)
+        return range(math.ceil(lo), math.floor(hi) + 1)
+
+    def pairs(interval):
+        return tuple((x.numerator, x.denominator) for x in interval)
+
+    r, d, n = v.r, v.d, v.n
+    if v.r != 0:
+        beta, eta = project(v)
+        flo, fhi, _ = solve_linear(F(-r), F(d))
+        flo = window.b_min if flo is None else max(flo, window.b_min)
+        fhi = window.b_max if fhi is None else min(fhi, window.b_max)
+        if flo > fhi:
+            return
+        for rp in range(-rank_bound, rank_bound + 1):
+            dlo = min(flo * rp, fhi * rp)
+            dhi = max(d + flo * (rp - r), d + fhi * (rp - r))
+            for dp in int_range(dlo, dhi):
+                if rp == 0 and dp < 1:
+                    continue
+                if r * dp - rp * d == 0:
+                    continue
+                gi = im_interval(NumClass(rp, dp, 0))
+                if gi is None:
+                    continue
+                slo, shi = slope_range(*gi, beta, eta)
+                bb = F(r * dp - rp * d)
+                n_from = (slo * bb + n * rp) / r
+                n_to = (shi * bb + n * rp) / r
+                for np_ in int_range(n_from, n_to):
+                    if rp == 0 and gcd(dp, abs(np_)) != 1:
+                        continue
+                    yield (rp, dp, np_), pairs(gi)
+    elif d != 0:
+        for rp in range(-rank_bound, rank_bound + 1):
+            if rp == 0:
+                continue
+            dlo = min(window.b_min * rp, window.b_max * rp)
+            dhi = max(d + window.b_min * rp, d + window.b_max * rp)
+            for dp in int_range(dlo, dhi):
+                gi = im_interval(NumClass(rp, dp, 0))
+                if gi is None:
+                    continue
+                aa, bb = F(n * rp), F(-rp * d)
+                vals = [aa * b + bb * w for b in gi
+                        for w in (window.w_min, window.w_max)]
+                n_from = (n * dp - min(vals)) / d
+                n_to = (n * dp - max(vals)) / d
+                for np_ in int_range(n_from, n_to):
+                    yield (rp, dp, np_), pairs(gi)
+
+
+@st.composite
+def class_window_bound(draw):
+    v = NumClass(draw(st.integers(-3, 3)), draw(st.integers(-6, 6)),
+                 draw(st.integers(-6, 6)))
+    b = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    w = st.fractions(min_value=-2, max_value=8, max_denominator=7)
+    b_min, b_max = sorted(draw(st.lists(b, min_size=2, max_size=2,
+                                        unique=True)))
+    w_min, w_max = sorted(draw(st.lists(w, min_size=2, max_size=2,
+                                        unique=True)))
+    return v, Window(b_min, b_max, w_min, w_max), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_window_bound())
+# a window end at d/r, for positive and negative rank
+@example((NumClass(2, 3, 1), Window(F(-1, 2), F(3, 2), F(1, 3), F(9, 2)), 3))
+@example((NumClass(-2, 3, 1), Window(F(-3, 2), F(5, 2), F(1, 3), F(9, 2)), 3))
+# window ends at Im-interval roots d'/r' = -1/2 and 1/3, rank zero too
+@example((NumClass(2, 3, 1), Window(F(-1, 2), F(1, 3), F(1, 2), F(6)), 3))
+@example((NumClass(0, 3, -1), Window(F(-1, 2), F(1, 3), F(-1, 3), F(5)), 3))
+@example((NumClass(0, -2, 1), Window(F(-4), F(4), F(1, 4), F(8)), 2))
+@example((NumClass(1, 0, 0), Window(F(-4), F(4), F(1, 4), F(8)), 2))
+def test_integer_candidates_match_the_fraction_reference(case):
+    from collections import Counter
+
+    from cswalls.walls import _candidates
+
+    v, win, rank_bound = case
+    got = Counter(_candidates(v, win, rank_bound))
+    assert got == Counter(_fraction_candidates(v, win, rank_bound))
+    for (rp, dp, np_), ((ln, ld), (hn, hd)) in got:
+        assert isinstance(np_, int) and ld > 0 and hd > 0
+        assert gcd(ln, ld) == 1 and gcd(hn, hd) == 1
