@@ -27,6 +27,7 @@ from .errors import (
     WrongOrientation,
     ZeroCharge,
 )
+from .envelopes import _frac
 from .lattice import NumClass
 
 DEFAULT_TOL = 1e-9
@@ -34,12 +35,6 @@ DEFAULT_TOL = 1e-9
 STABLE_FLAGS = frozenset(
     {"stable_O0", "stable_pt", "stable_sheafO", "stable_OO"}
 )
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError(f"floats are not exact; got {x!r}")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -114,18 +114,14 @@ def parse_finite(text: str) -> float:
     return value
 
 
-def parse_point(text: str) -> PlanePoint:
+def parse_rats(text: str, count: int = 2) -> tuple:
+    """`count` comma-separated rationals (a point b,w or a complex value
+    re,im by default); a wrong count or a malformed one is a usage error."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"a point is b,w; got {text!r}")
-    return PlanePoint(parse_rat(parts[0]), parse_rat(parts[1]))
-
-
-def parse_window(text: str) -> Window:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"a window is bmin,bmax,wmin,wmax; got {text!r}")
-    return Window(*(parse_rat(p) for p in parts))
+    if len(parts) != count:
+        raise ValueError(
+            f"expected {count} comma-separated rationals, got {text!r}")
+    return tuple(parse_rat(p) for p in parts)
 
 
 def _load_config_file(environ) -> dict:
@@ -157,11 +153,7 @@ def resolve_config(args, environ) -> Config:
 
     genus = int(pick("genus", args.genus))
     model_name = str(pick("model", args.model))
-    window_text = pick("window", args.window)
-    window = (
-        window_text if isinstance(window_text, Window)
-        else parse_window(str(window_text))
-    )
+    window = Window(*parse_rats(str(pick("window", args.window)), 4))
     rank_bound = int(pick("rank_bound", args.rank_bound))
     tol = float(pick("tol", args.tol))
     if not math.isfinite(tol):
@@ -240,6 +232,10 @@ def _triple_text(v: NumClass) -> str:
     return f"{v.r},{v.d},{v.n}"
 
 
+def _num_text(x) -> str:
+    return "inf" if x == math.inf else unrat(x)
+
+
 def render_walls(walls, fmt: str, out, docs=None) -> None:
     """Write the walls in `fmt`; `docs`, when given, are their
     `walls_to_json` documents."""
@@ -259,7 +255,7 @@ def render_walls(walls, fmt: str, out, docs=None) -> None:
                 [
                     _triple_text(w.owner),
                     w.line.A, w.line.B, w.line.C,
-                    "inf" if w.nu_value == math.inf else unrat(w.nu_value),
+                    _num_text(w.nu_value),
                     unrat(w.segment[0].b), unrat(w.segment[0].w),
                     unrat(w.segment[1].b), unrat(w.segment[1].w),
                     verdicts["im_positive"].value,
@@ -272,9 +268,9 @@ def render_walls(walls, fmt: str, out, docs=None) -> None:
         return
     for w in walls:
         verdicts = dict(w.verdicts)
-        nu_text = "inf" if w.nu_value == math.inf else unrat(w.nu_value)
         out.write(
-            f"{w.line.A}*b + {w.line.B}*w = {w.line.C}  nu={nu_text}  "
+            f"{w.line.A}*b + {w.line.B}*w = {w.line.C}  "
+            f"nu={_num_text(w.nu_value)}  "
             f"segment [{unrat(w.segment[0].b)},{unrat(w.segment[0].w)}]"
             f"..[{unrat(w.segment[1].b)},{unrat(w.segment[1].w)}]  "
             f"q={verdicts['q_nonneg'].value}"
@@ -284,11 +280,156 @@ def render_walls(walls, fmt: str, out, docs=None) -> None:
         )
 
 
-def _print_value(value, fmt, out, as_json):
-    if fmt == "json":
-        out.write(dumps(as_json))
-    else:
-        out.write(f"{value}\n")
+# --- commands ----------------------------------------------------------------
+
+
+def _answer(key: str, value) -> tuple:
+    """(text, document) of a one-value answer; a tuple prints as one
+    comma-separated row and encodes as a JSON array."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value)), {key: value}
+    return str(value), {key: value}
+
+
+def _bn(a, cfg, *_):
+    model = cfg.model()
+    at, lo, hi = (unrat(x) for x in (a.at, model.lower(a.at),
+                                     model.upper(a.at)))
+    text = (f"model={model.name} genus={cfg.genus} "
+            f"exact={str(model.exact).lower()} "
+            f"lower({at})={lo} upper({at})={hi}")
+    return text, {"model": model.name, "genus": cfg.genus,
+                  "exact": model.exact, "at": at, "lower": lo, "upper": hi}
+
+
+def _region(a, cfg, *_):
+    uc = region_uc(a.point, cfg.model())
+    uf = region_uf(a.point, cfg.genus) if cfg.genus >= 4 else None
+    uf_text = "n/a" if uf is None else str(uf).lower()
+    return f"UC: {uc.value}\nUf: {uf_text}", {"uc": uc.value, "uf": uf}
+
+
+def _charge(a, *_):
+    z = central_charge(a.cls, PlanePoint(*a.point))
+    return str(z), {"charge": [unrat(z.re), unrat(z.im)]}
+
+
+def _walls(a, cfg, out, err):
+    walls, docs = cached_walls(a.cls, cfg, cfg.model(), err)
+    render_walls(walls, cfg.format, out, docs)
+
+
+def _chambers(a, cfg, out, err):
+    model = cfg.model()
+    walls, _ = cached_walls(a.cls, cfg, model, err)
+    doc = chamber_report_to_json(
+        chamber_decomposition(a.cls, walls, cfg.window, model))
+    lines = [f"kind={doc['kind']} chambers={len(doc['chambers'])}"]
+    lines += [
+        f"  [{ch['index']}] {ch['kind']} bounds={ch['bounds']} "
+        f"meets_window={str(ch['meets_window']).lower()} "
+        f"sample={ch['sample'][0]},{ch['sample'][1]} region={ch['region']}"
+        for ch in doc["chambers"]
+    ]
+    return "\n".join(lines), doc
+
+
+def _classify(a, cfg, *_):
+    lifts = (None, None, None)
+    if a.lifts:
+        parts = a.lifts.split(",")
+        if len(parts) != 3:
+            raise ValueError("lifts must be phi1,phi2,phi3")
+        lifts = tuple(None if p == "-" else parse_finite(p) for p in parts)
+    flags = frozenset(f for f in a.flags.split(",") if f)
+    z1, z2, z3 = (ComplexRational(*parse_rats(z)) for z in (a.z1, a.z2, a.z3))
+    data = ChargeData(z1, z2, z3, lifts, flags, cfg.tol)
+    doc = full_classification(data, cfg.model(), cfg.tol).to_json()
+    lines = [f"in_UA: {doc['in_UA']}", f"in_UB: {doc['in_UB']}"]
+    type_b = doc["typeB"]
+    if type_b is not None:
+        lines.append(f"typeB: point={type_b['point'][0]},{type_b['point'][1]}"
+                     f" region={type_b['region']}")
+    lines.append(f"second_branch: {doc['second_branch']}")
+    lines += [f"note: {note}" for note in doc["notes"]]
+    return "\n".join(lines), doc
+
+
+def _glue(a, *_):
+    el = gluing_presentation(PlanePoint(*a.point))
+    doc = gl_element_to_json(el)
+    doc["f0"] = el.lift_at_zero()
+    m = doc["m"]
+    return (f"M=[[{m[0][0]},{m[0][1]}],[{m[1][0]},{m[1][1]}]] "
+            f"winding={doc['winding']} f0={doc['f0']!r}"), doc
+
+
+def _plot(a, cfg, out, err):
+    model = cfg.model()
+    walls, _ = cached_walls(a.cls, cfg, model, err)
+    render_svg(walls, cfg.window, a.out, model=model, owner=a.cls)
+
+
+def _required(flag: str, parse=None, **kw) -> tuple:
+    return flag, dict(required=True, type=parse, **kw)
+
+
+_CLASS = _required("--class", parse_class, dest="cls")
+_POINT = _required("--point", parse_rats)
+_ALPHA = _required("--alpha", parse_rat)
+
+#: name -> (help, arguments as (flag, `add_argument` keywords), handler).
+#: A handler takes (args, config, stdout, stderr) and returns its answer
+#: as (text, JSON document), or writes its own output and returns None.
+COMMANDS = {
+    "euler": ("Euler pairing of two classes",
+              [_required("--v1", parse_class), _required("--v2", parse_class)],
+              lambda a, cfg, *_: _answer("euler",
+                                         euler(a.v1, a.v2, cfg.genus))),
+    "serre": ("numerical Serre functor on a class", [_CLASS],
+              lambda a, cfg, *_: _answer(
+                  "class", serre_class(a.cls, cfg.genus).as_tuple())),
+    "dual": ("numerical dual functor on a class", [_CLASS],
+             lambda a, *_: _answer("class", dual_class(a.cls).as_tuple())),
+    "mutate": ("left mutation through an exceptional class",
+               [_required("--e", parse_class), _CLASS],
+               lambda a, cfg, *_: _answer(
+                   "class", mutate_left(a.e, a.cls, cfg.genus).as_tuple())),
+    "project": ("projection (d/r, n/r) of a class", [_CLASS],
+                lambda a, *_: _answer("point",
+                                      tuple(map(unrat, project(a.cls))))),
+    "bn": ("envelope values of the active model at a point",
+           [_required("--at", parse_rat)], _bn),
+    "region": ("membership verdicts for a point", [_POINT], _region),
+    "charge": ("central charge of a class at a point", [_CLASS, _POINT],
+               _charge),
+    "nu": ("slice slope of a class at a point", [_CLASS, _POINT],
+           lambda a, *_: _answer(
+               "nu", _num_text(nu(a.cls, PlanePoint(*a.point))))),
+    "mualpha": ("classical slope of a class", [_CLASS, _ALPHA],
+                lambda a, *_: _answer(
+                    "mu_alpha", _num_text(mu_alpha(a.cls, a.alpha)))),
+    "walls": ("enumerate walls of a class", [_CLASS], _walls),
+    "chambers": ("chamber decomposition of a class", [_CLASS], _chambers),
+    "ray": ("large-volume ray line of a class", [_CLASS, _ALPHA],
+            lambda a, *_: _answer("line",
+                                  ray_line(a.cls, a.alpha).as_tuple())),
+    "feasible": ("Bogomolov-type feasibility verdict", [_CLASS],
+                 lambda a, cfg, *_: _answer(
+                     "verdict", bogomolov_verdict(a.cls, cfg.genus).value)),
+    "classify": ("classify charge data into regions",
+                 [_required("--z1", help="re,im (rationals)"),
+                  _required("--z2"), _required("--z3"),
+                  ("--lifts", dict(
+                      help="phi1,phi2,phi3 (floats, '-' for unknown)")),
+                  ("--flags", dict(
+                      default="", help="comma list from stable_O0,stable_pt,"
+                                       "stable_sheafO,stable_OO"))],
+                 _classify),
+    "glue": ("gluing presentation of a slice point with b<0", [_POINT], _glue),
+    "plot": ("render walls of a class to SVG",
+             [_CLASS, _required("--out")], _plot),
+}
 
 
 # --- argument parsing -------------------------------------------------------
@@ -328,83 +469,12 @@ def build_parser(streams=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
-
-    def cmd(name, **kw):
-        return sub.add_parser(name, parents=[common], streams=streams, **kw)
-
-    p = cmd("euler", help="Euler pairing of two classes")
-    p.add_argument("--v1", required=True, type=parse_class)
-    p.add_argument("--v2", required=True, type=parse_class)
-
-    p = cmd("serre", help="numerical Serre functor on a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("dual", help="numerical dual functor on a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("mutate", help="left mutation through an exceptional class")
-    p.add_argument("--e", required=True, type=parse_class)
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("project", help="projection (d/r, n/r) of a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("bn", help="envelope values of the active model at a point")
-    p.add_argument("--at", required=True, type=parse_rat)
-
-    p = cmd("region", help="membership verdicts for a point")
-    p.add_argument("--point", required=True, type=parse_point)
-
-    p = cmd("charge", help="central charge of a class at a point")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--point", required=True, type=parse_point)
-
-    p = cmd("nu", help="slice slope of a class at a point")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--point", required=True, type=parse_point)
-
-    p = cmd("mualpha", help="classical slope of a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--alpha", required=True, type=parse_rat)
-
-    p = cmd("walls", help="enumerate walls of a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("chambers", help="chamber decomposition of a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("ray", help="large-volume ray line of a class")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--alpha", required=True, type=parse_rat)
-
-    p = cmd("feasible", help="Bogomolov-type feasibility verdict")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-
-    p = cmd("classify", help="classify charge data into regions")
-    p.add_argument("--z1", required=True, help="re,im (rationals)")
-    p.add_argument("--z2", required=True)
-    p.add_argument("--z3", required=True)
-    p.add_argument("--lifts", default=None,
-                   help="phi1,phi2,phi3 (floats, '-' for unknown)")
-    p.add_argument("--flags", default="",
-                   help="comma list from stable_O0,stable_pt,"
-                        "stable_sheafO,stable_OO")
-
-    p = cmd("glue", help="gluing presentation of a slice point with b<0")
-    p.add_argument("--point", required=True, type=parse_point)
-
-    p = cmd("plot", help="render walls of a class to SVG")
-    p.add_argument("--class", dest="cls", required=True, type=parse_class)
-    p.add_argument("--out", required=True)
-
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], streams=streams,
+                           help=help_text)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
     return parser
-
-
-def _parse_complex(text: str) -> ComplexRational:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CswallsError(f"a complex value is re,im; got {text!r}")
-    return ComplexRational(parse_rat(parts[0]), parse_rat(parts[1]))
 
 
 def run(argv, stdout=None, stderr=None, environ=None) -> int:
@@ -421,142 +491,16 @@ def run(argv, stdout=None, stderr=None, environ=None) -> int:
         return 2
     try:
         cfg = resolve_config(args, environ)
-        return _dispatch(args, cfg, stdout, stderr)
+        answer = COMMANDS[args.command][2](args, cfg, stdout, stderr)
+        if answer is not None:
+            text, doc = answer
+            stdout.write(dumps(doc) if cfg.format == "json" else text + "\n")
     except CswallsError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2
-
-
-def _dispatch(args, cfg: Config, out, err) -> int:
-    fmt = cfg.format
-    cmd = args.command
-
-    if cmd == "euler":
-        value = euler(args.v1, args.v2, cfg.genus)
-        _print_value(value, fmt, out, {"euler": value})
-    elif cmd == "serre":
-        v = serre_class(args.cls, cfg.genus)
-        _print_value(_triple_text(v), fmt, out, {"class": list(v.as_tuple())})
-    elif cmd == "dual":
-        v = dual_class(args.cls)
-        _print_value(_triple_text(v), fmt, out, {"class": list(v.as_tuple())})
-    elif cmd == "mutate":
-        v = mutate_left(args.e, args.cls, cfg.genus)
-        _print_value(_triple_text(v), fmt, out, {"class": list(v.as_tuple())})
-    elif cmd == "project":
-        b, w = project(args.cls)
-        _print_value(f"{unrat(b)},{unrat(w)}", fmt, out,
-                     {"point": [unrat(b), unrat(w)]})
-    elif cmd == "bn":
-        model = cfg.model()
-        lo, hi = model.lower(args.at), model.upper(args.at)
-        text = (f"model={model.name} genus={cfg.genus} "
-                f"exact={str(model.exact).lower()} "
-                f"lower({unrat(args.at)})={unrat(lo)} "
-                f"upper({unrat(args.at)})={unrat(hi)}")
-        _print_value(text, fmt, out, {
-            "model": model.name, "genus": cfg.genus, "exact": model.exact,
-            "at": unrat(args.at), "lower": unrat(lo), "upper": unrat(hi),
-        })
-    elif cmd == "region":
-        model = cfg.model()
-        uc = region_uc(args.point.as_tuple(), model)
-        uf = (
-            region_uf(args.point.as_tuple(), cfg.genus)
-            if cfg.genus >= 4 else None
-        )
-        uf_text = "n/a" if uf is None else str(uf).lower()
-        _print_value(f"UC: {uc.value}\nUf: {uf_text}", fmt, out,
-                     {"uc": uc.value, "uf": uf})
-    elif cmd == "charge":
-        z = central_charge(args.cls, args.point)
-        _print_value(str(z), fmt, out, {"charge": [unrat(z.re), unrat(z.im)]})
-    elif cmd == "nu":
-        value = nu(args.cls, args.point)
-        text = "inf" if value == math.inf else unrat(value)
-        _print_value(text, fmt, out, {"nu": text})
-    elif cmd == "mualpha":
-        value = mu_alpha(args.cls, args.alpha)
-        text = "inf" if value == math.inf else unrat(value)
-        _print_value(text, fmt, out, {"mu_alpha": text})
-    elif cmd == "walls":
-        model = cfg.model()
-        walls, docs = cached_walls(args.cls, cfg, model, err)
-        render_walls(walls, fmt, out, docs)
-    elif cmd == "chambers":
-        model = cfg.model()
-        walls, _ = cached_walls(args.cls, cfg, model, err)
-        report = chamber_decomposition(args.cls, walls, cfg.window, model)
-        doc = chamber_report_to_json(report)
-        if fmt == "json":
-            out.write(dumps(doc))
-        else:
-            out.write(f"kind={doc['kind']} chambers={len(doc['chambers'])}\n")
-            for ch in doc["chambers"]:
-                out.write(
-                    f"  [{ch['index']}] {ch['kind']} bounds={ch['bounds']} "
-                    f"meets_window={str(ch['meets_window']).lower()} "
-                    f"sample={ch['sample'][0]},{ch['sample'][1]} "
-                    f"region={ch['region']}\n"
-                )
-    elif cmd == "ray":
-        line = ray_line(args.cls, args.alpha)
-        _print_value(f"{line.A},{line.B},{line.C}", fmt, out,
-                     {"line": list(line.as_tuple())})
-    elif cmd == "feasible":
-        verdict = bogomolov_verdict(args.cls, cfg.genus)
-        _print_value(verdict.value, fmt, out, {"verdict": verdict.value})
-    elif cmd == "classify":
-        lifts = (None, None, None)
-        if args.lifts:
-            parts = args.lifts.split(",")
-            if len(parts) != 3:
-                raise CswallsError("lifts must be phi1,phi2,phi3")
-            lifts = tuple(
-                None if p == "-" else parse_finite(p) for p in parts
-            )
-        flags = frozenset(f for f in args.flags.split(",") if f)
-        data = ChargeData(
-            _parse_complex(args.z1), _parse_complex(args.z2),
-            _parse_complex(args.z3), lifts, flags, cfg.tol,
-        )
-        result = full_classification(data, cfg.model(), cfg.tol)
-        doc = result.to_json()
-        if fmt == "json":
-            out.write(dumps(doc))
-        else:
-            type_b = doc["typeB"]
-            out.write(f"in_UA: {doc['in_UA']}\n")
-            out.write(f"in_UB: {doc['in_UB']}\n")
-            if type_b is not None:
-                out.write(
-                    f"typeB: point={type_b['point'][0]},"
-                    f"{type_b['point'][1]} region={type_b['region']}\n"
-                )
-            out.write(f"second_branch: {doc['second_branch']}\n")
-            for note in doc["notes"]:
-                out.write(f"note: {note}\n")
-    elif cmd == "glue":
-        el = gluing_presentation(args.point)
-        doc = gl_element_to_json(el)
-        doc["f0"] = el.lift_at_zero()
-        if fmt == "json":
-            out.write(dumps(doc))
-        else:
-            m = doc["m"]
-            out.write(
-                f"M=[[{m[0][0]},{m[0][1]}],[{m[1][0]},{m[1][1]}]] "
-                f"winding={doc['winding']} f0={doc['f0']!r}\n"
-            )
-    elif cmd == "plot":
-        model = cfg.model()
-        walls, _ = cached_walls(args.cls, cfg, model, err)
-        render_svg(walls, cfg.window, args.out, model=model, owner=args.cls)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise CswallsError(f"unknown command {cmd}")
     return 0
 
 

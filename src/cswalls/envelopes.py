@@ -165,26 +165,24 @@ class PLFunction:
         }
 
 
+def _probes(f: PLFunction, g_fn: PLFunction) -> list:
+    """The breakpoints and overrides of both functions (ascending), one
+    point beyond each end, then the midpoint of each gap between them."""
+    grid = sorted(set(f.breakpoints) | set(g_fn.breakpoints)
+                  | {x for x, _ in f.point_values}
+                  | {x for x, _ in g_fn.point_values})
+    return grid + [grid[0] - 1, grid[-1] + 1] + [
+        Fraction(a + b, 2) for a, b in zip(grid, grid[1:])]
+
+
 def pl_equal(f: PLFunction, g_fn: PLFunction) -> bool:
     """Exact pointwise equality of two piecewise-linear functions."""
     if f.left_slope != g_fn.left_slope:
         return False
-    grid = sorted(set(f.breakpoints) | set(g_fn.breakpoints)
-                  | {x for x, _ in f.point_values}
-                  | {x for x, _ in g_fn.point_values})
-    probes = set(grid)
-    lo = grid[0]
-    probes.add(lo - 1)
-    probes.add(grid[-1] + 1)
-    for a, b in zip(grid, grid[1:]):
-        probes.add(Fraction(a + b, 2))
     # Two affines agreeing at two points of an interval agree on it, so
     # breakpoints + midpoints + one point beyond each tail are sufficient.
-    for i, x in enumerate(sorted(probes)):
-        if f(x) != g_fn(x):
-            return False
-    strictly_after = grid[-1] + 2
-    return f(strictly_after) == g_fn(strictly_after)
+    probes = _probes(f, g_fn)
+    return all(f(x) == g_fn(x) for x in probes + [max(probes) + 1])
 
 
 @dataclass(frozen=True)
@@ -201,17 +199,7 @@ class BNModel:
         g = self.genus.g
         _check_forced_tails(self.lower, g, "lower")
         _check_forced_tails(self.upper, g, "upper")
-        probes = sorted(
-            set(self.lower.breakpoints) | set(self.upper.breakpoints)
-            | {x for x, _ in self.lower.point_values}
-            | {x for x, _ in self.upper.point_values}
-        )
-        extended = list(probes)
-        extended.append(probes[0] - 1)
-        extended.append(probes[-1] + 1)
-        for a, b in zip(probes, probes[1:]):
-            extended.append(Fraction(a + b, 2))
-        for x in extended:
+        for x in _probes(self.lower, self.upper):
             if self.lower(x) > self.upper(x):
                 raise InvalidEnvelope(
                     f"lower({x}) = {self.lower(x)} exceeds "
@@ -261,31 +249,12 @@ def _check_forced_tails(f: PLFunction, g: int, which: str):
 
 def general_upper(x, g: GenusLike) -> Fraction:
     """Generic upper envelope: 0 / Clifford bound x/2 + 1 / x + 1 - g."""
-    gg = genus_value(g)
-    x = _frac(x)
-    if x < 0:
-        return Fraction(0)
-    if x > 2 * gg - 2:
-        return x + 1 - gg
-    if gg == 1:
-        return Fraction(1)  # interval collapses to {0}
-    return x / 2 + 1
+    return _general_upper_pl(genus_value(g))(x)
 
 
 def lower_envelope(x, g: GenusLike) -> Fraction:
     """Riemann-Roch floor: 0 for x < 0, max(0, x + 1 - g) for x >= 0."""
-    gg = genus_value(g)
-    x = _frac(x)
-    if x < 0:
-        return Fraction(0)
-    return max(Fraction(0), x + 1 - gg)
-
-
-def _mercat_breaks(g: int):
-    b1 = 2 + Fraction(2, g - 2)
-    b2 = 2 * g - 4 - Fraction(2, g - 2)
-    b3 = Fraction(3 * g - 3)
-    return b1, b2, b3
+    return _lower_pl(genus_value(g))(x)
 
 
 def mercat_upper(x, g: GenusLike) -> Fraction:
@@ -301,16 +270,10 @@ def mercat_upper(x, g: GenusLike) -> Fraction:
     x = _frac(x)
     if x <= 0:
         raise DomainError(f"mercat bound is defined for b > 0, got {x}")
-    b1, b2, b3 = _mercat_breaks(gg)
-    if x < b1:
-        return Fraction(1, gg) * x + 1 - Fraction(1, gg)
-    if x < b2:
-        return x / 2
-    if x < b3:
-        return (1 - Fraction(1, gg)) * x + 4 - gg - Fraction(3, gg)
-    return x + 1 - gg
+    return mercat_bound_pl(gg)(x)
 
 
+@lru_cache(maxsize=64)
 def _lower_pl(g: int) -> PLFunction:
     if g == 1:
         pieces = ((Fraction(0), Fraction(1), Fraction(0)),)
@@ -322,8 +285,9 @@ def _lower_pl(g: int) -> PLFunction:
     return PLFunction(pieces, Fraction(0), Fraction(0))
 
 
+@lru_cache(maxsize=64)
 def _general_upper_pl(g: int) -> PLFunction:
-    if g == 1:
+    if g == 1:  # the Clifford interval collapses to {0}
         pieces = ((Fraction(0), Fraction(1), Fraction(0)),)
         overrides = ((Fraction(0), Fraction(1)),)
     else:
@@ -338,40 +302,32 @@ def _general_upper_pl(g: int) -> PLFunction:
 
 @lru_cache(maxsize=64)
 def mercat_bound_pl(g: int) -> PLFunction:
-    """`mercat_upper` as a PLFunction on b > 0, for g >= 4 (its left tail,
-    0 on b < 0, lies outside the bound's domain).  At g = 4 the middle
-    piece is empty and dropped."""
-    b1, b2, b3 = _mercat_breaks(g)
+    """The Mercat bound f(b) on b > 0, for g >= 4 (its left tail, 0 on
+    b < 0, lies outside the bound's domain): slope 1/g up to
+    b1 = 2 + 2/(g-2), then b/2 up to b2 = 2g - 4 - 2/(g-2), then slope
+    1 - 1/g up to 3g - 3, then b + 1 - g.  At g = 4 the middle piece is
+    empty and dropped."""
     inv_g = Fraction(1, g)
+    b1 = 2 + Fraction(2, g - 2)
+    b2 = 2 * g - 4 - Fraction(2, g - 2)
     pieces = [(Fraction(0), inv_g, 1 - inv_g)]
     if b1 < b2:
         pieces.append((b1, Fraction(1, 2), b1 / 2))
-    pieces += [(b2, 1 - inv_g, b2 / 2), (b3, Fraction(1), Fraction(2 * g - 2))]
+    pieces += [(b2, 1 - inv_g, b2 / 2),
+               (Fraction(3 * g - 3), Fraction(1), Fraction(2 * g - 2))]
     return PLFunction(tuple(pieces), Fraction(0), Fraction(0))
 
 
+@lru_cache(maxsize=64)
 def _mercat_upper_pl(g: int) -> PLFunction:
     # Pointwise min of the general and Mercat bounds on b > 0: the Mercat
     # bound wins on (0, 2g-2], the forced tail x+1-g wins beyond.  The
     # value at b = 0 stays the general one (Mercat needs b > 0).
-    b1, b2, _ = _mercat_breaks(g)
+    bound = mercat_bound_pl(g)
     top = Fraction(2 * g - 2)
-    inv_g = Fraction(1, g)
-    pieces = [
-        (Fraction(0), inv_g, 1 - inv_g),
-        (b1, Fraction(1, 2), b1 / 2),
-        (b2, 1 - inv_g, b2 / 2),
-        (top, Fraction(1), Fraction(g - 1)),
-    ]
-    # at g = 4 the middle piece is empty (b1 == b2); drop empty pieces
-    pieces = [
-        p for i, p in enumerate(pieces)
-        if i + 1 >= len(pieces) or p[0] < pieces[i + 1][0]
-    ]
-    overrides = (
-        (Fraction(0), Fraction(1)),
-        (top, g - inv_g),
-    )
+    pieces = [p for p in bound.pieces if p[0] < top]
+    pieces.append((top, Fraction(1), Fraction(g - 1)))
+    overrides = ((Fraction(0), Fraction(1)), (top, bound(top)))
     return PLFunction(tuple(pieces), Fraction(0), Fraction(0), overrides)
 
 
@@ -458,4 +414,4 @@ def region_uf(point: tuple, g: GenusLike) -> bool:
     b, w = _frac(point[0]), _frac(point[1])
     if b <= 0:
         return False
-    return w > mercat_upper(b, gg)
+    return w > mercat_bound_pl(gg)(b)

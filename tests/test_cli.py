@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -351,6 +352,9 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
     ["glue", "--point=-1/0,2"],
     ["walls", "--class", "2,3,1", "--window", "1/0,1,0,1"],
     ["classify", "--z1", "1/0,1", "--z2", "1,1", "--z3", "0,1"],
+    ["classify", "--z1", "1,2,3", "--z2", "1,1", "--z3", "0,1"],
+    ["classify", "--z1", "1,1", "--z2", "-1,1", "--z3", "0,1",
+     "--lifts", "1,0.5"],
 ])
 def test_malformed_rational_arguments_are_usage_errors(argv):
     code, out, _ = invoke(argv)
@@ -420,3 +424,159 @@ def test_walls_json_golden_digest(case):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN_WALLS_SHA256[case]
+
+
+#: one fixed argv per command; `plot` also takes `--out <path>`
+CLI_CASES = {
+    "euler": ["--genus", "2", "--v1", "0,0,1", "--v2", "1,0,0"],
+    "serre": ["--genus", "2", "--class", "0,0,1"],
+    "dual": ["--class", "2,3,1"],
+    "mutate": ["--e", "0,0,1", "--class", "2,3,1", "--genus", "3"],
+    "project": ["--class", "2,3,1"],
+    "bn": ["--at", "3/2", "--genus", "5", "--model", "mercat"],
+    "region": ["--point", "1,2", "--genus", "5"],
+    "charge": ["--class", "1,0,0", "--point=-2,3"],
+    "nu": ["--class", "2,3,1", "--point", "0,2"],
+    "mualpha": ["--class", "2,3,1", "--alpha", "2"],
+    "walls": ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
+              "--rank-bound", "2"],
+    "chambers": ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
+                 "--rank-bound", "2"],
+    "ray": ["--class", "2,3,1", "--alpha", "1"],
+    "feasible": ["--class", "1,1,3", "--genus", "5"],
+    "classify": ["--z1=-1,0", "--z2", "0,1", "--z3", "3,2",
+                 "--lifts", "1,0.5,0.18716704181099878",
+                 "--flags", "stable_O0,stable_pt,stable_sheafO",
+                 "--genus", "4"],
+    "glue": ["--point=-1,2"],
+    "plot": ["--class", "2,3,1", "--genus", "2", "--rank-bound", "1"],
+}
+
+#: sha256 of the stdout of each command in each --format, of
+#: `<command> --help` and of `cswalls --help`, each with exit code 0, so
+#: that a rewrite of the front end keeps every byte
+GOLDEN_CLI_SHA256 = {
+    ("cswalls", "help"):
+        "a45c9b134700922d511a57d5789a3416ebdce07712d70bfce0500f8a377d6291",
+    ("euler", "text"):
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("euler", "json"):
+        "d70b6119a8a26f7725fb743419f3056c60c0c31b0ef61c9270bba021e991a913",
+    ("euler", "help"):
+        "fff7bbce746aeb12743ab27e56a3e2241ee696cd73a7c6147c2c6dbb2ae62050",
+    ("serre", "text"):
+        "efac2f91799570cc54e7d8044b465173481a29f7ac58073fe322227b922dfba3",
+    ("serre", "json"):
+        "96db17739566ee7604aa27872eb4be9defa7bb7ea90ecdf0878150880f8d3da9",
+    ("serre", "help"):
+        "63d8c5c011944ed5c3e2037b9145af11f9706faff86aa392b0b398bd8725a730",
+    ("serre", "csv"):
+        "efac2f91799570cc54e7d8044b465173481a29f7ac58073fe322227b922dfba3",
+    ("dual", "text"):
+        "93d7c567427242714d418efec594816f0c222034e43de2577528cf2a68e15403",
+    ("dual", "json"):
+        "5aace8bc9d60161e7e53fa8760ed459cfdf56ae2e298a333be76530f4423a1fe",
+    ("dual", "help"):
+        "bf20a191ad658fa19c707f13592a46c2e6195965ad12d731232d1cd2cf72e888",
+    ("mutate", "text"):
+        "42f43d728fc911c930ff0c824a157ac259710d5263c5ccc975d0b9e86d99959c",
+    ("mutate", "json"):
+        "aec5f0b379f3b736af4c7384c75395b6ab42e47b38e09e46cd658bdeeedc6e4d",
+    ("mutate", "help"):
+        "6ee5b069ae1f86e006b605346f2c76fd550d0ca9d04d6df2c25d2712b261d052",
+    ("project", "text"):
+        "fe78bafc4531300f55ad9b80fe022a1026705054cdc59e26447b941fb099ed20",
+    ("project", "json"):
+        "90d62e13b2da968b718ffc8a61c881d6d56d6a30e66278e0a1ecf18515457e8e",
+    ("project", "help"):
+        "bb498ff295fcd4ae42f134f62035f161d82d9ce3c6849daba10d532911e2fa37",
+    ("bn", "text"):
+        "4062aa0022b894442391a3b7a9ee901209e30c2381d758611833c093982b434c",
+    ("bn", "json"):
+        "5dde1a894bc234d8b7087758bc9572675caa6a17533a888727ab6ae969664ed9",
+    ("bn", "help"):
+        "2de908e3cfc216e7c5ddabf7f2348ad53ae1fb36ef5ff277bb7214e8b8c70f6a",
+    ("region", "text"):
+        "4465c13ee7064afbc6e75e38587594c772c1a19811cc0dada2caba4253df5b7d",
+    ("region", "json"):
+        "e1c80f0283ae2674e352b001185e2825cfde46aea2aa47f4bcb3fe62549e2781",
+    ("region", "help"):
+        "b21c83f9ba403f70281364ec6c17ffd9a8931106f31f1a5b9303030db2ec20dc",
+    ("charge", "text"):
+        "eb246eebebc0486fdca534641d54047489b8fa901f0977c5a91a0e06838bd509",
+    ("charge", "json"):
+        "8452b66479bccfe05089d51cd61022fefad825c591c756ddcf33e61d842d3387",
+    ("charge", "help"):
+        "1ec0c108f36ff9ef86075ebe8160bd6d2b54fe2b8088769d9f54d254b9cc4a7c",
+    ("nu", "text"):
+        "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28",
+    ("nu", "json"):
+        "1946a969b37a74c37cb40391669c7eb74764d91ba387da7dcc6e138cef297629",
+    ("nu", "help"):
+        "c36698ec462d6b483279771be1800e9267494c45ecb4111f29a83681d9c48d55",
+    ("mualpha", "text"):
+        "6a214bbd7c4b3acae2321c0a34a2cf2737062e3f1a024cce803e36fbbb3a5ed5",
+    ("mualpha", "json"):
+        "0ca5ea1523ef913079bafa5636c881fdb8c198d7e63aacd6cf821dd202ec7b31",
+    ("mualpha", "help"):
+        "f8bbe717bd21d019968899ae773925f9deb8ce750e412e5e834711fa65ef052f",
+    ("walls", "text"):
+        "87c7ff3601d17b64df94c05dff06e2661d49c9c1df006671d6f77d6debcfe74d",
+    ("walls", "json"):
+        "e5821f95ad6d92bacd16c6e983f9bfded1481e18fd1a39b89e2b4a638631aaa4",
+    ("walls", "help"):
+        "85d0f87559ff2a67535b51918a7ab4504085283c4d067605dd946045f352215b",
+    ("chambers", "text"):
+        "b1287465ef6e73a44b27a47345124c5f95d7fee8dcec26793299aa68095faecc",
+    ("chambers", "json"):
+        "357bb422f1ac721a0eeb4e429e72f4c40063dc10500adbf02de11131a298ce03",
+    ("chambers", "help"):
+        "2f09c7b47448dd48f5cc0135375e4686281f409dcdacc459c399d6820fd5bf73",
+    ("ray", "text"):
+        "f93bb9618e747e0e37d87f18ff7eb1a1edb5e90a500d77131b38d6b5e91753bb",
+    ("ray", "json"):
+        "bf627a18b53a03cb7d5f6822706cfee99a5dbd89f7a7c4d8492c8ffb65f74d3b",
+    ("ray", "help"):
+        "1ae7ffa963234c9c6b4f0c2f2b87bec654bfb9a56dcea5fb8ec329f5c14cbf02",
+    ("feasible", "text"):
+        "0a13933e94919d87069a15b4944dfbe95c456b275130927a09550b8fb4ba16b9",
+    ("feasible", "json"):
+        "ae36ec33d67b28225bed942e492ee23cc792975e13ac3e23d6e5664b0c4dec3f",
+    ("feasible", "help"):
+        "2bb80dae5c4d496b45f2f0422a5a37e32b000e7d930772f9132ffe3e18f868b8",
+    ("classify", "text"):
+        "c24122ac879d8c393117f8237762c211ac132b95a2a7397a2dd7ae6a613152c8",
+    ("classify", "json"):
+        "3bc7e3edc6cb0bf5ef43615e121e54b956a9e94d1b6bdce601e8858c65e50895",
+    ("classify", "help"):
+        "3c2f75b4ecac40b50068093ce019183573f6ac749dbeccf9c7b6af0ffb11c86c",
+    ("glue", "text"):
+        "0a21319b09fbcc126cd2f1e43a7e123d405c554cb4fb916c8bca48cd708b2a98",
+    ("glue", "json"):
+        "07e151ef7e458652a172f3694dbbd3b82d38c1b14884a3c5dccce30ff2e2c2c2",
+    ("glue", "help"):
+        "2f0bcaef5f94659632133e224dd93ba10fec475a7b4b04bd6af2fec2acff5e89",
+    ("plot", "text"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("plot", "json"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("plot", "help"):
+        "51b5ce07a827dc9ab572bbbaca36f3a5c526b1b44154f63b7e92cbcf31093f8b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI_SHA256))
+def test_cli_golden_digest(case, tmp_path, monkeypatch):
+    cmd, mode = case
+    if mode == "help":
+        if sys.version_info[:2] != (3, 11):
+            pytest.skip("the help digests are of Python 3.11's argparse")
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to this width
+        argv = ["--help"] if cmd == "cswalls" else [cmd, "--help"]
+    else:
+        argv = [cmd] + CLI_CASES[cmd] + ["--format", mode]
+        if cmd == "plot":
+            argv += ["--out", str(tmp_path / "walls.svg")]
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI_SHA256[case]

@@ -81,26 +81,60 @@ def test_model_examples():
         make_model("nope", 2)
 
 
+# Closed forms of the three envelope bounds, written independently of the
+# PLFunction tables that `make_model` and the public evaluators use.
+def _general_upper_ref(x, g):
+    if x < 0:
+        return F(0)
+    if x > 2 * g - 2:
+        return x + 1 - g
+    if g == 1:
+        return F(1)  # interval collapses to {0}
+    return x / 2 + 1
+
+
+def _lower_ref(x, g):
+    if x < 0:
+        return F(0)
+    return max(F(0), x + 1 - g)
+
+
+def _mercat_ref(x, g):
+    """The four-piece Mercat bound f(b) for b > 0, g >= 4."""
+    b1 = 2 + F(2, g - 2)
+    b2 = 2 * g - 4 - F(2, g - 2)
+    if x < b1:
+        return F(1, g) * x + 1 - F(1, g)
+    if x < b2:
+        return x / 2
+    if x < 3 * g - 3:
+        return (1 - F(1, g)) * x + 4 - g - F(3, g)
+    return x + 1 - g
+
+
 def test_model_envelopes_match_closed_forms():
     rng = random.Random(5)
     for g in (1, 2, 3, 5, 9):
         m = make_model("general", g)
-        for _ in range(200):
-            x = F(rng.randint(-400, 400), rng.randint(1, 40))
-            assert m.upper(x) == general_upper(x, g)
-            assert m.lower(x) == lower_envelope(x, g)
-        assert m.upper(F(2 * g - 2)) == general_upper(2 * g - 2, g)
+        xs = [F(rng.randint(-400, 400), rng.randint(1, 40))
+              for _ in range(200)]
+        for x in xs + [F(0), F(2 * g - 2)]:
+            assert m.upper(x) == general_upper(x, g) == _general_upper_ref(x, g)
+            assert m.lower(x) == lower_envelope(x, g) == _lower_ref(x, g)
 
 
 def test_mercat_model_is_pointwise_min():
     rng = random.Random(6)
     for g in (4, 5, 8, 12):
         m = make_model("mercat", g)
-        for _ in range(300):
-            x = F(rng.randint(-100, 100 * g), rng.randint(1, 24))
-            expected = general_upper(x, g)
+        top = F(2 * g - 2)
+        xs = [F(rng.randint(-100, 100 * g), rng.randint(1, 24))
+              for _ in range(300)]
+        for x in xs + [top, 2 + F(2, g - 2), 2 * g - 4 - F(2, g - 2)]:
+            expected = _general_upper_ref(x, g)
             if x > 0:
-                expected = min(expected, mercat_upper(x, g))
+                assert mercat_upper(x, g) == _mercat_ref(x, g)
+                expected = min(expected, _mercat_ref(x, g))
             assert m.upper(x) == expected
         assert m.upper(0) == 1  # Mercat needs b > 0; the value at 0 stays
 
