@@ -48,24 +48,6 @@ class ClassificationResult:
     second_branch: Optional[GluingBranch]
     notes: Tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "in_UA": self.in_ua.value,
-            "in_UB": self.in_ub.value,
-            "typeB": (
-                None
-                if self.type_b is None
-                else {
-                    "point": [str(self.type_b[0].b), str(self.type_b[0].w)],
-                    "region": self.type_b[1].value,
-                }
-            ),
-            "second_branch": (
-                None if self.second_branch is None else self.second_branch.value
-            ),
-            "notes": list(self.notes),
-        }
-
 
 def in_ua(lifts, tol: float = DEFAULT_TOL) -> bool:
     """Strict chain phi1 - 1 < phi3 < phi2 < phi3 + 1 with margin > tol."""

@@ -35,8 +35,11 @@ from .envelopes import BNModel, make_model, model_from_json, region_uc, region_u
 from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
     chamber_report_to_json,
+    classification_to_json,
+    complex_to_json,
     dumps,
     gl_element_to_json,
+    model_to_json,
     rat,
     unrat,
     walls_from_json,
@@ -63,6 +66,12 @@ DEFAULTS = {
 }
 
 CONFIG_ENV = "CSWALLS_CONFIG"
+
+#: the JSON type each CSWALLS_CONFIG value must have (null leaves it unset)
+_CONFIG_TYPES = {"genus": "integer", "model": "string", "window": "string",
+                 "rank_bound": "integer", "tol": "number", "format": "string",
+                 "cache_dir": "string"}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 
 # let argparse treat tokens like "-3,3,1/2,6" or "-1,2,0" as option values
 _NEGATIVE_VALUE = re.compile(r"^-\d+([.,/]\S*)?$")
@@ -106,12 +115,18 @@ def parse_rat(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def parse_finite(text: str) -> float:
-    """A float argument; NaN and infinities are usage errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
+def parse_lifts(text: str) -> tuple:
+    """Three phase lifts phi1,phi2,phi3, each a float or '-' for unknown;
+    a wrong count, NaN or an infinity is a usage error."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(
+            f"lifts must be phi1,phi2,phi3, got {text!r}")
+    lifts = tuple(None if p == "-" else float(p) for p in parts)
+    if not all(x is None or math.isfinite(x) for x in lifts):
+        raise argparse.ArgumentTypeError(
+            f"lifts must be finite numbers, got {text!r}")
+    return lifts
 
 
 def parse_rats(text: str, count: int = 2) -> tuple:
@@ -138,6 +153,12 @@ def _load_config_file(environ) -> dict:
     unknown = set(doc) - set(DEFAULTS)
     if unknown:
         raise CswallsError(f"unknown config keys {sorted(unknown)}")
+    for name, value in doc.items():
+        kind = _CONFIG_TYPES[name]
+        if value is not None and (isinstance(value, bool) or
+                                  not isinstance(value, _JSON_TYPES[kind])):
+            raise ValueError(f"{CONFIG_ENV} value {name!r} must be a JSON "
+                             f"{kind}, got {json.dumps(value)}")
     return doc
 
 
@@ -151,14 +172,14 @@ def resolve_config(args, environ) -> Config:
             return file_cfg[name]
         return DEFAULTS[name]
 
-    genus = int(pick("genus", args.genus))
-    model_name = str(pick("model", args.model))
-    window = Window(*parse_rats(str(pick("window", args.window)), 4))
-    rank_bound = int(pick("rank_bound", args.rank_bound))
+    genus = pick("genus", args.genus)
+    model_name = pick("model", args.model)
+    window = Window(*parse_rats(pick("window", args.window), 4))
+    rank_bound = pick("rank_bound", args.rank_bound)
     tol = float(pick("tol", args.tol))
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    fmt = str(pick("format", args.format))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+    fmt = pick("format", args.format)
     cache_dir = pick("cache_dir", args.cache_dir)
     if fmt not in ("json", "csv", "text"):
         raise CswallsError(f"unknown format {fmt!r}")
@@ -184,7 +205,9 @@ def _cache_key(v: NumClass, cfg: Config, model: BNModel) -> dict:
         "window": [unrat(win.b_min), unrat(win.b_max),
                    unrat(win.w_min), unrat(win.w_max)],
         "rank_bound": cfg.rank_bound,
-        "model": model.fingerprint(),
+        # the model document as a string, as cache entries have held it
+        "model": json.dumps(model_to_json(model), sort_keys=True,
+                            separators=(",", ":")),
         "version": __version__,
     }
 
@@ -311,7 +334,7 @@ def _region(a, cfg, *_):
 
 def _charge(a, *_):
     z = central_charge(a.cls, PlanePoint(*a.point))
-    return str(z), {"charge": [unrat(z.re), unrat(z.im)]}
+    return str(z), {"charge": complex_to_json(z)}
 
 
 def _walls(a, cfg, out, err):
@@ -335,16 +358,11 @@ def _chambers(a, cfg, out, err):
 
 
 def _classify(a, cfg, *_):
-    lifts = (None, None, None)
-    if a.lifts:
-        parts = a.lifts.split(",")
-        if len(parts) != 3:
-            raise ValueError("lifts must be phi1,phi2,phi3")
-        lifts = tuple(None if p == "-" else parse_finite(p) for p in parts)
     flags = frozenset(f for f in a.flags.split(",") if f)
-    z1, z2, z3 = (ComplexRational(*parse_rats(z)) for z in (a.z1, a.z2, a.z3))
-    data = ChargeData(z1, z2, z3, lifts, flags, cfg.tol)
-    doc = full_classification(data, cfg.model(), cfg.tol).to_json()
+    z1, z2, z3 = (ComplexRational(*z) for z in (a.z1, a.z2, a.z3))
+    data = ChargeData(z1, z2, z3, a.lifts, flags, cfg.tol)
+    result = full_classification(data, cfg.model(), cfg.tol)
+    doc = classification_to_json(result)
     lines = [f"in_UA: {doc['in_UA']}", f"in_UB: {doc['in_UB']}"]
     type_b = doc["typeB"]
     if type_b is not None:
@@ -418,9 +436,10 @@ COMMANDS = {
                  lambda a, cfg, *_: _answer(
                      "verdict", bogomolov_verdict(a.cls, cfg.genus).value)),
     "classify": ("classify charge data into regions",
-                 [_required("--z1", help="re,im (rationals)"),
-                  _required("--z2"), _required("--z3"),
+                 [_required("--z1", parse_rats, help="re,im (rationals)"),
+                  _required("--z2", parse_rats), _required("--z3", parse_rats),
                   ("--lifts", dict(
+                      type=parse_lifts, default=(None, None, None),
                       help="phi1,phi2,phi3 (floats, '-' for unknown)")),
                   ("--flags", dict(
                       default="", help="comma list from stable_O0,stable_pt,"

@@ -12,9 +12,8 @@ arithmetic and a three-valued verdict.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,8 +53,6 @@ class PLFunction:
     left_slope: Fraction
     left_value: Fraction
     point_values: Tuple[Tuple[Fraction, Fraction], ...] = ()
-    continuous: bool = field(init=False, default=False)
-    convex: bool = field(init=False, default=False)
 
     def __post_init__(self):
         pieces = tuple(
@@ -76,25 +73,6 @@ class PLFunction:
         object.__setattr__(self, "left_slope", _frac(self.left_slope))
         object.__setattr__(self, "left_value", _frac(self.left_value))
         object.__setattr__(self, "point_values", overrides)
-        object.__setattr__(self, "continuous", self._check_continuous())
-        object.__setattr__(self, "convex", self._check_convex())
-
-    def _check_continuous(self) -> bool:
-        if self.point_values:
-            return False
-        if self.left_value != self.pieces[0][2]:
-            return False
-        for (x0, s0, v0), (x1, _, v1) in zip(self.pieces, self.pieces[1:]):
-            if v0 + s0 * (x1 - x0) != v1:
-                return False
-        return True
-
-    def _check_convex(self) -> bool:
-        # Slope monotonicity; point overrides break the certificate.
-        if self.point_values:
-            return False
-        slopes = [self.left_slope] + [s for _, s, _ in self.pieces]
-        return all(a <= b for a, b in zip(slopes, slopes[1:]))
 
     @cached_property
     def breakpoints(self) -> Tuple[Fraction, ...]:
@@ -157,13 +135,6 @@ class PLFunction:
         knots.extend((x, v * m) for x, v in points)
         return m, parts, tuple(dict.fromkeys(knots)), points
 
-    def to_json(self) -> dict:
-        return {
-            "left": [str(self.left_slope), str(self.left_value)],
-            "pieces": [[str(x), str(s), str(v)] for x, s, v in self.pieces],
-            "point_values": [[str(x), str(v)] for x, v in self.point_values],
-        }
-
 
 def _probes(f: PLFunction, g_fn: PLFunction) -> list:
     """The breakpoints and overrides of both functions (ascending), one
@@ -207,17 +178,6 @@ class BNModel:
                 )
         if self.exact and not pl_equal(self.lower, self.upper):
             raise InvalidEnvelope("exact model requires lower == upper")
-
-    def fingerprint(self) -> str:
-        doc = {
-            "name": self.name,
-            "genus": self.genus.g,
-            "exact": self.exact,
-            "lower": self.lower.to_json(),
-            "upper": self.upper.to_json(),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
 
 def _check_forced_tails(f: PLFunction, g: int, which: str):
     """Envelopes must be 0 on x<0 and x+1-g on x>2g-2, exactly."""

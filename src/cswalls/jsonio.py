@@ -1,8 +1,8 @@
-"""Canonical JSON encoding/decoding for result types.
+"""Canonical JSON encoding of result types; only walls are decoded.
 
 Rationals serialize as strings ("p/q", or "p" for integers), never as
-floats; complex values as two-element arrays; walls, chamber reports,
-classification results and envelope models round-trip losslessly.
+floats; points and complex values as two-element arrays.  Walls, read
+back from cache entries, are the only documents decoded here.
 """
 
 from __future__ import annotations
@@ -12,16 +12,11 @@ import math
 from fractions import Fraction
 
 from .charges import ComplexRational, GLElement, PlanePoint
-from .envelopes import BNModel, PLFunction, RegionVerdict
+from .classify import ClassificationResult
+from .envelopes import BNModel, PLFunction
 from .errors import DomainError
 from .lattice import NumClass
-from .walls import (
-    Chamber,
-    ChamberReport,
-    Check,
-    RationalLine,
-    Wall,
-)
+from .walls import ChamberReport, Check, RationalLine, Wall
 
 
 def rat(s) -> Fraction:
@@ -50,9 +45,7 @@ def wall_to_json(w: Wall) -> dict:
         "destabilizers": [list(d.as_tuple()) for d in w.destabilizers],
         "line": list(w.line.as_tuple()),
         "nu": "inf" if w.nu_value == math.inf else unrat(w.nu_value),
-        "segment": [
-            [unrat(p.b), unrat(p.w)] for p in w.segment
-        ],
+        "segment": [point_to_json(p) for p in w.segment],
         "verdicts": {name: check.value for name, check in w.verdicts},
     }
 
@@ -102,67 +95,27 @@ def chamber_report_to_json(rep: ChamberReport) -> dict:
                 "kind": ch.kind,
                 "bounds": bounds,
                 "meets_window": ch.meets_window,
-                "sample": [unrat(ch.sample.b), unrat(ch.sample.w)],
+                "sample": point_to_json(ch.sample),
                 "region": None if ch.region is None else ch.region.value,
             }
         )
     return {
         "owner": list(rep.owner.as_tuple()),
         "kind": rep.kind,
-        "center": (
-            None
-            if rep.center is None
-            else [unrat(rep.center.b), unrat(rep.center.w)]
-        ),
+        "center": None if rep.center is None else point_to_json(rep.center),
         "chambers": chambers,
     }
 
 
-def chamber_report_from_json(doc: dict) -> ChamberReport:
-    chambers = []
-    for ch in doc["chambers"]:
-        if ch["kind"] == "sector":
-            bounds = (tuple(ch["bounds"][0]), tuple(ch["bounds"][1]))
-        elif ch["kind"] == "strip":
-            bounds = tuple(
-                None if t is None else rat(t) for t in ch["bounds"]
-            )
-        else:
-            bounds = ()
-        chambers.append(
-            Chamber(
-                index=ch["index"],
-                kind=ch["kind"],
-                bounds=bounds,
-                meets_window=ch["meets_window"],
-                sample=PlanePoint(rat(ch["sample"][0]), rat(ch["sample"][1])),
-                region=(
-                    None
-                    if ch["region"] is None
-                    else RegionVerdict(ch["region"])
-                ),
-            )
-        )
-    center = doc["center"]
-    return ChamberReport(
-        owner=NumClass(*doc["owner"]),
-        kind=doc["kind"],
-        center=(
-            None if center is None else PlanePoint(rat(center[0]), rat(center[1]))
-        ),
-        chambers=tuple(chambers),
-    )
+# --- charges, elements and classifications --------------------------------
 
 
-# --- charges / elements ---------------------------------------------------
+def point_to_json(p: PlanePoint) -> list:
+    return [unrat(p.b), unrat(p.w)]
 
 
 def complex_to_json(z: ComplexRational) -> list:
     return [unrat(z.re), unrat(z.im)]
-
-
-def complex_from_json(doc) -> ComplexRational:
-    return ComplexRational(rat(doc[0]), rat(doc[1]))
 
 
 def gl_element_to_json(el: GLElement) -> dict:
@@ -175,68 +128,41 @@ def gl_element_to_json(el: GLElement) -> dict:
     }
 
 
-def gl_element_from_json(doc: dict) -> GLElement:
-    (a, b), (c, d) = doc["m"]
-    return GLElement(rat(a), rat(b), rat(c), rat(d), int(doc["winding"]))
+def classification_to_json(res: ClassificationResult) -> dict:
+    return {
+        "in_UA": res.in_ua.value,
+        "in_UB": res.in_ub.value,
+        "typeB": (
+            None
+            if res.type_b is None
+            else {
+                "point": point_to_json(res.type_b[0]),
+                "region": res.type_b[1].value,
+            }
+        ),
+        "second_branch": (
+            None if res.second_branch is None else res.second_branch.value
+        ),
+        "notes": list(res.notes),
+    }
 
 
 # --- models ---------------------------------------------------------------
 
 
-def model_to_json(model: BNModel) -> dict:
-    def pl(f: PLFunction) -> dict:
-        return f.to_json()
+def pl_to_json(f: PLFunction) -> dict:
+    return {
+        "left": [unrat(f.left_slope), unrat(f.left_value)],
+        "pieces": [[unrat(x), unrat(s), unrat(v)] for x, s, v in f.pieces],
+        "point_values": [[unrat(x), unrat(v)] for x, v in f.point_values],
+    }
 
+
+def model_to_json(model: BNModel) -> dict:
     return {
         "name": model.name,
         "genus": model.genus.g,
         "exact": model.exact,
-        "lower": pl(model.lower),
-        "upper": pl(model.upper),
+        "lower": pl_to_json(model.lower),
+        "upper": pl_to_json(model.upper),
     }
-
-
-def pl_from_json(doc: dict) -> PLFunction:
-    return PLFunction(
-        tuple((rat(x), rat(s), rat(v)) for x, s, v in doc["pieces"]),
-        rat(doc["left"][0]),
-        rat(doc["left"][1]),
-        tuple((rat(x), rat(v)) for x, v in doc["point_values"]),
-    )
-
-
-def model_from_full_json(doc: dict) -> BNModel:
-    from .lattice import Genus
-
-    return BNModel(
-        pl_from_json(doc["lower"]),
-        pl_from_json(doc["upper"]),
-        bool(doc["exact"]),
-        Genus(int(doc["genus"])),
-        str(doc["name"]),
-    )
-
-
-def classification_from_json(doc: dict):
-    from .classify import ClassificationResult, GluingBranch, Membership
-    from .envelopes import RegionVerdict
-
-    type_b = doc["typeB"]
-    return ClassificationResult(
-        Membership(doc["in_UA"]),
-        Membership(doc["in_UB"]),
-        (
-            None
-            if type_b is None
-            else (
-                PlanePoint(rat(type_b["point"][0]), rat(type_b["point"][1])),
-                RegionVerdict(type_b["region"]),
-            )
-        ),
-        (
-            None
-            if doc["second_branch"] is None
-            else GluingBranch(doc["second_branch"])
-        ),
-        tuple(doc["notes"]),
-    )

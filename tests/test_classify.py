@@ -22,6 +22,7 @@ from cswalls.classify import (
 )
 from cswalls.envelopes import RegionVerdict, make_model
 from cswalls.errors import DomainError, ZeroCharge
+from cswalls.jsonio import classification_to_json
 
 ALL_FLAGS = frozenset({"stable_O0", "stable_pt", "stable_sheafO"})
 
@@ -213,5 +214,5 @@ def test_full_classification_round_trip():
         assert res.type_b[0] == p
         assert res.type_b[1] is RegionVerdict.IN  # envelope vanishes on b < 0
         assert res.second_branch is GluingBranch.GL1
-        doc = res.to_json()
+        doc = classification_to_json(res)
         assert doc["typeB"]["point"] == [str(p.b), str(p.w)]

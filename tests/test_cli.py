@@ -275,45 +275,6 @@ def test_plot_empty_walls(tmp_path):
     assert len(polys) >= 2
 
 
-def test_jsonio_round_trips():
-    import io as _io
-    from fractions import Fraction
-    from cswalls.charges import (ComplexRational, GLElement, PlanePoint,
-                                 type_b_triple)
-    from cswalls.classify import full_classification
-    from cswalls.envelopes import make_model
-    from cswalls.jsonio import (chamber_report_from_json,
-                                chamber_report_to_json,
-                                classification_from_json,
-                                complex_from_json, complex_to_json,
-                                gl_element_from_json, gl_element_to_json,
-                                model_from_full_json, model_to_json)
-    from cswalls.lattice import NumClass
-    from cswalls.walls import Window, chamber_decomposition, enumerate_walls
-
-    z = ComplexRational(Fraction(-3, 7), Fraction(5))
-    assert complex_from_json(complex_to_json(z)) == z
-
-    el = GLElement(Fraction(1, 2), Fraction(-1), Fraction(1, 2),
-                   Fraction(0), -2)
-    assert gl_element_from_json(gl_element_to_json(el)) == el
-
-    model = make_model("mercat", 5)
-    assert model_from_full_json(model_to_json(model)) == model
-
-    win = Window(Fraction(-2), Fraction(2), Fraction(1, 2), Fraction(3))
-    walls = enumerate_walls(NumClass(2, 3, 1), 5, win, 2, model)
-    rep = chamber_decomposition(NumClass(2, 3, 1), walls, win, model)
-    assert chamber_report_from_json(chamber_report_to_json(rep)) == rep
-
-    data = type_b_triple(PlanePoint(Fraction(-1), Fraction(2)),
-                         with_lifts=True,
-                         flags=frozenset({"stable_O0", "stable_pt",
-                                          "stable_sheafO"}))
-    res = full_classification(data, model)
-    assert classification_from_json(res.to_json()) == res
-
-
 def test_svg_write_failure_raises_io_error(tmp_path):
     from cswalls.errors import IoError
     from cswalls.svg import render_svg
@@ -355,6 +316,11 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
     ["classify", "--z1", "1,2,3", "--z2", "1,1", "--z3", "0,1"],
     ["classify", "--z1", "1,1", "--z2", "-1,1", "--z3", "0,1",
      "--lifts", "1,0.5"],
+    # parsed before the configuration, whose genus is wrong for the model
+    ["classify", "--z1", "1,2,3", "--z2", "1,1", "--z3", "0,1",
+     "--model", "mercat", "--genus", "2"],
+    ["classify", "--z1", "1,1", "--z2", "1,1", "--z3", "0,1",
+     "--lifts", "1,2", "--model", "mercat", "--genus", "2"],
 ])
 def test_malformed_rational_arguments_are_usage_errors(argv):
     code, out, _ = invoke(argv)
@@ -366,18 +332,28 @@ CLASSIFY_ARGS = ["classify", "--z1", "1,1", "--z2", "-1,1", "--z3", "0,1"]
 
 @pytest.mark.parametrize("extra", [
     ["--tol", "nan"], ["--tol", "inf"], ["--lifts", "nan,-,-"],
-    ["--lifts=-,-inf,-"],
+    ["--lifts=-,-inf,-"], ["--tol", "-1"], ["--tol", "0"],
 ])
 def test_non_finite_floats_are_usage_errors(extra):
     code, out, err = invoke(CLASSIFY_ARGS + extra)
     assert (code, out) == (2, "") and "finite" in err
 
 
-def test_non_finite_tol_from_config_is_a_usage_error(tmp_path):
+@pytest.mark.parametrize("doc, message", [
+    ('{"tol": NaN}', "finite"),
+    ('{"tol": -1}', "positive"),
+    ('{"tol": true}', "JSON number"),
+    ('{"cache_dir": 5}', "JSON string"),
+    ('{"rank_bound": 1.5}', "JSON integer"),
+    ('{"genus": true}', "JSON integer"),
+    ('{"genus": "2"}', "JSON integer"),
+], ids=["tol-nan", "tol-negative", "tol-bool", "cache_dir-int",
+        "rank_bound-float", "genus-bool", "genus-string"])
+def test_bad_config_values_are_usage_errors(doc, message, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"tol": NaN}')
+    cfg.write_text(doc)
     code, out, err = invoke(CLASSIFY_ARGS, {"CSWALLS_CONFIG": str(cfg)})
-    assert (code, out) == (2, "") and "finite" in err
+    assert (code, out) == (2, "") and message in err
 
 
 def test_argparse_output_goes_to_the_given_streams(capsys):
@@ -390,17 +366,50 @@ def test_argparse_output_goes_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+#: a genus-2 user model whose upper envelope jumps down at 1/2
+JUMP_MODEL = {
+    "lower": [["0", "0", "0"], ["0", "0", "0"], ["1", "1", "0"]],
+    "upper": [["0", "0", "0"], ["0", "3/4", "1"],
+              ["1/2", "1/3", "11/8"], ["2", "1", "1"]],
+    "exact": False,
+}
+
+
 def test_upper_envelope_jumping_down_is_not_an_error(tmp_path):
     path = tmp_path / "jump.json"
-    path.write_text(json.dumps({
-        "lower": [["0", "0", "0"], ["0", "0", "0"], ["1", "1", "0"]],
-        "upper": [["0", "0", "0"], ["0", "3/4", "1"],
-                  ["1/2", "1/3", "11/8"], ["2", "1", "1"]],
-        "exact": False,
-    }))
+    path.write_text(json.dumps(JUMP_MODEL))
     code, out, err = invoke(["walls", "--class", "0,2,0", "--genus", "2",
                              "--rank-bound", "2", "--model", f"user:{path}"])
     assert (code, err) == (0, "") and "2*w = 3" in out
+
+
+#: file names of the cache entries that `WALL_ARGS` writes at each
+#: (genus, model), fixed so that existing cache directories keep hitting
+GOLDEN_CACHE_NAMES = {
+    ("2", "general"):
+        "e99d15989bf17b7e19ebe40ce9e2cd7fa6cb8e4e2bb0fc70e3d2c4601ec3e0c1",
+    ("5", "mercat"):
+        "79b92b4ec00b14f13fc2add981c7428aa0472778b46e8b5efc90f99f8d248170",
+    ("1", "elliptic"):
+        "6da08fc58d2f9b9fd117e853381d0f6962d191059986d6dd567c76c7661c7076",
+    ("2", "user"):
+        "4126c715783925fcfb6dbb79de1c4b7de58859e01dde506692e569bfc055bcef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CACHE_NAMES))
+def test_cache_entry_names_golden(case, tmp_path):
+    genus, model = case
+    if model == "user":
+        path = tmp_path / "jump.json"
+        path.write_text(json.dumps(JUMP_MODEL))
+        model = f"user:{path}"
+    cache = tmp_path / "cache"
+    code, _, _ = invoke(WALL_ARGS + ["--genus", genus, "--model", model,
+                                     "--cache-dir", str(cache)])
+    assert code == 0
+    assert [p.name for p in cache.iterdir()] == [
+        GOLDEN_CACHE_NAMES[case] + ".json"]
 
 
 #: sha256 of `walls --format json` at rank bound 3 with the default
