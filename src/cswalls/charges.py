@@ -106,9 +106,6 @@ class GLElement:
     def det(self) -> Fraction:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def apply(self, re: Fraction, im: Fraction) -> tuple:
-        return (self.m11 * re + self.m12 * im, self.m21 * re + self.m22 * im)
-
     def apply_inverse(self, re: Fraction, im: Fraction) -> tuple:
         det = self.det()
         return (
@@ -143,9 +140,6 @@ class GLElement:
         else:
             lo = Fraction(-1, 2)
         return (lo + shift, lo + Fraction(1, 2) + shift)
-
-    def matrix(self) -> tuple:
-        return ((self.m11, self.m12), (self.m21, self.m22))
 
     def lift_value(self, t: float) -> float:
         """Evaluate the lift f at t.

@@ -12,7 +12,6 @@ arithmetic and a three-valued verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -80,16 +79,29 @@ class PLFunction:
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        if self.point_values:
-            for xo, vo in self.point_values:
-                if xo == x:
-                    return vo
-        x1 = self.pieces[0][0]
-        if x < x1:
-            return self.left_value + self.left_slope * (x - x1)
-        i = bisect_right(self.breakpoints, x) - 1
-        xi, si, vi = self.pieces[i]
-        return vi + si * (x - xi)
+        return Fraction(self.at(x.numerator, x.denominator)[0],
+                        self.scaled[0] * x.denominator)
+
+    def at(self, xn: int, xd: int) -> tuple:
+        """(value, left limit, right limit) at x = xn/xd (xd > 0), each as
+        a numerator over m*xd, m being the denominator of `scaled`."""
+        m, parts, _, points = self.scaled
+        xm = xn * m
+        # find the part holding x, and the one to its left when x is that
+        # part's low end; a part's value at x is (s*xn + i*xd)/(m*xd)
+        prev = None
+        for part in parts:
+            if part[1] is None or xm < part[1] * xd:
+                break
+            prev = part
+        if part[0] is None or part[0] * xd != xm:
+            prev = part
+        right = part[2] * xn + part[3] * xd
+        left = prev[2] * xn + prev[3] * xd
+        for px, pv in points:
+            if px * xd == xm:
+                return pv * xd, left, right
+        return right, left, right
 
     def affine_parts(self):
         """Yield (lo, hi, slope, value_at_ref, ref) covering the whole line.
@@ -331,23 +343,32 @@ def make_model(kind: str, g: GenusLike,
     raise DomainError(f"unknown model kind {kind!r}")
 
 
+def _rational(x) -> Fraction:
+    """A user-model number: a "p/q" string or an integer, not a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"numbers must be strings or integers, got {x!r}")
+    return Fraction(x)
+
+
 def _pl_from_json(rows: Sequence) -> PLFunction:
     """Decode a triple list; the first triple is the left tail."""
     if len(rows) < 2:
         raise InvalidEnvelope("need a left-tail triple plus >= 1 piece")
-    parsed = [(Fraction(x), Fraction(s), Fraction(v)) for x, s, v in rows]
+    parsed = [(_rational(x), _rational(s), _rational(v)) for x, s, v in rows]
     _, ls, lv = parsed[0]
     return PLFunction(tuple(parsed[1:]), ls, lv)
 
 
 def model_from_json(doc: dict, g: GenusLike) -> BNModel:
     """Load a user model from {"lower": [[b, slope, value], ...],
-    "upper": [...], "exact": bool} with rationals as "p/q" strings."""
+    "upper": [...], "exact": bool}, numbers as "p/q" strings or ints."""
     try:
         lower = _pl_from_json(doc["lower"])
         upper = _pl_from_json(doc["upper"])
-        exact = bool(doc["exact"])
-    except (KeyError, TypeError, ValueError) as exc:
+        exact = doc["exact"]
+        if not isinstance(exact, bool):
+            raise TypeError(f"exact must be true or false, got {exact!r}")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidEnvelope(f"malformed user model: {exc}") from exc
     return make_model("user", g, (lower, upper, exact))
 

@@ -194,34 +194,12 @@ def delta_certificate(b0, w0, delta, model: BNModel) -> list:
     return rows
 
 
-def _pl_at(pl: PLFunction, xn: int, xd: int) -> tuple:
-    """(value, left limit, right limit) of pl at x = xn/xd (xd > 0), each
-    as a numerator over m*xd, m being the denominator of `pl.scaled`."""
-    m, parts, _, points = pl.scaled
-    xm = xn * m
-    # find the part holding x, and the one to its left when x is that
-    # part's low end; a part's value at x is (s*xn + i*xd)/(m*xd)
-    prev = None
-    for part in parts:
-        if part[1] is None or xm < part[1] * xd:
-            break
-        prev = part
-    if part[0] is None or part[0] * xd != xm:
-        prev = part
-    right = part[2] * xn + part[3] * xd
-    left = prev[2] * xn + prev[3] * xd
-    for px, pv in points:
-        if px * xd == xm:
-            return pv * xd, left, right
-    return right, left, right
-
-
 def _headroom(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
     """(hn, hd) with hn/hd = w0 - upper(b0) for b0 = bn/bd and w0 = wn/wd
     (bd, wd > 0) when w0 lies strictly above upper(b0) and above both
     one-sided limits of upper at b0; None otherwise.  Without the limits
     no parabola through (b0, w0 - delta) can clear upper near b0."""
-    value, left, right = _pl_at(upper, bn, bd)
+    value, left, right = upper.at(bn, bd)
     den = upper.scaled[0] * bd
     wden = wn * den
     if wden <= max(value, left, right) * wd:
@@ -449,40 +427,12 @@ def _candidates(v: NumClass, window: Window, rank_bound: int):
                 yield (rp, dp, np_), gi
 
 
-def _segment_meets_uf(line: tuple, intervals, g: int) -> bool:
-    """Does the line (B != 0) lie strictly above the Mercat bound with
-    b > 0 somewhere inside the given closed intervals of pairs?"""
-    A, B, C = line
-    sb = 1 if B > 0 else -1
-    m, parts, _, _ = mercat_bound_pl(g).scaled
-    mA, mC = m * A, m * C
-    for lo, hi in intervals:
-        for plo, phi, s, i in parts[1:]:  # the left tail lies in b < 0
-            a = lo if plo * lo[1] <= lo[0] * m else (plo, m)
-            b = hi if phi is None or phi * hi[1] >= hi[0] * m else (phi, m)
-            if a[0] * b[1] > b[0] * a[1] or b[0] <= 0:
-                continue
-            # the affine difference w - (s*x + i)/m is positive somewhere
-            # on [a, b], and continuity pushes the witness into {b > 0}
-            ca, cc = -sb * (mA + B * s), sb * (mC - B * i)
-            if ca * a[0] + cc * a[1] > 0 or ca * b[0] + cc * b[1] > 0:
-                return True
-    return False
-
-
-def _negative_q(b0: Fraction, w0: Fraction, delta: Fraction):
-    """Predicate v -> support_form_value(v, SupportForm(b0, w0, delta)) < 0."""
-    negative = _negative_q_core(b0.numerator, b0.denominator, w0.numerator,
-                                w0.denominator, delta.numerator,
-                                delta.denominator)
-    return lambda v: negative(v.r, v.d, v.n)
-
-
 def _negative_q_core(bn, bd, wn, wd, en, ed):
-    """`_negative_q` in integers, for b0 = bn/bd, w0 = wn/wd and delta =
-    en/ed with positive denominators, as a predicate on (r, d, n):
-    delta*Q(r,d,n) times bd^2*wd*ed^2 is (d*bd - bn*r)^2*wd*ed^2 +
-    r*(r*kb - n*kc) with kb, kc below."""
+    """Predicate (r, d, n) -> support_form_value(NumClass(r, d, n),
+    SupportForm(b0, w0, delta)) < 0 in integers, for b0 = bn/bd, w0 =
+    wn/wd and delta = en/ed with positive denominators: delta*Q(r,d,n)
+    times bd^2*wd*ed^2 is (d*bd - bn*r)^2*wd*ed^2 + r*(r*kb - n*kc) with
+    kb, kc below."""
     ka = wd * ed * ed
     kb = en * (wn * ed - en * wd) * bd * bd
     kc = en * ed * bd * bd * wd
@@ -566,13 +516,13 @@ def _clip(line: tuple, window: Window):
     return lo, hi
 
 
-def _carve(line: tuple, lower: PLFunction, lo: tuple, hi: tuple):
-    """Closures of {b in [lo, hi] : w(b) > lower(b)} on the line (B != 0),
+def _carve(line: tuple, pl: PLFunction, lo: tuple, hi: tuple):
+    """Closures of {b in [lo, hi] : w(b) > pl(b)} on the line (B != 0),
     with the point overrides that w fails to clear cut out: a sorted list
     of disjoint (lo, hi) pairs."""
     A, B, C = line
     sb = 1 if B > 0 else -1
-    m, parts, _, points = lower.scaled
+    m, parts, _, points = pl.scaled
     mA, mC = m * A, m * C
     out = []
     for plo, phi, s, i in parts:
@@ -665,7 +615,11 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             feas = Check.UNKNOWN
             if cand[0] != 0 and gg >= 4:
                 if meets_uf is None:
-                    meets_uf = _segment_meets_uf(line, parts, gg)
+                    # somewhere with b > 0 the line clears the Mercat bound
+                    meets_uf = any(
+                        _carve(line, mercat_bound_pl(gg),
+                               a if a[0] > 0 else (0, 1), b)
+                        for a, b in parts)
                 if meets_uf:
                     feas = (
                         Check.FAIL
@@ -710,25 +664,27 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
 def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
                             upper: PLFunction) -> Check:
     """Pass when the open segment of the line (B != 0) over [lo, hi], as
-    pairs, is certified above the upper envelope: at both ends w >= upper,
-    and w > upper at the midpoint and at every breakpoint and point
-    override strictly inside."""
+    pairs, is certified above the upper envelope: at each end w >= upper
+    and its one-sided limit on the segment's side, and at the midpoint and
+    every breakpoint and point override strictly inside w > upper and both
+    its one-sided limits."""
     A, B, C = line
     sb = 1 if B > 0 else -1
     m, parts, _, points = upper.scaled
 
-    def clears(xn, xd, strict):
-        # w(x) - upper(x) = (m*(C*xd - A*xn) - B*value)/(B*m*xd)
-        diff = sb * (m * (C * xd - A * xn) - B * _pl_at(upper, xn, xd)[0])
-        return diff > 0 if strict else diff >= 0
+    def excess(x, sides):
+        # (w(x) - the largest of upper.at(x)[sides]) * |B|*m*xd
+        xn, xd = x
+        at = upper.at(xn, xd)
+        return sb * m * (C * xd - A * xn) - abs(B) * max(at[i] for i in sides)
 
-    if not (clears(*lo, False) and clears(*hi, False)):
+    if excess(lo, (0, 2)) < 0 or excess(hi, (0, 1)) < 0:
         return Check.UNKNOWN
     knots = [part[0] for part in parts[1:]] + [x for x, _ in points]
     inner = [(x, m) for x in knots
              if lo[0] * m < x * lo[1] and x * hi[1] < hi[0] * m]
     inner.append((lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]))
-    if all(clears(xn, xd, True) for xn, xd in inner):
+    if all(excess(x, (0, 1, 2)) > 0 for x in inner):
         return Check.PASS
     return Check.UNKNOWN
 
@@ -849,21 +805,14 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
         for i in range(k):
             u = rays[i]
             u2 = rays[(i + 1) % k]
-            if k == 2:
-                # one line: each sector is the half-plane on the left of
-                # its opening ray
-                interior = (-u[1], u[0])
-                clip_planes = [(interior, Fraction(0))]
-            else:
-                interior = (u[0] + u2[0], u[1] + u2[1])
-                # wedge = {p : cross(u, p-c) > 0 and cross(p-c, u2) > 0}
-                clip_planes = [
-                    ((-u[1], u[0]), Fraction(0)),
-                    ((u2[1], -u2[0]), Fraction(0)),
-                ]
+            # one line (k == 2) leaves u2 = -u: the sector is the
+            # half-plane on the left of u, which both cuts below give
+            interior = ((-u[1], u[0]) if k == 2
+                        else (u[0] + u2[0], u[1] + u2[1]))
             poly = corners
-            for normal, off in clip_planes:
-                offset = normal[0] * beta + normal[1] * eta + off
+            # wedge = {p : cross(u, p-c) > 0 and cross(p-c, u2) > 0}
+            for normal in ((-u[1], u[0]), (u2[1], -u2[0])):
+                offset = normal[0] * beta + normal[1] * eta
                 poly = _clip_polygon(poly, normal, offset)
                 if not poly:
                     break

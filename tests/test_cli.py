@@ -220,6 +220,22 @@ def test_user_model_via_cli(tmp_path):
     assert "exact=true" in out and "lower(3)=3" in out
 
 
+@pytest.mark.parametrize("lower, exact", [
+    ([["-1", "0", "0"], ["0", 0.1, "0"]], False),  # a float is inexact
+    ([["-1", "0", "0"], ["0", "1/0", "0"]], False),
+    ([["-1", "0", "0"], ["0", "1", "0"]], "false"),  # not a JSON boolean
+], ids=["float", "zero-denominator", "string-exact"])
+def test_user_model_rejects_inexact_or_mistyped_input(lower, exact, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "lower": lower, "upper": [["-1", "0", "0"], ["0", "1", "0"]],
+        "exact": exact,
+    }))
+    code, out, err = invoke(["bn", "--at", "1", "--genus", "1",
+                             "--model", f"user:{model}"])
+    assert (code, out) == (1, "") and "malformed user model" in err
+
+
 PLOT_ARGS = ["plot", "--class", "2,3,1", "--genus", "2",
              "--window", "-3,3,1/2,6", "--rank-bound", "3"]
 

@@ -1,7 +1,9 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cswalls.envelopes import (
     BNModel,
@@ -206,6 +208,75 @@ def test_plfunction_breakpoint_value_is_left_closed():
     # value at the jump point 2g-2 = 4 is the Clifford value g
     assert m.upper(4) == 3
     assert m.upper(F(4) + F(1, 10**9)) == F(4) + F(1, 10**9) + 1 - 3
+
+
+def _piece_value(f, x, bisect):
+    """The bisect lookup `PLFunction.__call__` used before `PLFunction.at`,
+    kept as the reference, without its point overrides: the right limit
+    at x with `bisect_right` (the value of the left-closed pieces), the
+    left limit with `bisect_left`."""
+    i = bisect(f.breakpoints, x) - 1
+    if i < 0:
+        return f.left_value + f.left_slope * (x - f.pieces[0][0])
+    xi, si, vi = f.pieces[i]
+    return vi + si * (x - xi)
+
+
+def _bisect_call(f, x):
+    for xo, vo in f.point_values:
+        if xo == x:
+            return vo
+    return _piece_value(f, x, bisect_right)
+
+
+_SMALL = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+
+
+@st.composite
+def _pl_functions(draw):
+    """Upper and lower envelopes of the built-in models, or a PLFunction
+    with free values (so jumps up and down) and point overrides."""
+    kind = draw(st.sampled_from(["general", "mercat", "elliptic", "user"]))
+    if kind == "general":
+        m = make_model(kind, draw(st.integers(1, 8)))
+    elif kind == "mercat":
+        m = make_model(kind, draw(st.integers(4, 11)))
+    elif kind == "elliptic":
+        m = make_model(kind, 1)
+    else:
+        xs = sorted(draw(st.sets(_SMALL, min_size=1, max_size=5)))
+        pieces = tuple((x, draw(_SMALL), draw(_SMALL)) for x in xs)
+        overrides = draw(st.lists(
+            st.tuples(st.one_of(st.sampled_from(xs), _SMALL), _SMALL),
+            max_size=3, unique_by=lambda p: p[0]))
+        return PLFunction(pieces, draw(_SMALL), draw(_SMALL),
+                          tuple(overrides))
+    return m.upper if draw(st.booleans()) else m.lower
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pl_at_matches_the_bisect_lookup(data):
+    f = data.draw(_pl_functions())
+    knots = list(f.breakpoints) + [x for x, _ in f.point_values]
+    x = data.draw(st.one_of(
+        st.sampled_from(knots), _SMALL,
+        st.integers(1, 50).map(lambda k: f.pieces[0][0] - F(k, 7))))
+    den = f.scaled[0] * x.denominator
+    value, left, right = (F(n, den) for n in f.at(x.numerator,
+                                                   x.denominator))
+    assert value == f(x) == _bisect_call(f, x)
+    assert left == _piece_value(f, x, bisect_left)
+    assert right == _piece_value(f, x, bisect_right)
+
+
+def test_pl_at_at_a_downward_jump_and_an_override():
+    f = PLFunction(((F(0), F(2), F(0)), (F(1), F(1), F(0))), F(0), F(0),
+                   ((F(1), F(5)),))
+    m = f.scaled[0]
+    assert f.at(1, 1) == (5 * m, 2 * m, 0)
+    assert f.at(-3, 2) == (0, 0, 0)  # the left tail
+    assert f(F(9, 10)) == F(9, 5) and f(1) == 5
 
 
 def test_pl_equal():

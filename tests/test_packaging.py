@@ -39,3 +39,21 @@ def test_cli_runs_with_docstrings_stripped():
     done = _run_optimized("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: cswalls")
+
+
+def test_trace_targets_resolve():
+    # perfbench's trace mode patches these names; a deletion or rename in
+    # cswalls would otherwise only show as a missing span
+    import importlib
+    import importlib.util
+
+    from cswalls.envelopes import PLFunction
+
+    path = SRC.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _, _ in tracer.TARGETS:
+        fn = getattr(importlib.import_module(f"cswalls.{module}"), attr, None)
+        assert callable(fn), (module, attr)
+    assert "__call__" in vars(PLFunction)

@@ -215,11 +215,14 @@ def test_find_delta_returns_the_first_certifying_halving(case):
        st.fractions(min_value=F(1, 50), max_value=40, max_denominator=50),
        st.tuples(*[st.integers(-60, 60)] * 3))
 def test_negative_q_matches_support_form_value(b0, w0, delta, rdn):
-    from cswalls.walls import _negative_q
+    from cswalls.walls import _negative_q_core
 
     v = NumClass(*rdn)
     expected = support_form_value(v, SupportForm(b0, w0, delta)) < 0
-    assert _negative_q(b0, w0, delta)(v) == expected
+    negative = _negative_q_core(b0.numerator, b0.denominator, w0.numerator,
+                                w0.denominator, delta.numerator,
+                                delta.denominator)
+    assert negative(*rdn) == expected
 
 
 def test_ray_sort_key_is_exact_for_big_integer_rays():
@@ -555,6 +558,59 @@ def test_upper_envelope_jumping_down_leaves_midpoints_unpruned():
     win = Window(F(-4), F(4), F(1, 4), F(8))
     walls = enumerate_walls(NumClass(0, 2, 0), 2, win, 2, model)
     assert (0, 2, 3) in {w.line.as_tuple() for w in walls}
+
+
+def _segment_clears(line, lo, hi, upper) -> bool:
+    """Exactly, piece by piece: w >= upper at lo and hi, and w > upper
+    on the open segment (lo, hi) of the line."""
+    def excess(x, slope, value, ref):
+        return line.w_at(x) - (value + slope * (x - ref))
+
+    if line.w_at(lo) < upper(lo) or line.w_at(hi) < upper(hi):
+        return False
+    spikes = {x for x, _ in upper.point_values}
+    for plo, phi, s, val, ref in upper.affine_parts():
+        a = lo if plo is None else max(lo, plo)
+        b = hi if phi is None else min(hi, phi)
+        if a >= b:
+            continue
+        ea, eb = excess(a, s, val, ref), excess(b, s, val, ref)
+        # an affine excess is positive on (a, b) iff it is >= 0 at both
+        # ends and not 0 at both; a piece starting inside needs > 0 there
+        if ea < 0 or eb < 0 or ea == eb == 0:
+            return False
+        if a > lo and a not in spikes and ea == 0:
+            return False
+    return all(line.w_at(x) > val for x, val in upper.point_values
+               if lo < x < hi)
+
+
+def test_region_pass_segments_clear_the_upper_envelope():
+    # genus 2; the user upper envelope rises as 2b and drops to b - 1 at 1
+    jump = make_model("user", 2, (
+        PLFunction(((F(0), F(0), F(0)), (F(1), F(1), F(0))), F(0), F(0)),
+        PLFunction(((F(0), F(2), F(0)), (F(1), F(1), F(0)),
+                    (F(2), F(1), F(1))), F(0), F(0)),
+        False,
+    ))
+    windows = [Window(F(-1, 2), F(1), F(1, 4), F(8)),
+               Window(F(-1), F(3), F(0), F(4))]
+    passes = 0
+    for model in (jump, make_model("general", 2), make_model("mercat", 5)):
+        g = model.genus.g
+        for v in ((0, 2, 0), (1, 1, 0), (2, 3, 1), (-1, 2, 1)):
+            for win in windows:
+                for w in enumerate_walls(NumClass(*v), g, win, 3, model):
+                    if w.verdict("region") is Check.PASS:
+                        passes += 1
+                        p0, p1 = w.segment
+                        assert _segment_clears(w.line, p0.b, p1.b,
+                                               model.upper), (model.name, w)
+    assert passes > 0
+    # the segment over [-1/2, 1] at w = 1 dips under 2b before the jump
+    walls = enumerate_walls(NumClass(0, 2, 0), 2, windows[0], 3, jump)
+    flat = [w for w in walls if w.line.as_tuple() == (0, 1, 1)]
+    assert [w.verdict("region") for w in flat] == [Check.UNKNOWN]
 
 
 def _fraction_candidates(v, window, rank_bound):
