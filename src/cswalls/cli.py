@@ -17,8 +17,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
 
 from . import __version__
 from .charges import (
@@ -31,7 +29,8 @@ from .charges import (
     nu,
 )
 from .classify import full_classification
-from .envelopes import BNModel, make_model, model_from_json, region_uc, region_uf
+from .envelopes import (BNModel, make_model, model_from_json, rat, region_uc,
+                        region_uf)
 from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
     chamber_report_to_json,
@@ -40,7 +39,7 @@ from .jsonio import (
     dumps,
     gl_element_to_json,
     model_to_json,
-    rat,
+    slope_text,
     unrat,
     walls_from_json,
     walls_to_json,
@@ -55,48 +54,42 @@ from .walls import (
     ray_line,
 )
 
-DEFAULTS = {
-    "genus": 2,
-    "model": "general",
-    "window": "-4,4,1/4,8",
-    "rank_bound": 3,
-    "tol": 1e-9,
-    "format": "text",
-    "cache_dir": None,
+FORMATS = ("json", "csv", "text")
+
+#: name -> (default, the JSON type a CSWALLS_CONFIG value must have, the
+#: `add_argument` keywords of its flag --<name with dashes>).  A setting
+#: no flag gives takes its file value, else its default; a null file
+#: value leaves it unset.
+SETTINGS = {
+    "genus": (2, "integer", dict(type=int)),
+    "model": ("general", "string",
+              dict(help="general | mercat | elliptic | user:<path>")),
+    "window": ("-4,4,1/4,8", "string",
+               dict(help="bmin,bmax,wmin,wmax (rationals)")),
+    "rank_bound": (3, "integer", dict(type=int)),
+    "tol": (1e-9, "number", dict(type=float)),
+    "format": ("text", "string", dict(choices=FORMATS)),
+    "cache_dir": (None, "string", {}),
 }
 
 CONFIG_ENV = "CSWALLS_CONFIG"
-
-#: the JSON type each CSWALLS_CONFIG value must have (null leaves it unset)
-_CONFIG_TYPES = {"genus": "integer", "model": "string", "window": "string",
-                 "rank_bound": "integer", "tol": "number", "format": "string",
-                 "cache_dir": "string"}
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 
 # let argparse treat tokens like "-3,3,1/2,6" or "-1,2,0" as option values
 _NEGATIVE_VALUE = re.compile(r"^-\d+([.,/]\S*)?$")
 
 
-@dataclass
-class Config:
-    genus: int
-    model_name: str
-    window: Window
-    rank_bound: int
-    tol: float
-    format: str
-    cache_dir: Optional[str]
-
-    def model(self) -> BNModel:
-        if self.model_name.startswith("user:"):
-            path = self.model_name[5:]
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CswallsError(f"cannot load user model {path}: {exc}")
-            return model_from_json(doc, self.genus)
-        return make_model(self.model_name, self.genus)
+def load_model(args) -> BNModel:
+    """The envelope model that the resolved settings `args` name."""
+    if args.model.startswith("user:"):
+        path = args.model[5:]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CswallsError(f"cannot load user model {path}: {exc}")
+        return model_from_json(doc, args.genus)
+    return make_model(args.model, args.genus)
 
 
 def parse_class(text: str) -> NumClass:
@@ -150,11 +143,11 @@ def _load_config_file(environ) -> dict:
         raise CswallsError(f"cannot read {CONFIG_ENV} file {path}: {exc}")
     if not isinstance(doc, dict):
         raise CswallsError(f"{CONFIG_ENV} file must hold a JSON object")
-    unknown = set(doc) - set(DEFAULTS)
+    unknown = set(doc) - set(SETTINGS)
     if unknown:
         raise CswallsError(f"unknown config keys {sorted(unknown)}")
     for name, value in doc.items():
-        kind = _CONFIG_TYPES[name]
+        kind = SETTINGS[name][1]
         if value is not None and (isinstance(value, bool) or
                                   not isinstance(value, _JSON_TYPES[kind])):
             raise ValueError(f"{CONFIG_ENV} value {name!r} must be a JSON "
@@ -162,49 +155,41 @@ def _load_config_file(environ) -> dict:
     return doc
 
 
-def resolve_config(args, environ) -> Config:
+def resolve_config(args, environ) -> None:
+    """Give every setting no flag set its file value, else its default,
+    in the namespace `args`; parse the window and check the settings."""
     file_cfg = _load_config_file(environ)
-
-    def pick(name, flag_value):
-        if flag_value is not None:
-            return flag_value
-        if name in file_cfg and file_cfg[name] is not None:
-            return file_cfg[name]
-        return DEFAULTS[name]
-
-    genus = pick("genus", args.genus)
-    model_name = pick("model", args.model)
-    window = Window(*parse_rats(pick("window", args.window), 4))
-    rank_bound = pick("rank_bound", args.rank_bound)
-    tol = float(pick("tol", args.tol))
+    for name, (default, _, _) in SETTINGS.items():
+        if getattr(args, name) is None:
+            value = file_cfg.get(name)
+            setattr(args, name, default if value is None else value)
+    args.window = Window(*parse_rats(args.window, 4))
+    tol = args.tol = float(args.tol)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite positive number, got {tol}")
-    fmt = pick("format", args.format)
-    cache_dir = pick("cache_dir", args.cache_dir)
-    if fmt not in ("json", "csv", "text"):
-        raise CswallsError(f"unknown format {fmt!r}")
-    if genus < 1:
-        raise GenusOutOfRange(f"genus must be >= 1, got {genus}")
-    if model_name == "mercat" and genus <= 3:
+    if args.format not in FORMATS:
+        raise CswallsError(f"unknown format {args.format!r}")
+    if args.genus < 1:
+        raise GenusOutOfRange(f"genus must be >= 1, got {args.genus}")
+    if args.model == "mercat" and args.genus <= 3:
         raise GenusOutOfRange("the mercat model needs genus >= 4")
-    if model_name == "elliptic" and genus != 1:
+    if args.model == "elliptic" and args.genus != 1:
         raise GenusOutOfRange("the elliptic model needs genus 1")
-    if rank_bound < 0:
-        raise CswallsError(f"rank_bound must be >= 0, got {rank_bound}")
-    return Config(genus, model_name, window, rank_bound, tol, fmt, cache_dir)
+    if args.rank_bound < 0:
+        raise CswallsError(f"rank_bound must be >= 0, got {args.rank_bound}")
 
 
 # --- wall cache -----------------------------------------------------------
 
 
-def _cache_key(v: NumClass, cfg: Config, model: BNModel) -> dict:
-    win = cfg.window
+def _cache_key(v: NumClass, args, model: BNModel) -> dict:
+    win = args.window
     return {
         "class": list(v.as_tuple()),
-        "genus": cfg.genus,
-        "window": [unrat(win.b_min), unrat(win.b_max),
-                   unrat(win.w_min), unrat(win.w_max)],
-        "rank_bound": cfg.rank_bound,
+        "genus": args.genus,
+        "window": [unrat(x) for x in (win.b_min, win.b_max, win.w_min,
+                                      win.w_max)],
+        "rank_bound": args.rank_bound,
         # the model document as a string, as cache entries have held it
         "model": json.dumps(model_to_json(model), sort_keys=True,
                             separators=(",", ":")),
@@ -212,58 +197,48 @@ def _cache_key(v: NumClass, cfg: Config, model: BNModel) -> dict:
     }
 
 
-def cached_walls(v: NumClass, cfg: Config, model: BNModel, stderr) -> tuple:
-    """(walls, docs): the walls of v, read from the cache entry when it
-    holds them, and the `walls_to_json` documents of a freshly computed
-    result that went into a new entry (None otherwise)."""
-    key = _cache_key(v, cfg, model)
+def cached_walls(v: NumClass, args, model: BNModel, stderr) -> tuple:
+    """(walls, records): the walls of v and their `walls_to_json` records,
+    read from the cache entry when it holds them, else computed (and
+    written to a new entry when a cache directory is set)."""
+    key = _cache_key(v, args, model)
     entry_path = None
-    if cfg.cache_dir:
+    if args.cache_dir:
         digest = hashlib.sha256(
             json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
-        entry_path = os.path.join(cfg.cache_dir, f"{digest}.json")
+        entry_path = os.path.join(args.cache_dir, f"{digest}.json")
         try:
             with open(entry_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             if isinstance(doc, dict) and doc.get("key") == key:
-                return walls_from_json(doc["walls"]), None
+                return walls_from_json(doc["walls"]), doc["walls"]
         except (OSError, json.JSONDecodeError, KeyError, ValueError,
                 TypeError, CswallsError):
             pass  # corrupt or mismatched entries are recomputed
-    walls = enumerate_walls(v, cfg.genus, cfg.window, cfg.rank_bound, model)
-    docs = None
+    walls = enumerate_walls(v, args.genus, args.window, args.rank_bound, model)
+    records = walls_to_json(walls)
     if entry_path is not None:
-        docs = walls_to_json(walls)
         try:
-            os.makedirs(cfg.cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
+            os.makedirs(args.cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # json.dumps (not json.dump) runs the C encoder
-                fh.write(json.dumps({"key": key, "walls": docs},
+                fh.write(json.dumps({"key": key, "walls": records},
                                     sort_keys=True, separators=(",", ":")))
             os.replace(tmp, entry_path)
         except OSError as exc:
             print(f"warning: cache write failed: {exc}", file=stderr)
-    return walls, docs
+    return walls, records
 
 
 # --- renderers -------------------------------------------------------------
 
 
-def _triple_text(v: NumClass) -> str:
-    return f"{v.r},{v.d},{v.n}"
-
-
-def _num_text(x) -> str:
-    return "inf" if x == math.inf else unrat(x)
-
-
-def render_walls(walls, fmt: str, out, docs=None) -> None:
-    """Write the walls in `fmt`; `docs`, when given, are their
-    `walls_to_json` documents."""
+def render_walls(records, fmt: str, out) -> None:
+    """Write walls, given as their `walls_to_json` records, in `fmt`."""
     if fmt == "json":
-        out.write(dumps(walls_to_json(walls) if docs is None else docs))
+        out.write(dumps(records))
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -272,35 +247,25 @@ def render_walls(walls, fmt: str, out, docs=None) -> None:
              "seg_w0", "seg_b1", "seg_w1", "im_positive", "q_nonneg",
              "feasibility", "region", "destabilizers"]
         )
-        for w in walls:
-            verdicts = dict(w.verdicts)
+    for rec in records:
+        a, b, c = rec["line"]
+        (b0, w0), (b1, w1) = rec["segment"]
+        checks = rec["verdicts"]
+        witnesses = ";".join(",".join(map(str, d))
+                             for d in rec["destabilizers"])
+        if fmt == "csv":
             writer.writerow(
-                [
-                    _triple_text(w.owner),
-                    w.line.A, w.line.B, w.line.C,
-                    _num_text(w.nu_value),
-                    unrat(w.segment[0].b), unrat(w.segment[0].w),
-                    unrat(w.segment[1].b), unrat(w.segment[1].w),
-                    verdicts["im_positive"].value,
-                    verdicts["q_nonneg"].value,
-                    verdicts["feasibility"].value,
-                    verdicts["region"].value,
-                    ";".join(_triple_text(d) for d in w.destabilizers),
-                ]
+                [",".join(map(str, rec["owner"])), a, b, c, rec["nu"],
+                 b0, w0, b1, w1, checks["im_positive"], checks["q_nonneg"],
+                 checks["feasibility"], checks["region"], witnesses]
             )
-        return
-    for w in walls:
-        verdicts = dict(w.verdicts)
-        out.write(
-            f"{w.line.A}*b + {w.line.B}*w = {w.line.C}  "
-            f"nu={_num_text(w.nu_value)}  "
-            f"segment [{unrat(w.segment[0].b)},{unrat(w.segment[0].w)}]"
-            f"..[{unrat(w.segment[1].b)},{unrat(w.segment[1].w)}]  "
-            f"q={verdicts['q_nonneg'].value}"
-            f" feas={verdicts['feasibility'].value}"
-            f" region={verdicts['region'].value}  "
-            f"witnesses {';'.join(_triple_text(d) for d in w.destabilizers)}\n"
-        )
+        else:
+            out.write(
+                f"{a}*b + {b}*w = {c}  nu={rec['nu']}  "
+                f"segment [{b0},{w0}]..[{b1},{w1}]  q={checks['q_nonneg']}"
+                f" feas={checks['feasibility']} region={checks['region']}  "
+                f"witnesses {witnesses}\n"
+            )
 
 
 # --- commands ----------------------------------------------------------------
@@ -314,20 +279,20 @@ def _answer(key: str, value) -> tuple:
     return str(value), {key: value}
 
 
-def _bn(a, cfg, *_):
-    model = cfg.model()
+def _bn(a, *_):
+    model = load_model(a)
     at, lo, hi = (unrat(x) for x in (a.at, model.lower(a.at),
                                      model.upper(a.at)))
-    text = (f"model={model.name} genus={cfg.genus} "
+    text = (f"model={model.name} genus={a.genus} "
             f"exact={str(model.exact).lower()} "
             f"lower({at})={lo} upper({at})={hi}")
-    return text, {"model": model.name, "genus": cfg.genus,
+    return text, {"model": model.name, "genus": a.genus,
                   "exact": model.exact, "at": at, "lower": lo, "upper": hi}
 
 
-def _region(a, cfg, *_):
-    uc = region_uc(a.point, cfg.model())
-    uf = region_uf(a.point, cfg.genus) if cfg.genus >= 4 else None
+def _region(a, *_):
+    uc = region_uc(a.point, load_model(a))
+    uf = region_uf(a.point, a.genus) if a.genus >= 4 else None
     uf_text = "n/a" if uf is None else str(uf).lower()
     return f"UC: {uc.value}\nUf: {uf_text}", {"uc": uc.value, "uf": uf}
 
@@ -337,16 +302,16 @@ def _charge(a, *_):
     return str(z), {"charge": complex_to_json(z)}
 
 
-def _walls(a, cfg, out, err):
-    walls, docs = cached_walls(a.cls, cfg, cfg.model(), err)
-    render_walls(walls, cfg.format, out, docs)
+def _walls(a, out, err):
+    _, records = cached_walls(a.cls, a, load_model(a), err)
+    render_walls(records, a.format, out)
 
 
-def _chambers(a, cfg, out, err):
-    model = cfg.model()
-    walls, _ = cached_walls(a.cls, cfg, model, err)
+def _chambers(a, out, err):
+    model = load_model(a)
+    walls, _ = cached_walls(a.cls, a, model, err)
     doc = chamber_report_to_json(
-        chamber_decomposition(a.cls, walls, cfg.window, model))
+        chamber_decomposition(a.cls, walls, a.window, model))
     lines = [f"kind={doc['kind']} chambers={len(doc['chambers'])}"]
     lines += [
         f"  [{ch['index']}] {ch['kind']} bounds={ch['bounds']} "
@@ -357,11 +322,11 @@ def _chambers(a, cfg, out, err):
     return "\n".join(lines), doc
 
 
-def _classify(a, cfg, *_):
+def _classify(a, *_):
     flags = frozenset(f for f in a.flags.split(",") if f)
     z1, z2, z3 = (ComplexRational(*z) for z in (a.z1, a.z2, a.z3))
-    data = ChargeData(z1, z2, z3, a.lifts, flags, cfg.tol)
-    result = full_classification(data, cfg.model(), cfg.tol)
+    data = ChargeData(z1, z2, z3, a.lifts, flags, a.tol)
+    result = full_classification(data, load_model(a), a.tol)
     doc = classification_to_json(result)
     lines = [f"in_UA: {doc['in_UA']}", f"in_UB: {doc['in_UB']}"]
     type_b = doc["typeB"]
@@ -382,10 +347,10 @@ def _glue(a, *_):
             f"winding={doc['winding']} f0={doc['f0']!r}"), doc
 
 
-def _plot(a, cfg, out, err):
-    model = cfg.model()
-    walls, _ = cached_walls(a.cls, cfg, model, err)
-    render_svg(walls, cfg.window, a.out, model=model, owner=a.cls)
+def _plot(a, out, err):
+    model = load_model(a)
+    walls, _ = cached_walls(a.cls, a, model, err)
+    render_svg(walls, a.window, a.out, model=model, owner=a.cls)
 
 
 def _required(flag: str, parse=None, **kw) -> tuple:
@@ -397,22 +362,22 @@ _POINT = _required("--point", parse_rats)
 _ALPHA = _required("--alpha", parse_rat)
 
 #: name -> (help, arguments as (flag, `add_argument` keywords), handler).
-#: A handler takes (args, config, stdout, stderr) and returns its answer
-#: as (text, JSON document), or writes its own output and returns None.
+#: A handler takes (args, stdout, stderr), `args` holding the settings too,
+#: and returns its answer as (text, JSON document), or writes its own
+#: output and returns None.
 COMMANDS = {
     "euler": ("Euler pairing of two classes",
               [_required("--v1", parse_class), _required("--v2", parse_class)],
-              lambda a, cfg, *_: _answer("euler",
-                                         euler(a.v1, a.v2, cfg.genus))),
+              lambda a, *_: _answer("euler", euler(a.v1, a.v2, a.genus))),
     "serre": ("numerical Serre functor on a class", [_CLASS],
-              lambda a, cfg, *_: _answer(
-                  "class", serre_class(a.cls, cfg.genus).as_tuple())),
+              lambda a, *_: _answer(
+                  "class", serre_class(a.cls, a.genus).as_tuple())),
     "dual": ("numerical dual functor on a class", [_CLASS],
              lambda a, *_: _answer("class", dual_class(a.cls).as_tuple())),
     "mutate": ("left mutation through an exceptional class",
                [_required("--e", parse_class), _CLASS],
-               lambda a, cfg, *_: _answer(
-                   "class", mutate_left(a.e, a.cls, cfg.genus).as_tuple())),
+               lambda a, *_: _answer(
+                   "class", mutate_left(a.e, a.cls, a.genus).as_tuple())),
     "project": ("projection (d/r, n/r) of a class", [_CLASS],
                 lambda a, *_: _answer("point",
                                       tuple(map(unrat, project(a.cls))))),
@@ -423,18 +388,18 @@ COMMANDS = {
                _charge),
     "nu": ("slice slope of a class at a point", [_CLASS, _POINT],
            lambda a, *_: _answer(
-               "nu", _num_text(nu(a.cls, PlanePoint(*a.point))))),
+               "nu", slope_text(nu(a.cls, PlanePoint(*a.point))))),
     "mualpha": ("classical slope of a class", [_CLASS, _ALPHA],
                 lambda a, *_: _answer(
-                    "mu_alpha", _num_text(mu_alpha(a.cls, a.alpha)))),
+                    "mu_alpha", slope_text(mu_alpha(a.cls, a.alpha)))),
     "walls": ("enumerate walls of a class", [_CLASS], _walls),
     "chambers": ("chamber decomposition of a class", [_CLASS], _chambers),
     "ray": ("large-volume ray line of a class", [_CLASS, _ALPHA],
             lambda a, *_: _answer("line",
                                   ray_line(a.cls, a.alpha).as_tuple())),
     "feasible": ("Bogomolov-type feasibility verdict", [_CLASS],
-                 lambda a, cfg, *_: _answer(
-                     "verdict", bogomolov_verdict(a.cls, cfg.genus).value)),
+                 lambda a, *_: _answer(
+                     "verdict", bogomolov_verdict(a.cls, a.genus).value)),
     "classify": ("classify charge data into regions",
                  [_required("--z1", parse_rats, help="re,im (rationals)"),
                   _required("--z2", parse_rats), _required("--z3", parse_rats),
@@ -472,17 +437,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser(streams=None) -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--genus", type=int, default=None)
-    common.add_argument("--model", default=None,
-                        help="general | mercat | elliptic | user:<path>")
-    common.add_argument("--window", default=None,
-                        help="bmin,bmax,wmin,wmax (rationals)")
-    common.add_argument("--rank-bound", dest="rank_bound", type=int,
-                        default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--format", default=None,
-                        choices=["json", "csv", "text"])
-    common.add_argument("--cache-dir", dest="cache_dir", default=None)
+    for name, (_, _, kw) in SETTINGS.items():
+        # None marks a setting no flag gave, for `resolve_config` to fill
+        common.add_argument("--" + name.replace("_", "-"), dest=name,
+                            default=None, **kw)
 
     parser = _Parser(prog="cswalls", description=__doc__, streams=streams)
     parser.add_argument("--version", action="version", version=__version__)
@@ -509,11 +467,11 @@ def run(argv, stdout=None, stderr=None, environ=None) -> int:
         parser.print_usage(stderr)
         return 2
     try:
-        cfg = resolve_config(args, environ)
-        answer = COMMANDS[args.command][2](args, cfg, stdout, stderr)
+        resolve_config(args, environ)
+        answer = COMMANDS[args.command][2](args, stdout, stderr)
         if answer is not None:
             text, doc = answer
-            stdout.write(dumps(doc) if cfg.format == "json" else text + "\n")
+            stdout.write(dumps(doc) if args.format == "json" else text + "\n")
     except CswallsError as exc:
         print(f"error: {exc}", file=stderr)
         return 1

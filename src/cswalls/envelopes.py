@@ -12,6 +12,7 @@ arithmetic and a three-valued verdict.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,6 +28,23 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"floats are not exact; got {x!r}")
     return Fraction(x)
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def rat(s) -> Fraction:
+    """Parse a rational written as an optional sign, digits and an optional
+    "/digits" (str() of an int qualifies); anything else, a zero
+    denominator included, raises DomainError."""
+    m = _RATIONAL.fullmatch(str(s))
+    if m is None:
+        raise DomainError(f"bad rational {s!r}: expected an integer or p/q")
+    num, den = m.groups()
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad rational {s!r}: {exc}") from exc
 
 
 class RegionVerdict(str, Enum):
@@ -343,18 +361,11 @@ def make_model(kind: str, g: GenusLike,
     raise DomainError(f"unknown model kind {kind!r}")
 
 
-def _rational(x) -> Fraction:
-    """A user-model number: a "p/q" string or an integer, not a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise TypeError(f"numbers must be strings or integers, got {x!r}")
-    return Fraction(x)
-
-
 def _pl_from_json(rows: Sequence) -> PLFunction:
     """Decode a triple list; the first triple is the left tail."""
     if len(rows) < 2:
         raise InvalidEnvelope("need a left-tail triple plus >= 1 piece")
-    parsed = [(_rational(x), _rational(s), _rational(v)) for x, s, v in rows]
+    parsed = [(rat(x), rat(s), rat(v)) for x, s, v in rows]
     _, ls, lv = parsed[0]
     return PLFunction(tuple(parsed[1:]), ls, lv)
 
@@ -368,7 +379,8 @@ def model_from_json(doc: dict, g: GenusLike) -> BNModel:
         exact = doc["exact"]
         if not isinstance(exact, bool):
             raise TypeError(f"exact must be true or false, got {exact!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            DomainError) as exc:
         raise InvalidEnvelope(f"malformed user model: {exc}") from exc
     return make_model("user", g, (lower, upper, exact))
 

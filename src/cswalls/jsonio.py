@@ -13,22 +13,18 @@ from fractions import Fraction
 
 from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
-from .envelopes import BNModel, PLFunction
-from .errors import DomainError
+from .envelopes import BNModel, PLFunction, rat
 from .lattice import NumClass
 from .walls import ChamberReport, Check, RationalLine, Wall
 
 
-def rat(s) -> Fraction:
-    """Parse a rational from a "p/q" or integer string."""
-    try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad rational {s!r}: {exc}") from exc
-
-
 def unrat(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def slope_text(x) -> str:
+    """A slope: "inf" for a vertical one, else its `unrat` string."""
+    return "inf" if x == math.inf else unrat(x)
 
 
 def dumps(obj) -> str:
@@ -44,7 +40,7 @@ def wall_to_json(w: Wall) -> dict:
         "owner": list(w.owner.as_tuple()),
         "destabilizers": [list(d.as_tuple()) for d in w.destabilizers],
         "line": list(w.line.as_tuple()),
-        "nu": "inf" if w.nu_value == math.inf else unrat(w.nu_value),
+        "nu": slope_text(w.nu_value),
         "segment": [point_to_json(p) for p in w.segment],
         "verdicts": {name: check.value for name, check in w.verdicts},
     }

@@ -16,6 +16,7 @@ from xml.sax.saxutils import escape
 from .charges import PlanePoint
 from .envelopes import BNModel
 from .errors import DomainError, IoError
+from .jsonio import slope_text
 from .lattice import NumClass, project
 from .walls import Wall, Window
 
@@ -135,10 +136,8 @@ def render_svg(walls: Sequence[Wall], window: Window, path: Optional[str],
     shown = walls[:LEGEND_MAX_ROWS]
     for i, wall in enumerate(shown):
         witnesses = ";".join(str(d) for d in wall.destabilizers)
-        nu_text = (
-            "inf" if wall.nu_value == float("inf") else str(wall.nu_value)
-        )
-        row = f"{wall.line.A}b+{wall.line.B}w={wall.line.C} nu={nu_text} [{witnesses}]"
+        row = (f"{wall.line.A}b+{wall.line.B}w={wall.line.C} "
+               f"nu={slope_text(wall.nu_value)} [{witnesses}]")
         parts.append(
             f'<text x="{PLOT[2] + 8}" y="{legend_y + 12 * i}">'
             f"{escape(row)}</text>"

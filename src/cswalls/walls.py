@@ -277,13 +277,19 @@ def _delta_core(bn, bd, wn, wd, hn, hd, scaled) -> tuple:
                 return False
         return True
 
-    for k in range(1, 257):
-        if certified(k):
-            return hn, hd << k
-    raise DomainError(
-        f"no validating delta found below {Fraction(hn, hd)} at "
-        f"({Fraction(bn, bd)},{Fraction(wn, wd)})"
-    )
+    # The parabola rises pointwise as k grows, so certification is monotone
+    # in k: gallop to a certified k, then bisect for the first one.  Some
+    # k certifies because head > 0 clears upper and its limits at b0.
+    lo, hi = 0, 1
+    while not certified(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hn, hd << hi
 
 
 def wall_line(v: NumClass, v_sub: NumClass):

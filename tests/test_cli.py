@@ -146,12 +146,29 @@ def test_cache_reads_indented_entries_and_writes_compact_ones(
     def must_not_enumerate(*args):
         raise AssertionError("enumerate_walls called on a cache hit")
 
-    csv_base = invoke(WALL_ARGS + ["--format", "csv"])
+    expected = {fmt: invoke(WALL_ARGS + ["--format", fmt])
+                for fmt in ("csv", "text")}
+    expected["json"] = base
     monkeypatch.setattr(cli, "enumerate_walls", must_not_enumerate)
-    for fmt, expected in (("json", base), ("csv", csv_base)):
+    for fmt in ("json", "csv", "text"):
         assert invoke(WALL_ARGS + ["--format", fmt,
-                                   "--cache-dir", str(cache)]) == expected
+                                   "--cache-dir", str(cache)]) == expected[fmt]
     assert entry.read_text() == indented
+
+
+CSV_HEADER = ("owner,line_A,line_B,line_C,nu,seg_b0,seg_w0,seg_b1,seg_w1,"
+              "im_positive,q_nonneg,feasibility,region,destabilizers\n")
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", ""), ("csv", CSV_HEADER), ("json", "[]\n")])
+def test_walls_at_rank_bound_zero_print_no_rows(fmt, expected, tmp_path):
+    argv = ["walls", "--class", "2,3,1", "--rank-bound", "0",
+            "--format", fmt]
+    cache = ["--cache-dir", str(tmp_path)]
+    # without a cache, then cold and warm with one
+    for extra in ([], cache, cache):
+        assert invoke(argv + extra) == (0, expected, "")
 
 
 def test_chambers_command():
@@ -207,6 +224,49 @@ def test_config_file_resolution(tmp_path):
     assert code == 1 and "unknown config keys" in err
 
 
+#: per setting: a CSWALLS_CONFIG value and a flag value, neither the default
+SETTING_VALUES = {
+    "genus": (5, 3),
+    "model": ("user:a.json", "user:b.json"),
+    "window": ("-1,1,1,2", "0,2,1/2,3"),
+    "rank_bound": (1, 2),
+    "tol": (1e-6, 0.5),
+    "format": ("json", "csv"),
+    "cache_dir": ("a", "b"),
+}
+
+
+def _resolved(name, value):
+    """`value` of setting `name` in the form `resolve_config` leaves it."""
+    if name == "window":
+        from cswalls.walls import Window
+        return Window(*(F(x) for x in value.split(",")))
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_VALUES))
+def test_config_file_resolution_per_setting(name, tmp_path):
+    from cswalls.cli import SETTINGS, build_parser, resolve_config
+
+    assert set(SETTING_VALUES) == set(SETTINGS)
+    cfg = tmp_path / "conf.json"
+
+    def resolve(doc, *argv):
+        cfg.write_text(json.dumps(doc))
+        args = build_parser().parse_args(["dual", "--class", "2,3,1", *argv])
+        resolve_config(args, {"CSWALLS_CONFIG": str(cfg)})
+        return getattr(args, name)
+
+    file_value, flag_value = SETTING_VALUES[name]
+    default = SETTINGS[name][0]
+    flag = "--" + name.replace("_", "-")
+    assert resolve({name: file_value}) == _resolved(name, file_value)
+    assert resolve({name: file_value}, f"{flag}={flag_value}") == (
+        _resolved(name, flag_value))
+    assert resolve({name: None}) == _resolved(name, default)
+    assert resolve({}) == _resolved(name, default)
+
+
 def test_user_model_via_cli(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
@@ -224,7 +284,15 @@ def test_user_model_via_cli(tmp_path):
     ([["-1", "0", "0"], ["0", 0.1, "0"]], False),  # a float is inexact
     ([["-1", "0", "0"], ["0", "1/0", "0"]], False),
     ([["-1", "0", "0"], ["0", "1", "0"]], "false"),  # not a JSON boolean
-], ids=["float", "zero-denominator", "string-exact"])
+    # outside the rational grammar: sign, digits, optional /digits
+    ([["-1", "0", "0"], ["0", "1e5000", "0"]], False),
+    ([["-1", "0", "0"], ["0", "1e3", "0"]], False),
+    ([["-1", "0", "0"], ["0", "0.5", "0"]], False),
+    ([["-1", "0", "0"], ["0", " 1", "0"]], False),
+    ([["-1", "0", "0"], ["0", "1_0", "0"]], False),
+    ([["-1", "0", "0"], ["0", "1/-2", "0"]], False),
+], ids=["float", "zero-denominator", "string-exact", "huge-exponent",
+        "exponent", "decimal", "space", "underscore", "signed-denominator"])
 def test_user_model_rejects_inexact_or_mistyped_input(lower, exact, tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
@@ -234,6 +302,33 @@ def test_user_model_rejects_inexact_or_mistyped_input(lower, exact, tmp_path):
     code, out, err = invoke(["bn", "--at", "1", "--genus", "1",
                              "--model", f"user:{model}"])
     assert (code, out) == (1, "") and "malformed user model" in err
+
+
+def test_user_model_accepts_json_integers_and_signs(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "lower": [[-1, "+0", 0], [0, 1, "-0/7"]],
+        "upper": [["-1", 0, 0], ["0", "2/2", 0]],
+        "exact": True,
+    }))
+    code, out, _ = invoke(["bn", "--at", "3", "--genus", "1",
+                           "--model", f"user:{model}"])
+    assert code == 0 and "lower(3)=3 upper(3)=3" in out
+
+
+def test_tall_user_envelope_is_not_an_error(tmp_path):
+    # upper = 10^4000 on [0, 2): a midpoint just left of 0 needs a delta
+    # about 2^-13300 times its headroom
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({
+        "lower": JUMP_MODEL["lower"],
+        "upper": [["0", "0", "0"], ["0", "0", "1" + "0" * 4000],
+                  ["2", "1", "1"]],
+        "exact": False,
+    }))
+    code, out, err = invoke(["walls", "--class", "2,3,1", "--rank-bound", "1",
+                             "--genus", "2", "--model", f"user:{path}"])
+    assert (code, err) == (0, "") and out
 
 
 PLOT_ARGS = ["plot", "--class", "2,3,1", "--genus", "2",
@@ -337,10 +432,28 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
      "--model", "mercat", "--genus", "2"],
     ["classify", "--z1", "1,1", "--z2", "1,1", "--z3", "0,1",
      "--lifts", "1,2", "--model", "mercat", "--genus", "2"],
+    # outside the grammar: an optional sign, digits, an optional /digits
+    ["bn", "--at", "0.5"],
+    ["bn", "--at", "1e3"],
+    ["bn", "--at", "1e5000"],
+    ["bn", "--at", "1_0"],
+    ["bn", "--at", " 1"],
+    ["bn", "--at", "1/-2"],
+    ["region", "--point", "1e3,1"],
+    ["mualpha", "--class", "2,3,1", "--alpha", "2.0"],
+    ["walls", "--class", "2,3,1", "--window", "0.5,1,0,1"],
+    ["classify", "--z1", "1,1e2", "--z2", "1,1", "--z3", "0,1"],
 ])
 def test_malformed_rational_arguments_are_usage_errors(argv):
     code, out, _ = invoke(argv)
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("at, text", [
+    ("+3", "3"), ("-3", "-3"), ("007", "7"), ("6/4", "3/2"), ("-0/5", "0")])
+def test_rationals_in_the_grammar_are_accepted(at, text):
+    code, out, _ = invoke(["bn", f"--at={at}", "--format", "json"])
+    assert code == 0 and json.loads(out)["at"] == text
 
 
 CLASSIFY_ARGS = ["classify", "--z1", "1,1", "--z2", "-1,1", "--z3", "0,1"]
@@ -547,6 +660,8 @@ GOLDEN_CLI_SHA256 = {
         "f8bbe717bd21d019968899ae773925f9deb8ce750e412e5e834711fa65ef052f",
     ("walls", "text"):
         "87c7ff3601d17b64df94c05dff06e2661d49c9c1df006671d6f77d6debcfe74d",
+    ("walls", "csv"):
+        "abd8c5a9b29c6fdc1a4ed78219ef949ed9c1d593e37516c63f3d8d085da66ec4",
     ("walls", "json"):
         "e5821f95ad6d92bacd16c6e983f9bfded1481e18fd1a39b89e2b4a638631aaa4",
     ("walls", "help"):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -57,3 +59,13 @@ def test_trace_targets_resolve():
         fn = getattr(importlib.import_module(f"cswalls.{module}"), attr, None)
         assert callable(fn), (module, attr)
     assert "__call__" in vars(PLFunction)
+
+
+def test_project_version_matches_the_package():
+    # the version is part of every cache key
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs 3.11")
+    import cswalls
+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == cswalls.__version__

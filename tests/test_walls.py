@@ -165,6 +165,34 @@ def _user_model_concave():
     return make_model("user", 3, (_lower_pl(3), upper, False))
 
 
+def _linear_find_delta(b0, w0, model):
+    """The reference `find_delta`: scan k = 1, 2, ... for the first
+    halving head/2^k of the headroom whose certificate rows are all
+    positive."""
+    delta = (w0 - model.upper(b0)) / 2
+    while not all(q > 0 for _, q in delta_certificate(b0, w0, delta, model)):
+        delta /= 2
+    return delta
+
+
+def _tall_model(value):
+    """Genus 2 with upper = `value` on [0, 2)."""
+    return make_model("user", 2, (
+        PLFunction(((F(0), F(0), F(0)), (F(1), F(1), F(0))), F(0), F(0)),
+        PLFunction(((F(0), F(0), F(value)), (F(2), F(1), F(1))), F(0), F(0)),
+        False,
+    ))
+
+
+@pytest.mark.parametrize("b0, w0", [
+    (F(-1, 6), F(11, 2)), (F(-1, 1000), F(8)), (F(-3), F(1, 7)),
+    (F(3), F(5)), (F(11, 5), F(3)), (F(7, 3), F(4, 3) + F(1, 10**9)),
+])
+def test_find_delta_matches_a_linear_scan_beside_a_tall_envelope(b0, w0):
+    model = _tall_model(10 ** 400)  # first certified k up to about 1,350
+    assert find_delta(b0, w0, model) == _linear_find_delta(b0, w0, model)
+
+
 GENERAL2, CONCAVE = make_model("general", 2), _user_model_concave()
 DELTA_MODELS = [make_model("general", g) for g in (1, 3)] + [
     make_model("mercat", g) for g in (4, 5, 6)
@@ -201,6 +229,7 @@ def test_find_delta_returns_the_first_certifying_halving(case):
     model, b0, w0 = case
     head = w0 - model.upper(b0)
     delta = find_delta(b0, w0, model)
+    assert delta == _linear_find_delta(b0, w0, model)
     ratio = head / delta
     assert ratio.denominator == 1 and ratio >= 2
     assert ratio.numerator & (ratio.numerator - 1) == 0  # a power of two
