@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cswalls.charges import PlanePoint, nu
-from cswalls.envelopes import PLFunction, _lower_pl, make_model
+from cswalls.envelopes import PLFunction, _lower_pl, make_model, region_uc
 from cswalls.errors import (
     DomainError,
     MixedOwnership,
@@ -755,3 +757,205 @@ def test_integer_candidates_match_the_fraction_reference(case):
     for (rp, dp, np_), ((ln, ld), (hn, hd)) in got:
         assert isinstance(np_, int) and ld > 0 and hd > 0
         assert gcd(ln, ld) == 1 and gcd(hn, hd) == 1
+
+
+# ---------------------------------------------------------------------------
+# chamber oracle: each report of `chamber_decomposition` is checked against
+# its wall lines alone, in plain Fraction geometry (no `walls` internals)
+
+
+def _halfplanes_of_window(win):
+    """The open window as half-planes (a, c, e): a*b + c*w > e."""
+    return [(1, 0, win.b_min), (-1, 0, -win.b_max),
+            (0, 1, win.w_min), (0, -1, -win.w_max)]
+
+
+def _halfplanes_of_chamber(rep, ch, prim):
+    """The open chamber: a wedge left of its first ray and right of its
+    second (one half-plane when the second ray is the first reversed), or
+    the strip t_lo < prim . p < t_hi."""
+    if ch.kind == "sector":
+        (u0, u1), (x0, x1) = ch.bounds
+        cb, cw = rep.center.b, rep.center.w
+        return [(-u1, u0, -u1 * cb + u0 * cw), (x1, -x0, x1 * cb - x0 * cw)]
+    out = []
+    t_lo, t_hi = ch.bounds
+    if t_lo is not None:
+        out.append((prim[0], prim[1], t_lo))
+    if t_hi is not None:
+        out.append((-prim[0], -prim[1], -t_hi))
+    return out
+
+
+def _strictly_inside(halfplanes, p):
+    return all(a * p.b + c * p.w > e for a, c, e in halfplanes)
+
+
+def _open_region_meets(halfplanes) -> bool:
+    """Whether the bounded open polygon {a*b + c*w > e for all rows} is
+    nonempty: its closure is the hull of the pairwise crossings of the
+    boundary lines that satisfy every closed row, and the open polygon is
+    nonempty exactly when their average satisfies every strict row."""
+    rows = []  # each row times the denominator of its e
+    for a, c, e in halfplanes:
+        e = F(e)
+        rows.append((a * e.denominator, c * e.denominator, e.numerator))
+    vertices = set()
+    for i, (a1, c1, e1) in enumerate(rows):
+        for a2, c2, e2 in rows[i + 1:]:
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            # the crossing (bn/det, wn/det) by Cramer's rule, det > 0
+            bn, wn = e1 * c2 - e2 * c1, a1 * e2 - a2 * e1
+            if det < 0:
+                bn, wn, det = -bn, -wn, -det
+            if all(a * bn + c * wn >= e * det for a, c, e in rows):
+                vertices.add(PlanePoint(F(bn, det), F(wn, det)))
+    if not vertices:
+        return False
+    mean = PlanePoint(sum(p.b for p in vertices) / len(vertices),
+                      sum(p.w for p in vertices) / len(vertices))
+    return _strictly_inside(halfplanes, mean)
+
+
+def _check_chamber_report(rep, v, walls, win, model):
+    lines = list({w.line.as_tuple(): w.line for w in walls}.values())
+    chambers = rep.chambers
+    assert rep.owner == v
+    assert [ch.index for ch in chambers] == list(range(len(chambers)))
+    for ch in chambers:
+        expected = None if model is None else region_uc(ch.sample.as_tuple(),
+                                                        model)
+        assert ch.region == expected
+    if not lines:
+        assert rep.kind == "window" and len(chambers) == 1
+        ch = chambers[0]
+        assert ch.meets_window
+        assert ch.sample == PlanePoint((win.b_min + win.b_max) / 2,
+                                       (win.w_min + win.w_max) / 2)
+        return
+    prim = None
+    if v.r != 0:
+        assert rep.kind == "pencil"
+        assert rep.center == PlanePoint(*project(v))
+        assert len(chambers) == 2 * len(lines)
+        rays = set()
+        for line in lines:
+            assert line.contains(rep.center)
+            g = gcd(line.A, line.B)
+            rays |= {(line.B // g, -line.A // g), (-line.B // g, line.A // g)}
+        for i, ch in enumerate(chambers):
+            u, u2 = ch.bounds
+            assert ch.kind == "sector" and u in rays and u2 in rays
+            assert chambers[(i + 1) % len(chambers)].bounds[0] == u2
+            # no ray of any line runs strictly inside the wedge
+            for d in rays:
+                assert not (u[0] * d[1] - u[1] * d[0] > 0
+                            and d[0] * u2[1] - d[1] * u2[0] > 0), (u, d, u2)
+        neighbours = [(i, (i + 1) % len(chambers))
+                      for i in range(len(chambers))]
+    else:
+        assert rep.kind == "strips" and rep.center is None
+        assert len(chambers) == len(lines) + 1
+        g = gcd(lines[0].A, lines[0].B)
+        prim = (lines[0].A // g, lines[0].B // g)
+        ts = sorted(F(line.C, gcd(line.A, line.B)) for line in lines)
+        assert [ch.bounds for ch in chambers] == list(
+            zip([None] + ts, ts + [None]))
+        neighbours = [(i, i + 1) for i in range(len(chambers) - 1)]
+    open_window = _halfplanes_of_window(win)
+    signs = []
+    for ch in chambers:
+        cell = _halfplanes_of_chamber(rep, ch, prim)
+        assert _strictly_inside(cell, ch.sample), ch
+        assert ch.meets_window == _open_region_meets(cell + open_window), ch
+        if ch.meets_window:
+            assert _strictly_inside(open_window, ch.sample), ch
+        # the sign of A*b + B*w - C at the sample, in integers
+        (bn, bd), (wn, wd) = (ch.sample.b.as_integer_ratio(),
+                              ch.sample.w.as_integer_ratio())
+        values = [line.A * bn * wd + line.B * wn * bd - line.C * bd * wd
+                  for line in lines]
+        assert 0 not in values
+        signs.append(tuple(x > 0 for x in values))
+    assert len(set(signs)) == len(signs)
+    for i, j in neighbours:
+        assert sum(a != b for a, b in zip(signs[i], signs[j])) == 1
+
+
+#: the windows that the oracle cuts, as offsets from the projection of v
+CHAMBER_OFFSETS = [
+    ("inside", (-1, 2, F(-1, 2), F(3, 2))),
+    ("outside", (1, 3, 1, 2)),
+    ("bottom-edge", (-1, 1, 0, 2)),
+    ("right-edge", (-2, 0, -1, F(1, 3))),
+    ("corner", (0, 2, 0, 1)),
+]
+#: rank zero has no projection, so its windows are fixed
+STRIP_WINDOWS = [Window(-1, 2, F(1, 3), 3), Window(0, 1, 0, 1),
+                 Window(F(-5, 2), F(-1, 2), 2, 5), Window(3, 9, -2, -1),
+                 Window(-4, 4, F(-1, 2), 7)]
+CHAMBER_MODELS = {
+    "general-2": lambda: make_model("general", 2),
+    "mercat-5": lambda: make_model("mercat", 5),
+    "elliptic-1": lambda: make_model("elliptic", 1),
+    "user-3": _user_model_lower_spikes,
+}
+
+
+def _chamber_cases(name):
+    """(v, walls, window, model, report) over ranks -2..3: all walls in
+    the first window, about six spread-out walls in every window of
+    CHAMBER_OFFSETS (or STRIP_WINDOWS), and the first wall alone."""
+    model = CHAMBER_MODELS[name]()
+    g = model.genus.g
+    cases = []
+    for r in range(-2, 4):
+        for d, n in ((3, 1), (-1, 2)):
+            v = NumClass(r, d, n)
+            walls = enumerate_walls(v, g, Window(-3, 3, F(-1, 2), 5), 1,
+                                    model)
+            spread = walls[::max(1, len(walls) // 6)]
+            if r == 0:
+                windows = STRIP_WINDOWS
+            else:
+                b, w = project(v)
+                windows = [Window(b + b0, b + b1, w + w0, w + w1)
+                           for _, (b0, b1, w0, w1) in CHAMBER_OFFSETS]
+            runs = [(walls, windows[0])] + [(spread, win) for win in windows]
+            runs += [(walls[:1], windows[0]), (walls[:1], windows[-1])]
+            for ws, win in runs:
+                rep = chamber_decomposition(v, ws, win, model)
+                cases.append((v, ws, win, model, rep))
+    return cases
+
+
+_CHAMBER_CASES = {name: _chamber_cases(name) for name in CHAMBER_MODELS}
+
+
+@pytest.mark.parametrize("name", list(CHAMBER_MODELS))
+def test_chamber_oracle(name):
+    kinds = set()
+    single = 0
+    for v, walls, win, model, rep in _CHAMBER_CASES[name]:
+        _check_chamber_report(rep, v, walls, win, model)
+        kinds.add(rep.kind)
+        single += len({w.line for w in walls}) == 1
+    assert {"pencil", "strips"} <= kinds and single > 0
+
+
+#: sha256 over the JSON of the 384 reports in _CHAMBER_CASES, model by
+#: model, taken before the chamber clipper moved to integers
+GOLDEN_CHAMBERS_SHA256 = (
+    "aa78524e35c4dfb8ea8473c3ba85ceb935c00d4d45570328775ab41c2bba7b5e")
+
+
+def test_chamber_oracle_reports_golden_digest():
+    from cswalls.jsonio import chamber_report_to_json
+
+    h = hashlib.sha256()
+    for name in CHAMBER_MODELS:
+        for *_, rep in _CHAMBER_CASES[name]:
+            h.update(json.dumps(chamber_report_to_json(rep)).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_CHAMBERS_SHA256
