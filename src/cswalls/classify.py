@@ -60,17 +60,18 @@ def ua_margin(lifts) -> float:
     return min(phi3 - (phi1 - 1), phi2 - phi3, (phi3 + 1) - phi2)
 
 
-def classify_regions(c: ChargeData, model: BNModel,
-                     tol: float = DEFAULT_TOL) -> ClassificationResult:
+def classify_regions(c: ChargeData, model: BNModel) -> ClassificationResult:
     """Conditional membership of the charge data in the two open loci.
 
     The first locus needs all three stability flags and all three lifts;
     the second needs the first two flags, the first two lifts, and the
     strict phase inequality phi2 < phi1, after which the frame is
     normalized back to a slice point and tested against the model.  The
-    two memberships can hold simultaneously.
+    two memberships can hold simultaneously.  Every strict inequality
+    holds with margin c.tol.
     """
     notes: List[str] = []
+    tol = c.tol
 
     ua_flags = {"stable_O0", "stable_pt", "stable_sheafO"}
     if not ua_flags <= c.flags or any(x is None for x in c.lifts):
@@ -117,15 +118,14 @@ def classify_regions(c: ChargeData, model: BNModel,
     return ClassificationResult(ua, ub, type_b, None, tuple(notes))
 
 
-def second_gluing_branch(c: ChargeData,
-                         tol: float = DEFAULT_TOL) -> GluingBranch:
+def second_gluing_branch(c: ChargeData) -> GluingBranch:
     """Which gluing produces the data, given stability of the structure
     sheaf and the skyscrapers.
 
     The first branch applies as soon as the pure-sections object is
     asserted stable.  Otherwise, with the identity pair asserted stable,
     lifts are rotated so the pair's lift equals 1 and the chain
-    phi3 <= 0 and phi3 < phi2 < phi3 + 1 is required within tolerance.
+    phi3 <= 0 and phi3 < phi2 < phi3 + 1 is required within c.tol.
     """
     if not {"stable_sheafO", "stable_pt"} <= c.flags:
         return GluingBranch.INSUFFICIENT
@@ -147,21 +147,20 @@ def second_gluing_branch(c: ChargeData,
     shift = 1 - pair_lift
     phi2 += shift
     phi3 += shift
-    if phi3 > tol:
+    if phi3 > c.tol:
         return GluingBranch.INCONSISTENT
-    if not (phi2 - phi3 > tol and (phi3 + 1) - phi2 > tol):
+    if not (phi2 - phi3 > c.tol and (phi3 + 1) - phi2 > c.tol):
         return GluingBranch.INCONSISTENT
     return GluingBranch.GL2
 
 
-def full_classification(c: ChargeData, model: BNModel,
-                        tol: float = DEFAULT_TOL) -> ClassificationResult:
+def full_classification(c: ChargeData, model: BNModel) -> ClassificationResult:
     """classify_regions plus the second-gluing branch when it resolves."""
-    base = classify_regions(c, model, tol)
+    base = classify_regions(c, model)
     notes = list(base.notes)
     branch: Optional[GluingBranch]
     try:
-        branch = second_gluing_branch(c, tol)
+        branch = second_gluing_branch(c)
     except ZeroCharge as exc:
         branch = None
         notes.append(f"second branch: {exc}")

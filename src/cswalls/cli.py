@@ -86,7 +86,9 @@ def load_model(args) -> BNModel:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and json's refusal of an
+            # integer of more than 4,300 digits
             raise CswallsError(f"cannot load user model {path}: {exc}")
         return model_from_json(doc, args.genus)
     return make_model(args.model, args.genus)
@@ -164,7 +166,11 @@ def resolve_config(args, environ) -> None:
             value = file_cfg.get(name)
             setattr(args, name, default if value is None else value)
     args.window = Window(*parse_rats(args.window, 4))
-    tol = args.tol = float(args.tol)
+    try:
+        tol = args.tol = float(args.tol)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError("tol must be a finite positive number, got an "
+                         "integer beyond the float range") from None
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite positive number, got {tol}")
     if args.format not in FORMATS:
@@ -326,7 +332,7 @@ def _classify(a, *_):
     flags = frozenset(f for f in a.flags.split(",") if f)
     z1, z2, z3 = (ComplexRational(*z) for z in (a.z1, a.z2, a.z3))
     data = ChargeData(z1, z2, z3, a.lifts, flags, a.tol)
-    result = full_classification(data, load_model(a), a.tol)
+    result = full_classification(data, load_model(a))
     doc = classification_to_json(result)
     lines = [f"in_UA: {doc['in_UA']}", f"in_UB: {doc['in_UB']}"]
     type_b = doc["typeB"]

@@ -22,6 +22,7 @@ from .envelopes import (
     BNModel,
     PLFunction,
     RegionVerdict,
+    _frac,
     mercat_bound_pl,
     region_uc,
     region_uf,
@@ -33,7 +34,7 @@ from .errors import (
     ZeroAlpha,
     ZeroRank,
 )
-from .lattice import GenusLike, NumClass, genus_value, project
+from .lattice import GenusLike, NumClass, det3, genus_value, project
 
 
 class Check(str, Enum):
@@ -77,14 +78,6 @@ class RationalLine:
         object.__setattr__(self, "B", self.B // g)
         object.__setattr__(self, "C", self.C // g)
 
-    @classmethod
-    def from_fractions(cls, a: Fraction, b: Fraction, c: Fraction):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        lcm = a.denominator
-        for x in (b, c):
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        return cls(int(a * lcm), int(b * lcm), int(c * lcm))
-
     def value_at(self, b: Fraction, w: Fraction) -> Fraction:
         return self.A * b + self.B * w - self.C
 
@@ -117,7 +110,7 @@ class Window:
 
     def __post_init__(self):
         for name in ("b_min", "b_max", "w_min", "w_max"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _frac(getattr(self, name)))
         if not (self.b_min < self.b_max and self.w_min < self.w_max):
             raise DomainError(
                 f"degenerate window [{self.b_min},{self.b_max}]"
@@ -149,7 +142,7 @@ class SupportForm:
 
     def __post_init__(self):
         for name in ("b0", "w0", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 
@@ -169,7 +162,7 @@ def delta_certificate(b0, w0, delta, model: BNModel) -> list:
     be positive for the certificate to hold.  Raises nothing; the caller
     inspects positivity.
     """
-    b0, w0, delta = Fraction(b0), Fraction(w0), Fraction(delta)
+    b0, w0, delta = _frac(b0), _frac(w0), _frac(delta)
     rows = []
 
     def q_against(x, slope, value, ref):
@@ -217,7 +210,7 @@ def find_delta(b0, w0, model: BNModel) -> Fraction:
     above both one-sided limits of upper at b0 (a jump there leaves no
     certifiable delta).
     """
-    b0, w0 = Fraction(b0), Fraction(w0)
+    b0, w0 = _frac(b0), _frac(w0)
     bn, bd = b0.numerator, b0.denominator
     wn, wd = w0.numerator, w0.denominator
     head = _headroom(model.upper, bn, bd, wn, wd)
@@ -312,14 +305,13 @@ def ray_line(v: NumClass, alpha) -> RationalLine:
     """Line of slope -1/alpha through the projection of v."""
     if v.r == 0:
         raise ZeroRank(f"ray needs a nonzero-rank class, got {v}")
-    alpha = Fraction(alpha)
+    alpha = _frac(alpha)
     if alpha == 0:
         raise ZeroAlpha("ray slope parameter alpha must be nonzero")
-    beta, eta = project(v)
-    # w = -(b - beta)/alpha + eta  <=>  b + alpha*w = beta + alpha*eta
-    return RationalLine.from_fractions(
-        Fraction(1), alpha, beta + alpha * eta
-    )
+    p, q = alpha.numerator, alpha.denominator
+    # w = -(b - d/r)/alpha + n/r  <=>  b + alpha*w = d/r + alpha*n/r;
+    # times q*r with alpha = p/q
+    return RationalLine(q * v.r, p * v.r, q * v.d + p * v.n)
 
 
 @dataclass(frozen=True)
@@ -719,31 +711,23 @@ class ChamberReport:
     chambers: Tuple[Chamber, ...]
 
 
-def _clip_polygon(poly, normal, offset):
-    """Keep the part of a convex polygon with normal . p >= offset."""
+def _clip_polygon(poly, normal):
+    """Keep the part of a convex polygon with normal . p >= 0, each vertex
+    an integer triple (x, y, z) with z > 0 standing for (x/z, y/z)."""
+    nx, ny = normal
     out = []
     k = len(poly)
     for i in range(k):
         p, q = poly[i], poly[(i + 1) % k]
-        fp = normal[0] * p[0] + normal[1] * p[1] - offset
-        fq = normal[0] * q[0] + normal[1] * q[1] - offset
+        fp = nx * p[0] + ny * p[1]
+        fq = nx * q[0] + ny * q[1]
         if fp >= 0:
             out.append(p)
         if (fp > 0 > fq) or (fp < 0 < fq):
-            t = fp / (fp - fq)
-            out.append(
-                (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-            )
+            # fp*q - fq*p lies on the line; its z has the sign of fp
+            s = 1 if fp > 0 else -1
+            out.append(tuple(s * (fp * b - fq * a) for a, b in zip(p, q)))
     return out
-
-
-def _polygon_area2(poly) -> Fraction:
-    s = Fraction(0)
-    for i in range(len(poly)):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % len(poly)]
-        s += x0 * y1 - x1 * y0
-    return s
 
 
 def _ray_sort_key(d):
@@ -780,10 +764,7 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
     def verdict_at(p: PlanePoint):
         return region_uc(p.as_tuple(), model) if model is not None else None
 
-    lines = []
-    for wall in walls:
-        if wall.line not in lines:
-            lines.append(wall.line)
+    lines = list(dict.fromkeys(wall.line for wall in walls))
 
     if not lines:
         center = (
@@ -796,16 +777,24 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
         chamber = Chamber(0, "window", (), True, sample, verdict_at(sample))
         return ChamberReport(v, "window", center, (chamber,))
 
-    if v.r != 0:
+    r, d, n = v.r, v.d, v.n
+    if r != 0:
         beta, eta = project(v)
         center = PlanePoint(beta, eta)
         rays = []
         for line in lines:
-            d = _primitive(line.B, -line.A)
-            rays.append(d)
-            rays.append((-d[0], -d[1]))
+            u = _primitive(line.B, -line.A)
+            rays.append(u)
+            rays.append((-u[0], -u[1]))
         rays.sort(key=_ray_sort_key)
-        corners = [(b, w) for b, w in window.corners()]
+        # the window corners relative to the centre (d/r, n/r), as triples
+        # (x, y, z) with z > 0 standing for (x/z, y/z)
+        s = 1 if r > 0 else -1
+        corners = []
+        for b, w in window.corners():
+            (bn, bd), (wn, wd) = _pair(b), _pair(w)
+            corners.append((s * (bn * r - d * bd) * wd,
+                            s * (wn * r - n * wd) * bd, abs(r) * bd * wd))
         chambers = []
         k = len(rays)
         for i in range(k):
@@ -818,15 +807,15 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
             poly = corners
             # wedge = {p : cross(u, p-c) > 0 and cross(p-c, u2) > 0}
             for normal in ((-u[1], u[0]), (u2[1], -u2[0])):
-                offset = normal[0] * beta + normal[1] * eta
-                poly = _clip_polygon(poly, normal, offset)
-                if not poly:
-                    break
-            meets = bool(poly) and _polygon_area2(poly) != 0
+                poly = _clip_polygon(poly, normal)
+            # a clipped polygon of nonzero area has distinct vertices, so
+            # its area is nonzero when one lies off the line through the
+            # first two
+            meets = any(det3((poly[0], poly[1], p)) for p in poly[2:])
             if meets:
-                sx = sum(p[0] for p in poly) / len(poly)
-                sy = sum(p[1] for p in poly) / len(poly)
-                sample = PlanePoint(sx, sy)
+                sx = sum(Fraction(x, z) for x, _, z in poly) / len(poly)
+                sy = sum(Fraction(y, z) for _, y, z in poly) / len(poly)
+                sample = PlanePoint(beta + sx, eta + sy)
             else:
                 sample = PlanePoint(beta + interior[0], eta + interior[1])
             chambers.append(
@@ -840,11 +829,9 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
     prim = _primitive(a0, b0)
     intercepts = []
     for line in lines:
-        scale = (
-            Fraction(line.A, prim[0]) if prim[0] != 0
-            else Fraction(line.B, prim[1])
-        )
-        if (line.A, line.B) != (prim[0] * scale, prim[1] * scale):
+        # a normalized parallel line has (A, B) = gcd(A, B) * prim
+        scale = gcd(line.A, line.B)
+        if (line.A // scale, line.B // scale) != prim:
             raise MixedOwnership(
                 f"line {line.as_tuple()} is not parallel to the family"
             )

@@ -47,6 +47,18 @@ def test_in_ua_boundary_tolerance():
     assert in_ua((1, 0.5 + 1e-6, 0.5), tol=1e-9) is True
 
 
+def test_classification_uses_the_charge_data_tolerance():
+    # the lifts match the charges' phases within 1e-3, and the UA chain
+    # holds by 1e-6 only: not a margin that tolerance 1e-3 accepts
+    i = ComplexRational(F(0), F(1))
+    c = ChargeData(ComplexRational(F(-1), F(0)), i, i, (1.0, 0.5, 0.5 - 1e-6),
+                   ALL_FLAGS, tol=1e-3)
+    assert ua_margin(c.lifts) == pytest.approx(1e-6)
+    m = make_model("general", 4)
+    assert classify_regions(c, m).in_ua is Membership.NO
+    assert full_classification(c, m).in_ua is Membership.NO
+
+
 def test_classify_regions_type_b_example():
     m = make_model("general", 4)
     c = type_b_triple(PlanePoint(F(-2), F(3)), with_lifts=True,

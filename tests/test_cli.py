@@ -316,6 +316,18 @@ def test_user_model_accepts_json_integers_and_signs(tmp_path):
     assert code == 0 and "lower(3)=3 upper(3)=3" in out
 
 
+def test_user_model_with_an_integer_too_long_for_json_is_a_load_error(
+        tmp_path):
+    # json refuses integers of more than 4,300 digits with a ValueError
+    model = tmp_path / "model.json"
+    model.write_text('{"lower": [[-1, 0, 0], [0, 1, %s]], "upper": '
+                     '[[-1, 0, 0], [0, 1, 0]], "exact": false}'
+                     % ("1" + "0" * 4300))
+    code, out, err = invoke(["bn", "--at", "1", "--genus", "2",
+                             "--model", f"user:{model}"])
+    assert (code, out) == (1, "") and "cannot load user model" in err
+
+
 def test_tall_user_envelope_is_not_an_error(tmp_path):
     # upper = 10^4000 on [0, 2): a midpoint just left of 0 needs a delta
     # about 2^-13300 times its headroom
@@ -476,8 +488,9 @@ def test_non_finite_floats_are_usage_errors(extra):
     ('{"rank_bound": 1.5}', "JSON integer"),
     ('{"genus": true}', "JSON integer"),
     ('{"genus": "2"}', "JSON integer"),
+    ('{"tol": 1%s}' % ("0" * 400), "finite"),
 ], ids=["tol-nan", "tol-negative", "tol-bool", "cache_dir-int",
-        "rank_bound-float", "genus-bool", "genus-string"])
+        "rank_bound-float", "genus-bool", "genus-string", "tol-huge"])
 def test_bad_config_values_are_usage_errors(doc, message, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)

@@ -69,3 +69,49 @@ def test_project_version_matches_the_package():
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == cswalls.__version__
+
+
+def _walls_imports(nodes) -> list:
+    """Names that `from cswalls.walls import ...` brings in under `nodes`;
+    a plain `import cswalls.walls` counts as the name "*"."""
+    names = []
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "cswalls.walls":
+                names += [alias.name for alias in sub.names]
+            elif isinstance(sub, ast.Import):
+                names += ["*" for alias in sub.names
+                          if alias.name == "cswalls.walls"]
+    return names
+
+
+def test_oracles_import_only_public_walls_names():
+    # the grid and chamber oracles check walls.py, so they must not share
+    # its internals
+    tests = SRC.parent / "tests"
+    gridscan = ast.parse((tests / "gridscan.py").read_text())
+    assert set(_walls_imports([gridscan])) <= {
+        "EVERYWHERE_EQUAL", "NO_WALL", "find_delta", "wall_line"}
+    # the chamber oracle: the module's imports plus every module-level
+    # definition that its two tests reach by name
+    tree = ast.parse((tests / "test_walls.py").read_text())
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name))
+    reached = set()
+    todo = ["test_chamber_oracle", "test_chamber_oracle_reports_golden_digest"]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(defs[name])
+                     if isinstance(n, ast.Name)]
+    assert {"_check_chamber_report", "_open_region_meets"} <= reached
+    imports = [node for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = _walls_imports(imports + [defs[name] for name in reached])
+    assert names and not [n for n in names if n.startswith("_") or n == "*"]

@@ -51,7 +51,20 @@ def test_rational_line_normalization():
     assert line.as_tuple() == (0, 2, 1)
     with pytest.raises(DomainError):
         RationalLine(0, 0, 5)
-    assert RationalLine.from_fractions(F(1, 2), F(1, 3), F(1)).as_tuple() == (3, 2, 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Window(-4, 4, 0.1, 8),
+    lambda: SupportForm(F(1, 2), 0.5, 1),
+    lambda: find_delta(0.5, 3, make_model("general", 2)),
+    lambda: find_delta(0, 3.0, make_model("general", 2)),
+    lambda: delta_certificate(0, 3, 0.25, make_model("general", 2)),
+    lambda: ray_line(NumClass(2, 3, 1), 0.1),
+], ids=["window", "support-form", "find-delta-b0", "find-delta-w0",
+        "delta-certificate", "ray-line"])
+def test_exact_apis_reject_floats(call):
+    with pytest.raises(TypeError, match="floats are not exact"):
+        call()
 
 
 def test_window_validation():
@@ -892,10 +905,22 @@ CHAMBER_OFFSETS = [
     ("right-edge", (-2, 0, -1, F(1, 3))),
     ("corner", (0, 2, 0, 1)),
 ]
-#: rank zero has no projection, so its windows are fixed
+#: rank zero has no projection, so its windows are fixed (and two more
+#: touch its first two walls)
 STRIP_WINDOWS = [Window(-1, 2, F(1, 3), 3), Window(0, 1, 0, 1),
                  Window(F(-5, 2), F(-1, 2), 2, 5), Window(3, 9, -2, -1),
                  Window(-4, 4, F(-1, 2), 7)]
+
+
+def _window_touching(line):
+    """A unit window with a corner (or, for a vertical line, an edge) on
+    the line and the rest on its positive side."""
+    A, B, C = line.as_tuple()
+    b0, w0 = (F(0), F(C, B)) if B else (F(C, A), F(0))
+    b1, w1 = b0 + (1 if A >= 0 else -1), w0 + (1 if B >= 0 else -1)
+    return Window(min(b0, b1), max(b0, b1), min(w0, w1), max(w0, w1))
+
+
 CHAMBER_MODELS = {
     "general-2": lambda: make_model("general", 2),
     "mercat-5": lambda: make_model("mercat", 5),
@@ -907,7 +932,8 @@ CHAMBER_MODELS = {
 def _chamber_cases(name):
     """(v, walls, window, model, report) over ranks -2..3: all walls in
     the first window, about six spread-out walls in every window of
-    CHAMBER_OFFSETS (or STRIP_WINDOWS), and the first wall alone."""
+    CHAMBER_OFFSETS (or STRIP_WINDOWS and windows touching the first two
+    walls), and the first wall alone."""
     model = CHAMBER_MODELS[name]()
     g = model.genus.g
     cases = []
@@ -918,7 +944,8 @@ def _chamber_cases(name):
                                     model)
             spread = walls[::max(1, len(walls) // 6)]
             if r == 0:
-                windows = STRIP_WINDOWS
+                windows = STRIP_WINDOWS + [_window_touching(w.line)
+                                           for w in walls[:2]]
             else:
                 b, w = project(v)
                 windows = [Window(b + b0, b + b1, w + w0, w + w1)
@@ -945,10 +972,10 @@ def test_chamber_oracle(name):
     assert {"pencil", "strips"} <= kinds and single > 0
 
 
-#: sha256 over the JSON of the 384 reports in _CHAMBER_CASES, model by
+#: sha256 over the JSON of the 392 reports in _CHAMBER_CASES, model by
 #: model, taken before the chamber clipper moved to integers
 GOLDEN_CHAMBERS_SHA256 = (
-    "aa78524e35c4dfb8ea8473c3ba85ceb935c00d4d45570328775ab41c2bba7b5e")
+    "39dd0e566580087fa315fa942ecfaa8506ba74d15dad0b33493ce16063ba975e")
 
 
 def test_chamber_oracle_reports_golden_digest():
