@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -929,6 +930,7 @@ CHAMBER_MODELS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _chamber_cases(name):
     """(v, walls, window, model, report) over ranks -2..3: all walls in
     the first window, about six spread-out walls in every window of
@@ -958,21 +960,18 @@ def _chamber_cases(name):
     return cases
 
 
-_CHAMBER_CASES = {name: _chamber_cases(name) for name in CHAMBER_MODELS}
-
-
 @pytest.mark.parametrize("name", list(CHAMBER_MODELS))
 def test_chamber_oracle(name):
     kinds = set()
     single = 0
-    for v, walls, win, model, rep in _CHAMBER_CASES[name]:
+    for v, walls, win, model, rep in _chamber_cases(name):
         _check_chamber_report(rep, v, walls, win, model)
         kinds.add(rep.kind)
         single += len({w.line for w in walls}) == 1
     assert {"pencil", "strips"} <= kinds and single > 0
 
 
-#: sha256 over the JSON of the 392 reports in _CHAMBER_CASES, model by
+#: sha256 over the JSON of the 392 reports of _chamber_cases, model by
 #: model, taken before the chamber clipper moved to integers
 GOLDEN_CHAMBERS_SHA256 = (
     "39dd0e566580087fa315fa942ecfaa8506ba74d15dad0b33493ce16063ba975e")
@@ -983,6 +982,6 @@ def test_chamber_oracle_reports_golden_digest():
 
     h = hashlib.sha256()
     for name in CHAMBER_MODELS:
-        for *_, rep in _CHAMBER_CASES[name]:
+        for *_, rep in _chamber_cases(name):
             h.update(json.dumps(chamber_report_to_json(rep)).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_CHAMBERS_SHA256
