@@ -733,3 +733,119 @@ def test_cli_golden_digest(case, tmp_path, monkeypatch):
     code, out, _ = invoke(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI_SHA256[case]
+
+
+_EULER = ["euler", "--v1", "0,0,1", "--v2", "1,0,0"]
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: argv -> (exit code, sha256 of stdout, sha256 of stderr) on the argparse
+#: paths: help, version, usage errors and option spellings, so that the
+#: parser can be built differently without a byte of this text changing
+GOLDEN_ARGPARSE = {
+    "no-args": (
+        [], 2,
+        _EMPTY,
+        "83314d9a536f36e299831bb29b67501022e1c314d8b80913924116aa6ae162c0"),
+    "help": (
+        ["--help"], 0,
+        "a45c9b134700922d511a57d5789a3416ebdce07712d70bfce0500f8a377d6291",
+        _EMPTY),
+    "version": (
+        ["--version"], 0,
+        "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67",
+        _EMPTY),
+    "unknown-command": (
+        ["bogus"], 2,
+        _EMPTY,
+        "b4017e8f384f66cfb27d92bf6e74aeb72a75e89509e9f6c4d9b6d38b2a9db883"),
+    "abbreviated-command": (
+        ["eul"], 2,
+        _EMPTY,
+        "ca435d5ba6552c3db45605c4f9fa23c59cfcafbb8e5b53046116af575d300a33"),
+    "command-without-flags": (
+        ["euler"], 2,
+        _EMPTY,
+        "770ac2994bb289d8e4ba8f1f851fad5f9373a8f8674a430caa4ecbe8969fd2a7"),
+    "bad-value": (
+        ["euler", "--v1", "1,2", "--v2", "0,0,1"], 2,
+        _EMPTY,
+        "7a7952cb7d583ff3861aef5cc9e9ef3da66e7d99c68d624c8628774e0e2a6907"),
+    "missing-required-flag": (
+        ["euler", "--v1", "0,0,1"], 2,
+        _EMPTY,
+        "aad01913ee646e87cbbfe9fe3effe7fc435628ec60825fc9b40212a84250d9b6"),
+    "trailing-unknown-flag": (
+        _EULER + ["--bogus"], 2,
+        _EMPTY,
+        "69ed4c6a1c840de212db7a0ddceb879c212c126f95e34a35aae7f03215448b4a"),
+    "extra-positional": (
+        _EULER + ["extra"], 2,
+        _EMPTY,
+        "d0fca6730b820dfb124af8638621b45efaea7c5d8fad60a71e3f643f17729625"),
+    "option-before-command": (
+        ["--genus", "2"] + _EULER, 2,
+        _EMPTY,
+        "b9e16dcd1169095d7718acac432b72a362f385e87fbf4ee4bb2522d13c000d1e"),
+    "format-xml": (
+        _EULER + ["--format", "xml"], 2,
+        _EMPTY,
+        "0e80770a975dfcbc7d0633e70fdd516c1baef443ce415082477fbcc07c8c1388"),
+    "abbreviated-option": (
+        _EULER + ["--rank", "x"], 2,
+        _EMPTY,
+        "984e8c0979190d66e9b5776cfa76b2ca4cf28038a1964b31e17c882b0b032daf"),
+    "abbreviated-option-accepted": (
+        _EULER + ["--rank-b", "0"], 0,
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        _EMPTY),
+    "missing-option-value": (
+        _EULER + ["--genus"], 2,
+        _EMPTY,
+        "37552bb82a857f59b917425093a33231e8e507f6e9b42f457c3a7dd15059ed4d"),
+    "command-help-short": (
+        ["euler", "-h"], 0,
+        "fff7bbce746aeb12743ab27e56a3e2241ee696cd73a7c6147c2c6dbb2ae62050",
+        _EMPTY),
+    "command-version": (
+        _EULER + ["--version"], 2,
+        _EMPTY,
+        "d0e9676aa316b57625c4d0da22cc799224ee19ad44aeb08b5805336c03f85488"),
+    "negative-value": (
+        ["dual", "--class", "-1,2,0"], 0,
+        "6b2a5ff680a694ec985ff7f97884f484653a99f85c41bbe0b7a16afaaefd0346",
+        _EMPTY),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARGPARSE))
+def test_argparse_paths_golden(case, monkeypatch):
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("the argparse digests are of Python 3.11's argparse")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to this width
+    argv, code, out_sha, err_sha = GOLDEN_ARGPARSE[case]
+    got, out, err = invoke(argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == (code, out_sha,
+                                                           err_sha), err
+
+
+#: sha256 of the file `plot --out` writes for (2,3,1) at rank bound 2
+#: with the default window
+GOLDEN_SVG_SHA256 = {
+    ("2", "general"):
+        "81dde07f9128f1057a514d563aaf2e42db889459269b3092f7b00100e9cd870b",
+    ("5", "mercat"):
+        "0fca77027de559a6b95b3cec026ea287289dfa73573c50045c9f3994041d7233",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SVG_SHA256))
+def test_plot_svg_golden_digest(case, tmp_path):
+    genus, model = case
+    path = tmp_path / "walls.svg"
+    code, _, err = invoke(["plot", "--class", "2,3,1", "--genus", genus,
+                           "--model", model, "--rank-bound", "2",
+                           "--out", str(path)])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SVG_SHA256[case]
