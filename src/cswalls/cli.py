@@ -135,13 +135,19 @@ def parse_rats(text: str, count: int = 2) -> tuple:
 
 
 def _load_config_file(environ) -> dict:
+    """The settings in the file CSWALLS_CONFIG names, or {} when unset.
+    A file that cannot be read, is not a JSON object or has an unknown key
+    is a domain error (exit 1); a value of the wrong JSON type is a usage
+    error (exit 2)."""
     path = environ.get(CONFIG_ENV)
     if not path:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError, a byte that is not UTF-8 and
+        # json's refusal of an integer of more than 4,300 digits
         raise CswallsError(f"cannot read {CONFIG_ENV} file {path}: {exc}")
     if not isinstance(doc, dict):
         raise CswallsError(f"{CONFIG_ENV} file must hold a JSON object")
@@ -441,20 +447,20 @@ class _Parser(argparse.ArgumentParser):
         super()._print_message(message, file)
 
 
-def build_parser(streams=None) -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    for name, (_, _, kw) in SETTINGS.items():
-        # None marks a setting no flag gave, for `resolve_config` to fill
-        common.add_argument("--" + name.replace("_", "-"), dest=name,
-                            default=None, **kw)
-
+def build_parser(streams=None, only=None) -> argparse.ArgumentParser:
+    """The cswalls parser; with only the sub-parser of command `only`."""
     parser = _Parser(prog="cswalls", description=__doc__, streams=streams)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
     for name, (help_text, arguments, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], streams=streams,
-                           help=help_text)
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, streams=streams, help=help_text)
+        for setting, (_, _, kw) in SETTINGS.items():
+            # None marks a setting no flag gave, for `resolve_config` to fill
+            p.add_argument("--" + setting.replace("_", "-"), dest=setting,
+                           default=None, **kw)
         for flag, kw in arguments:
             p.add_argument(flag, **kw)
     return parser
@@ -464,7 +470,9 @@ def run(argv, stdout=None, stderr=None, environ=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     environ = environ if environ is not None else os.environ
-    parser = build_parser((stdout, stderr))
+    # help, version, usage and unknown-command text need every sub-parser
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser((stdout, stderr), only)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

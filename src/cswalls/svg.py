@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 from .charges import PlanePoint
 from .envelopes import BNModel
@@ -23,6 +22,12 @@ from .walls import Wall, Window
 CANVAS_W, CANVAS_H = 840, 600
 PLOT = (60, 40, 560, 560)  # x_min, y_min, x_max, y_max in SVG units
 LEGEND_MAX_ROWS = 40
+
+
+def escape(text: str) -> str:
+    """`text` as XML character data, as `xml.sax.saxutils.escape` gives it
+    (that module imports the network stack)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _maps(window: Window):

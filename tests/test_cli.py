@@ -224,6 +224,20 @@ def test_config_file_resolution(tmp_path):
     assert code == 1 and "unknown config keys" in err
 
 
+
+@pytest.mark.parametrize("content", [
+    b'{"genus": 2, "model": "gen\xffral"}',
+    b'{"genus": 1%s}' % (b"0" * 4300),
+], ids=["not-utf8", "integer-too-long"])
+def test_unreadable_config_file_is_a_domain_error(content, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, out, err = invoke(["euler", "--v1", "0,0,1", "--v2", "1,0,0"],
+                            {"CSWALLS_CONFIG": str(cfg)})
+    assert (code, out) == (1, "")
+    assert f"cannot read CSWALLS_CONFIG file {cfg}" in err
+
+
 #: per setting: a CSWALLS_CONFIG value and a flag value, neither the default
 SETTING_VALUES = {
     "genus": (5, 3),

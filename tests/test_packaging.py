@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -24,14 +25,37 @@ def test_runtime_imports_only_the_standard_library():
                     path.name, name)
 
 
-def _run_optimized(*argv):
-    """`python -OO -m cswalls.cli *argv`: docstrings and asserts stripped."""
+@given(st.text(alphabet=st.sampled_from("&<>\"'a;#x1 \u00e9")))
+def test_svg_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape as sax_escape
+
+    from cswalls.svg import escape
+    assert escape(text) == sax_escape(text)
+
+
+def _python(*argv):
+    """`python *argv` with this checkout's `src` first on the path."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("CSWALLS_CONFIG", None)
-    return subprocess.run([sys.executable, "-OO", "-m", "cswalls.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email, ssl
+    # and socket: about half of the modules the CLI would load
+    done = _python("-c", "import sys, cswalls.cli; "
+                         "print(' '.join(sorted(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    network = {"socket", "ssl", "http.client", "urllib.request", "email"}
+    assert not set(done.stdout.split()) & network
+
+
+def _run_optimized(*argv):
+    """`python -OO -m cswalls.cli *argv`: docstrings and asserts stripped."""
+    return _python("-OO", "-m", "cswalls.cli", *argv)
 
 
 def test_cli_runs_with_docstrings_stripped():
