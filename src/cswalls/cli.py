@@ -453,9 +453,8 @@ def build_parser(streams=None, only=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
-    for name, (help_text, arguments, _) in COMMANDS.items():
-        if only not in (None, name):
-            continue
+    commands = COMMANDS if only is None else {only: COMMANDS[only]}
+    for name, (help_text, arguments, _) in commands.items():
         p = sub.add_parser(name, streams=streams, help=help_text)
         for setting, (_, _, kw) in SETTINGS.items():
             # None marks a setting no flag gave, for `resolve_config` to fill
