@@ -25,6 +25,8 @@ from .lattice import Genus, GenusLike, genus_value
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:  # immutable: no copy needed
+        return x
     if isinstance(x, float):
         raise TypeError(f"floats are not exact; got {x!r}")
     return Fraction(x)

@@ -68,15 +68,8 @@ class RationalLine:
     def __post_init__(self):
         if self.A == 0 and self.B == 0:
             raise DomainError("a line needs (A, B) != (0, 0)")
-        g = gcd(gcd(abs(self.A), abs(self.B)), abs(self.C))
-        sign = 1
-        first = self.A if self.A != 0 else self.B
-        if first < 0:
-            sign = -1
-        g *= sign
-        object.__setattr__(self, "A", self.A // g)
-        object.__setattr__(self, "B", self.B // g)
-        object.__setattr__(self, "C", self.C // g)
+        for name, x in zip("ABC", _normal(self.A, self.B, self.C)):
+            object.__setattr__(self, name, x)
 
     def value_at(self, b: Fraction, w: Fraction) -> Fraction:
         return self.A * b + self.B * w - self.C
@@ -197,9 +190,7 @@ def _headroom(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
     wden = wn * den
     if wden <= max(value, left, right) * wd:
         return None
-    hn, hd = wden - value * wd, den * wd
-    g = gcd(hn, hd)
-    return hn // g, hd // g
+    return _reduced(wden - value * wd, den * wd)
 
 
 def find_delta(b0, w0, model: BNModel) -> Fraction:
@@ -331,9 +322,8 @@ class Wall:
 
 
 def _sort_key(wall: Wall):
-    inf = wall.nu_value == math.inf
-    nu_key = Fraction(0) if inf else wall.nu_value
-    return (inf, nu_key, wall.line.A, wall.line.B, wall.line.C)
+    # every enumerated line has B != 0, so nu_value is a Fraction
+    return (wall.nu_value, wall.line.A, wall.line.B, wall.line.C)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +343,24 @@ def _reduced(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
+def _normal(a: int, b: int, c: int) -> tuple:
+    """(a, b, c) over its gcd, with the first nonzero of (a, b) positive."""
+    g = gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return a // g, b // g, c // g
+
+
+def _cut(lo: tuple, hi: tuple, a: int, c: int) -> tuple:
+    """The pair interval [lo, hi] cut to a*b + c >= 0, for a != 0."""
+    if a > 0:
+        if -c * lo[1] > lo[0] * a:
+            lo = (-c, a)
+    elif c * hi[1] < hi[0] * -a:
+        hi = (c, -a)
+    return lo, hi
+
+
 def _candidates(v: NumClass, window: Window, rank_bound: int):
     """Yield ((r', d', n'), Im interval) for the destabilizer classes with
     |r'| <= rank_bound that can carry a genuine wall segment inside the
@@ -365,14 +373,9 @@ def _candidates(v: NumClass, window: Window, rank_bound: int):
     blo, bhi = _pair(window.b_min), _pair(window.b_max)
     ws = (_pair(window.w_min), _pair(window.w_max))
     # relaxed generation: some b in [flo, fhi] has 0 <= d' - b*r' <= d - b*r
-    flo, fhi = blo, bhi
-    if r > 0 and d * fhi[1] < fhi[0] * r:
-        fhi = (d, r)
-    elif r < 0 and d * flo[1] < flo[0] * r:
-        flo = (-d, -r)
-    elif r == 0 and d == 0:
+    if r == 0 and d == 0:
         return
-    (ln, ld), (hn, hd) = flo, fhi
+    (ln, ld), (hn, hd) = _cut(blo, bhi, -r, d) if r else (blo, bhi)
     if ln * hd > hn * ld:
         return
     for rp in range(-rank_bound, rank_bound + 1):
@@ -395,12 +398,8 @@ def _candidates(v: NumClass, window: Window, rank_bound: int):
             # each c - a*b > 0
             lo, hi = blo, bhi
             for a, c in ((rp, dp), (r - rp, d - dp)):
-                if a > 0:
-                    if c * hi[1] < hi[0] * a:
-                        hi = (c, a)
-                elif a < 0:
-                    if c * lo[1] < lo[0] * a:
-                        lo = (-c, -a)
+                if a:
+                    lo, hi = _cut(lo, hi, -a, c)
                 elif c <= 0:
                     lo = hi
             if lo[0] * hi[1] >= hi[0] * lo[1]:
@@ -450,7 +449,7 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     rank_bound = 0 searches nothing and returns [].  Walls are
     deduplicated by line (complementary witnesses merge), pruned by the
     support form where the segment midpoint is certified above the upper
-    envelope, and sorted by (slope value with +inf last, line coeffs).
+    envelope, and sorted by (slope value, line coeffs).
     """
     gg = genus_value(g)
     if model.genus.g != gg:
@@ -462,10 +461,6 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     if rank_bound == 0:
         return []
 
-    # support-form predicates by midpoint (None: not certified above the
-    # upper envelope), shared by every line through the same point
-    prune_at: Dict[tuple, object] = {}
-
     # Bucket the candidates by line, then by Im interval: the window clip
     # and the carve depend on the line alone, the segment and its support
     # form on the interval too (complementary witnesses share both).
@@ -474,16 +469,12 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     for cand, gi in _candidates(v, window, rank_bound):
         rp, dp, np_ = cand
         # wall_line(v, cand) as RationalLine normalizes it; B != 0 here
-        a, b, c = n * rp - np_ * r, r * dp - rp * d, n * dp - np_ * d
-        g = gcd(a, b, c)
-        if a < 0 or (a == 0 and b < 0):
-            g = -g
-        key = (a // g, b // g, c // g)
+        key = _normal(n * rp - np_ * r, r * dp - rp * d, n * dp - np_ * d)
         by_line.setdefault(key, {}).setdefault(gi, []).append(cand)
 
     walls = []
     for line, groups in by_line.items():
-        wall = _line_wall(v, gg, line, groups, window, model, prune_at)
+        wall = _line_wall(v, gg, line, groups, window, model)
         if wall is not None:
             walls.append(wall)
     walls.sort(key=_sort_key)
@@ -501,14 +492,10 @@ def _clip(line: tuple, window: Window):
         # sign*(w(b) - p/q) >= 0  <=>  a*b + c >= 0
         k = sign * sb
         a, c = -k * q * A, k * (q * C - B * p)
-        if a == 0:
-            if c < 0:
-                return None
-        elif a > 0:
-            if -c * lo[1] > lo[0] * a:
-                lo = (-c, a)
-        elif c * hi[1] < hi[0] * -a:
-            hi = (c, -a)
+        if a:
+            lo, hi = _cut(lo, hi, a, c)
+        elif c < 0:  # the window is closed: a line on its edge stays
+            return None
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return lo, hi
@@ -528,14 +515,10 @@ def _carve(line: tuple, pl: PLFunction, lo: tuple, hi: tuple):
         b = hi if phi is None or phi * hi[1] >= hi[0] * m else (phi, m)
         # w(b) > (s*b + i)/m  <=>  ca*b + cc > 0
         ca, cc = -sb * (mA + B * s), sb * (mC - B * i)
-        if ca == 0:
-            if cc <= 0:
-                continue
-        elif ca > 0:
-            if -cc * a[1] > a[0] * ca:
-                a = (-cc, ca)
-        elif cc * b[1] < b[0] * -ca:
-            b = (cc, -ca)
+        if ca:
+            a, b = _cut(a, b, ca, cc)
+        elif cc <= 0:  # on or below a flat piece is not above it
+            continue
         if a[0] * b[1] >= b[0] * a[1]:
             continue
         # parts ascend, so a piece starts at or after the previous end
@@ -558,8 +541,7 @@ def _carve(line: tuple, pl: PLFunction, lo: tuple, hi: tuple):
 
 
 def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
-               window: Window, model: BNModel,
-               prune_at: dict) -> Optional[Wall]:
+               window: Window, model: BNModel) -> Optional[Wall]:
     """The wall that `line` carries for its (r', d', n') candidates,
     grouped by Im interval, or None when every candidate is rejected."""
     clipped = _clip(line, window)
@@ -571,7 +553,8 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
         return None
     A, B, C = line
     r, d, n = v.r, v.d, v.n
-    witnesses, q_checks, feas_checks = set(), set(), set()
+    witnesses, feas_checks = set(), set()
+    q_nonneg = False
     lo = hi = None  # hull of the accepted parts
     for (gl, gh), cands in groups.items():
         parts = []
@@ -586,28 +569,19 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             continue
         # segment midpoint b0 = bn/bd and w0 = (C*bd - A*bn)/(B*bd)
         (pn, pd), (qn, qd) = parts[0][0], parts[-1][1]
-        bn, bd = pn * qd + qn * pd, 2 * pd * qd
-        g = gcd(bn, bd)
-        bn, bd = bn // g, bd // g
-        wn, wd = C * bd - A * bn, B * bd
-        g = gcd(wn, wd) if wd > 0 else -gcd(wn, wd)
-        wn, wd = wn // g, wd // g
-        key = (bn, bd, wn, wd)
-        if key not in prune_at:
-            head = _headroom(model.upper, bn, bd, wn, wd)
-            prune_at[key] = None if head is None else _negative_q_core(
-                bn, bd, wn, wd,
-                *_delta_core(bn, bd, wn, wd, *head, model.upper.scaled))
-        negative = prune_at[key]
-        q_check = Check.UNKNOWN
-        if negative is not None:
+        bn, bd = _reduced(pn * qd + qn * pd, 2 * pd * qd)
+        wn, wd = _reduced(C * bd - A * bn, B * bd)
+        head = _headroom(model.upper, bn, bd, wn, wd)
+        if head is not None:
+            negative = _negative_q_core(bn, bd, wn, wd, *_delta_core(
+                bn, bd, wn, wd, *head, model.upper.scaled))
             if negative(r, d, n):
                 continue
             cands = [c for c in cands if not (
                 negative(*c) or negative(r - c[0], d - c[1], n - c[2]))]
             if not cands:
                 continue
-            q_check = Check.PASS
+            q_nonneg = True
         meets_uf = None
         for cand in cands:
             feas = Check.UNKNOWN
@@ -630,13 +604,11 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             lo = (pn, pd)
         if hi is None or qn * hi[1] > hi[0] * qd:
             hi = (qn, qd)
-        q_checks.add(q_check)
     if not witnesses:
         return None
 
     p0, p1 = (PlanePoint(Fraction(bn, bd), Fraction(C * bd - A * bn, B * bd))
               for bn, bd in (lo, hi))
-    q_verdict = Check.PASS if Check.PASS in q_checks else Check.UNKNOWN
     if Check.FAIL in feas_checks:
         feas_verdict = Check.FAIL
     elif Check.PASS in feas_checks:
@@ -652,7 +624,7 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
         segment=(p0, p1),
         verdicts=(
             ("im_positive", Check.PASS),
-            ("q_nonneg", q_verdict),
+            ("q_nonneg", Check.PASS if q_nonneg else Check.UNKNOWN),
             ("feasibility", feas_verdict),
             ("region", _segment_region_verdict(line, lo, hi, model.upper)),
         ),

@@ -580,15 +580,34 @@ GOLDEN_WALLS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_WALLS_SHA256))
-def test_walls_json_golden_digest(case):
+#: the same at rank bound 8 for (2,3,1): 442 walls (g=2 general) and 404
+#: (g=5 mercat), the gate of a faster high-rank enumerator
+GOLDEN_WALLS_RANK_8_SHA256 = {
+    ("2,3,1", "2", "general"):
+        "dbcc3d683ce1a77ca75dd3883f3974d3d9f51a57f0f6e1d776168bca02e5868d",
+    ("2,3,1", "5", "mercat"):
+        "076d8713062d5a05a9a86fd199c12cedf5495c039e73ecbc399d0b4065b696fc",
+}
+
+
+def _walls_json_digest(case, rank_bound):
     cls, genus, model = case
     code, out, _ = invoke(["walls", "--class", cls, "--genus", genus,
-                           "--model", model, "--rank-bound", "3",
+                           "--model", model, "--rank-bound", rank_bound,
                            "--format", "json"])
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == GOLDEN_WALLS_SHA256[case]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WALLS_SHA256))
+def test_walls_json_golden_digest(case):
+    assert _walls_json_digest(case, "3") == GOLDEN_WALLS_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WALLS_RANK_8_SHA256))
+def test_walls_json_golden_digest_rank_bound_8(case):
+    assert (_walls_json_digest(case, "8")
+            == GOLDEN_WALLS_RANK_8_SHA256[case])
 
 
 #: one fixed argv per command; `plot` also takes `--out <path>`

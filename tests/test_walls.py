@@ -550,6 +550,10 @@ def line_window_model(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(line_window_model())
+# horizontal lines on the bottom and top edge of a closed window, the
+# first also on general g=2's flat lower piece: the a == 0 branches
+@example((RationalLine(0, 1, 0), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
+@example((RationalLine(0, 1, 2), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
 def test_integer_clip_and_carve_agree_with_fractions(case):
     from cswalls.walls import _carve, _clip
 
