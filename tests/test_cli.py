@@ -862,23 +862,76 @@ def test_argparse_paths_golden(case, monkeypatch):
                                                            err_sha), err
 
 
-#: sha256 of the file `plot --out` writes for (2,3,1) at rank bound 2
-#: with the default window
+#: sha256 of the file `plot --out` writes at rank bound 2 with the default
+#: window.  "jump" is JUMP_MODEL (its upper envelope jumps down at 2) with
+#: a point override on the upper envelope, which a model file cannot hold;
+#: the general model's override at 2 and the jump model's draw the
+#: envelope circles
 GOLDEN_SVG_SHA256 = {
-    ("2", "general"):
+    ("2,3,1", "2", "general"):
         "81dde07f9128f1057a514d563aaf2e42db889459269b3092f7b00100e9cd870b",
-    ("5", "mercat"):
+    ("2,3,1", "5", "mercat"):
         "0fca77027de559a6b95b3cec026ea287289dfa73573c50045c9f3994041d7233",
+    ("0,3,1", "2", "general"):
+        "72629809f668d25a698c318c413c5a14e7c0031e8c710406cd30361175a4b87f",
+    ("2,3,1", "2", "jump"):
+        "636aebe2601a1d2f1bdd77b7d084e58f32b98ba2d486d498388f9cd7ced9bc58",
 }
 
 
+def _jump_model_with_override():
+    from cswalls.envelopes import PLFunction, make_model, model_from_json
+
+    base = model_from_json(JUMP_MODEL, 2)
+    up = base.upper
+    upper = PLFunction(up.pieces, up.left_slope, up.left_value,
+                       ((F(1), F(3)),))
+    return make_model("user", 2, (base.lower, upper, False))
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_SVG_SHA256))
-def test_plot_svg_golden_digest(case, tmp_path):
-    genus, model = case
+def test_plot_svg_golden_digest(case, tmp_path, monkeypatch):
+    cls, genus, model = case
+    if model == "jump":
+        import cswalls.cli as cli
+
+        monkeypatch.setattr(cli, "load_model",
+                            lambda args: _jump_model_with_override())
     path = tmp_path / "walls.svg"
-    code, _, err = invoke(["plot", "--class", "2,3,1", "--genus", genus,
+    code, _, err = invoke(["plot", "--class", cls, "--genus", genus,
                            "--model", model, "--rank-bound", "2",
                            "--out", str(path)])
     assert (code, err) == (0, "")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SVG_SHA256[case]
+
+
+@pytest.mark.parametrize("genus, model", [("2", "general"), ("5", "mercat")])
+@pytest.mark.parametrize("cls", ["2,3,1", "0,3,1"])
+def test_chambers_and_plot_cache_equals_no_cache(cls, genus, model, tmp_path,
+                                                 monkeypatch):
+    import cswalls.cli as cli
+
+    base = ["--class", cls, "--genus", genus, "--model", model,
+            "--rank-bound", "2"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+
+    def outputs(extra):
+        got = [invoke(["chambers"] + base + ["--format", fmt] + extra)
+               for fmt in ("json", "text")]
+        svg = tmp_path / "walls.svg"
+        got.append(invoke(["plot"] + base + ["--out", str(svg)] + extra))
+        got.append(svg.read_bytes())
+        return got
+
+    # without a cache, then cold: the first job writes the entry
+    expected = outputs([])
+    assert expected[0][0] == 0 and expected[0][1]
+    assert outputs(cache) == expected
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+    def must_not_enumerate(*args):
+        raise AssertionError("enumerate_walls called on a cache hit")
+
+    monkeypatch.setattr(cli, "enumerate_walls", must_not_enumerate)
+    assert outputs(cache) == expected
