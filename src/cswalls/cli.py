@@ -41,7 +41,7 @@ from .jsonio import (
     model_to_json,
     slope_text,
     unrat,
-    walls_from_json,
+    wall_records_valid,
     walls_to_json,
 )
 from .lattice import NumClass, dual_class, euler, mutate_left, project, serre_class
@@ -209,10 +209,10 @@ def _cache_key(v: NumClass, args, model: BNModel) -> dict:
     }
 
 
-def cached_walls(v: NumClass, args, model: BNModel, stderr) -> tuple:
-    """(walls, records): the walls of v and their `walls_to_json` records,
-    read from the cache entry when it holds them, else computed (and
-    written to a new entry when a cache directory is set)."""
+def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
+    """The `walls_to_json` records of the walls of v: read from the cache
+    entry when it holds records that `wall_records_valid` accepts, else
+    computed (and written to a new entry when a cache directory is set)."""
     key = _cache_key(v, args, model)
     entry_path = None
     if args.cache_dir:
@@ -223,13 +223,14 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> tuple:
         try:
             with open(entry_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            if isinstance(doc, dict) and doc.get("key") == key:
-                return walls_from_json(doc["walls"]), doc["walls"]
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                TypeError, CswallsError):
-            pass  # corrupt or mismatched entries are recomputed
-    walls = enumerate_walls(v, args.genus, args.window, args.rank_bound, model)
-    records = walls_to_json(walls)
+        except (OSError, ValueError, RecursionError):
+            doc = None  # unreadable entries are recomputed
+        # so are mismatched ones and any record walls_to_json cannot write
+        if (isinstance(doc, dict) and doc.get("key") == key
+                and wall_records_valid(doc.get("walls"), v)):
+            return doc["walls"]
+    records = walls_to_json(
+        enumerate_walls(v, args.genus, args.window, args.rank_bound, model))
     if entry_path is not None:
         try:
             os.makedirs(args.cache_dir, exist_ok=True)
@@ -241,7 +242,7 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> tuple:
             os.replace(tmp, entry_path)
         except OSError as exc:
             print(f"warning: cache write failed: {exc}", file=stderr)
-    return walls, records
+    return records
 
 
 # --- renderers -------------------------------------------------------------
@@ -315,15 +316,13 @@ def _charge(a, *_):
 
 
 def _walls(a, out, err):
-    _, records = cached_walls(a.cls, a, load_model(a), err)
-    render_walls(records, a.format, out)
+    render_walls(cached_walls(a.cls, a, load_model(a), err), a.format, out)
 
 
 def _chambers(a, out, err):
     model = load_model(a)
-    walls, _ = cached_walls(a.cls, a, model, err)
-    doc = chamber_report_to_json(
-        chamber_decomposition(a.cls, walls, a.window, model))
+    doc = chamber_report_to_json(chamber_decomposition(
+        a.cls, cached_walls(a.cls, a, model, err), a.window, model))
     lines = [f"kind={doc['kind']} chambers={len(doc['chambers'])}"]
     lines += [
         f"  [{ch['index']}] {ch['kind']} bounds={ch['bounds']} "
@@ -361,8 +360,8 @@ def _glue(a, *_):
 
 def _plot(a, out, err):
     model = load_model(a)
-    walls, _ = cached_walls(a.cls, a, model, err)
-    render_svg(walls, a.window, a.out, model=model, owner=a.cls)
+    render_svg(cached_walls(a.cls, a, model, err), a.window, a.out,
+               model=model, owner=a.cls)
 
 
 def _required(flag: str, parse=None, **kw) -> tuple:

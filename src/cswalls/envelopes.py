@@ -394,9 +394,18 @@ def region_uc(point: tuple, model: BNModel) -> RegionVerdict:
     between; exact models never answer Unknown.
     """
     b, w = _frac(point[0]), _frac(point[1])
-    if w > model.upper(b):
+    return region_at(model, b.numerator, b.denominator, w.numerator,
+                     w.denominator)
+
+
+def region_at(model: BNModel, bn: int, bd: int, wn: int,
+              wd: int) -> RegionVerdict:
+    """`region_uc` at (bn/bd, wn/wd), bd and wd > 0, in integers: an
+    envelope's value at b is `PLFunction.at(bn, bd)[0]` over m*bd."""
+    upper, lower = model.upper, model.lower
+    if wn * upper.scaled[0] * bd > upper.at(bn, bd)[0] * wd:
         return RegionVerdict.IN
-    if w <= model.lower(b):
+    if wn * lower.scaled[0] * bd <= lower.at(bn, bd)[0] * wd:
         return RegionVerdict.OUT
     return RegionVerdict.UNKNOWN
 

@@ -1,15 +1,19 @@
-"""Canonical JSON encoding of result types; only walls are decoded.
+"""Canonical JSON encoding of result types, and the wall record check.
 
 Rationals serialize as strings ("p/q", or "p" for integers), never as
-floats; points and complex values as two-element arrays.  Walls, read
-back from cache entries, are the only documents decoded here.
+floats; points and complex values as two-element arrays.  Wall records,
+read back from cache entries, are the only documents read here: they are
+checked in integers (`wall_records_valid`) and used as they are.
+`walls_from_json` decodes them into `Wall`s for tests and callers that
+want the objects.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
@@ -19,7 +23,7 @@ from .walls import ChamberReport, Check, RationalLine, Wall
 
 
 def unrat(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def slope_text(x) -> str:
@@ -28,8 +32,52 @@ def slope_text(x) -> str:
 
 
 def dumps(obj) -> str:
-    """Canonical serialization: sorted keys, 2-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, 2-space indent, newline; the
+    text of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, whose
+    indented form runs json's pure-Python encoder."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o, nl: str) -> str:
+    """`o` as JSON, its nested lines starting with `nl` plus two spaces.
+    Types are tested in json's order; a dict key that is not a string
+    raises TypeError (json would convert it)."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        # a str item, the most common, skips the call
+        return "[" + inner + sep.join([
+            _quote(x) if type(x) is str else _encode(x, inner)
+            for x in o]) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + sep.join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str
+                                else _encode(v, inner))
+            for k, v in sorted(o.items())]) + nl + "}"
+    raise TypeError(
+        f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # --- walls ---------------------------------------------------------------
@@ -69,6 +117,85 @@ def walls_to_json(walls) -> list:
 
 def walls_from_json(docs) -> list:
     return [wall_from_json(d) for d in docs]
+
+
+def rat_pair(text):
+    """(num, den) of a rational written as `unrat` writes it ("p", or "p/q"
+    with q > 1 and gcd 1, in plain ASCII digits with no "+" and no leading
+    zero); None for any other value."""
+    if type(text) is not str:
+        return None
+    num, slash, den = text.partition("/")
+    try:  # int() also takes "+1", " 1", "1_0" and non-ASCII digits
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    if str(n) != num or (den and (str(d) != den or d < 2 or gcd(n, d) != 1)):
+        return None
+    return n, d
+
+
+_WALL_KEYS = frozenset(("owner", "destabilizers", "line", "nu", "segment",
+                        "verdicts"))
+_VERDICT_KEYS = frozenset(("im_positive", "q_nonneg", "feasibility",
+                           "region"))
+_CHECKS = frozenset(c.value for c in Check)
+
+
+_INT3 = [int, int, int]
+
+
+def _is_class(x) -> bool:
+    return type(x) is list and list(map(type, x)) == _INT3
+
+
+def wall_records_valid(docs, owner: NumClass) -> bool:
+    """Whether `docs` is a list of wall records of `owner` in the form
+    `walls_to_json` writes, checked in integers without building a `Wall`:
+    exactly the record's keys; the owner; integer classes (no bools); a
+    normalized line (gcd 1, first nonzero of A, B positive) and its slope
+    as "nu"; a segment of two points on the line, each coordinate in
+    `rat_pair`'s canonical form; exactly the four known verdicts, each a
+    `Check` value.  A record list that passes also decodes with
+    `walls_from_json`."""
+    if type(docs) is not list:
+        return False
+    own = list(owner.as_tuple())
+    try:
+        for doc in docs:
+            if type(doc) is not dict or doc.keys() != _WALL_KEYS:
+                return False
+            line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
+            # issuperset raises TypeError on an unhashable verdict
+            if not (_is_class(doc["owner"]) and doc["owner"] == own
+                    and type(doc["destabilizers"]) is list
+                    and all(map(_is_class, doc["destabilizers"]))
+                    and _is_class(line) and type(seg) is list
+                    and len(seg) == 2 and type(checks) is dict
+                    and checks.keys() == _VERDICT_KEYS
+                    and _CHECKS.issuperset(checks.values())):
+                return False
+            a, b, c = line
+            if (gcd(a, b, c) != 1 or (a, b) == (0, 0)
+                    or a < 0 or (a == 0 and b < 0)):
+                return False
+            if b == 0:
+                nu = "inf"
+            else:
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                nu = str(-a // g) if b == g else f"{-a // g}/{b // g}"
+            if doc["nu"] != nu:
+                return False
+            for point in seg:
+                if type(point) is not list or len(point) != 2:
+                    return False
+                bp, wp = rat_pair(point[0]), rat_pair(point[1])
+                if (bp is None or wp is None or a * bp[0] * wp[1]
+                        + b * wp[0] * bp[1] != c * bp[1] * wp[1]):
+                    return False
+    except TypeError:
+        return False
+    return True
 
 
 # --- chambers ------------------------------------------------------------

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 from .charges import PlanePoint
 from .envelopes import BNModel
 from .errors import DomainError, IoError
-from .jsonio import slope_text
+from .jsonio import rat_pair
 from .lattice import NumClass, project
-from .walls import Wall, Window
+from .walls import Window
 
 CANVAS_W, CANVAS_H = 840, 600
 PLOT = (60, 40, 560, 560)  # x_min, y_min, x_max, y_max in SVG units
@@ -30,34 +30,46 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _maps(window: Window):
-    sx = Fraction(PLOT[2] - PLOT[0]) / (window.b_max - window.b_min)
-    sy = Fraction(PLOT[3] - PLOT[1]) / (window.w_max - window.w_min)
-
-    def to_x(b) -> float:
-        return float(PLOT[0] + (Fraction(b) - window.b_min) * sx)
-
-    def to_y(w) -> float:
-        return float(PLOT[3] - (Fraction(w) - window.w_min) * sy)
-
-    return to_x, to_y, sx, sy
-
-
 def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
-def render_svg(walls: Sequence[Wall], window: Window, path: Optional[str],
+def _affine(origin: int, low: Fraction, scale: Fraction, sign: int):
+    """t -> origin + sign*(t - low)*scale at t = num/den (den > 0), as
+    `_fmt` text.  It is exact integer arithmetic and one correctly rounded
+    int / int, so it equals `float(Fraction)` of the exact image."""
+    k = sign * scale.numerator * low.denominator
+    c = (origin * scale.denominator * low.denominator
+         - sign * scale.numerator * low.numerator)
+    dd = scale.denominator * low.denominator
+    return lambda num, den: _fmt((k * num + c * den) / (dd * den))
+
+
+def _maps(window: Window):
+    """(to_x, to_y, sx, sy): the canvas coordinate of b, and of w, each
+    given as (num, den), and the two scales."""
+    sx = Fraction(PLOT[2] - PLOT[0]) / (window.b_max - window.b_min)
+    sy = Fraction(PLOT[3] - PLOT[1]) / (window.w_max - window.w_min)
+    return (_affine(PLOT[0], window.b_min, sx, 1),
+            _affine(PLOT[3], window.w_min, sy, -1), sx, sy)
+
+
+def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
                model: Optional[BNModel] = None,
                owner: Optional[NumClass] = None) -> str:
-    """Render walls (optionally with envelopes and the projection marker)
-    to an SVG document; writes to `path` when given and returns the text."""
-    owners = {w.owner for w in walls}
+    """Render walls, given as their `walls_to_json` records (optionally
+    with envelopes and the projection marker), to an SVG document; writes
+    to `path` when given and returns the text."""
+    owners = {tuple(rec["owner"]) for rec in records}
     if len(owners) > 1:
-        raise DomainError(f"walls belong to several classes: {owners}")
+        raise DomainError("walls belong to several classes: "
+                          f"{ {NumClass(*o) for o in owners} }")
     if owner is None and owners:
-        owner = next(iter(owners))
+        owner = NumClass(*next(iter(owners)))
     to_x, to_y, sx, sy = _maps(window)
+
+    def at(b: Fraction, w: Fraction) -> tuple:
+        return to_x(*b.as_integer_ratio()), to_y(*w.as_integer_ratio())
 
     parts = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -104,53 +116,53 @@ def render_svg(walls: Sequence[Wall], window: Window, path: Optional[str],
                 parts.append(
                     f'<polyline fill="none" stroke="{color}" '
                     f'stroke-width="1" stroke-dasharray="4,3" points="'
-                    f'{_fmt(to_x(a))},{_fmt(to_y(wa))} '
-                    f'{_fmt(to_x(b))},{_fmt(to_y(wb))}">'
+                    f'{",".join(at(a, wa))} {",".join(at(b, wb))}">'
                     f"<title>{name} envelope</title></polyline>"
                 )
             for x, v in fn.point_values:
                 if window.b_min <= x <= window.b_max and (
                     window.w_min <= v <= window.w_max
                 ):
+                    cx, cy = at(x, v)
                     parts.append(
-                        f'<circle cx="{_fmt(to_x(x))}" cy="{_fmt(to_y(v))}" '
-                        f'r="2" fill="{color}"/>'
+                        f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>'
                     )
 
-    for i, wall in enumerate(walls):
-        p0, p1 = wall.segment
+    for i, rec in enumerate(records):
+        a, b, c = rec["line"]
+        (b0, w0), (b1, w1) = (map(rat_pair, p) for p in rec["segment"])
         parts.append(
             f'<polyline fill="none" stroke="#1f4fa0" stroke-width="1.5" '
-            f'points="{_fmt(to_x(p0.b))},{_fmt(to_y(p0.w))} '
-            f'{_fmt(to_x(p1.b))},{_fmt(to_y(p1.w))}">'
-            f"<title>wall {i}: {wall.line.A}*b + {wall.line.B}*w = "
-            f"{wall.line.C}</title></polyline>"
+            f'points="{to_x(*b0)},{to_y(*w0)} {to_x(*b1)},{to_y(*w1)}">'
+            f"<title>wall {i}: {a}*b + {b}*w = {c}</title></polyline>"
         )
 
     if owner is not None and owner.r != 0:
         beta, eta = project(owner)
         if window.contains(PlanePoint(beta, eta)):
+            cx, cy = at(beta, eta)
             parts.append(
-                f'<circle cx="{_fmt(to_x(beta))}" cy="{_fmt(to_y(eta))}" '
+                f'<circle cx="{cx}" cy="{cy}" '
                 f'r="4" fill="none" stroke="#a01f1f" stroke-width="1.5">'
                 f"<title>projection of {owner}</title></circle>"
             )
 
     parts.append('<g font-size="10" font-family="monospace">')
     legend_y = PLOT[1] + 10
-    shown = walls[:LEGEND_MAX_ROWS]
-    for i, wall in enumerate(shown):
-        witnesses = ";".join(str(d) for d in wall.destabilizers)
-        row = (f"{wall.line.A}b+{wall.line.B}w={wall.line.C} "
-               f"nu={slope_text(wall.nu_value)} [{witnesses}]")
+    shown = records[:LEGEND_MAX_ROWS]
+    for i, rec in enumerate(shown):
+        witnesses = ";".join("(%d,%d,%d)" % tuple(d)
+                             for d in rec["destabilizers"])
+        row = "{}b+{}w={} nu={} [{}]".format(*rec["line"], rec["nu"],
+                                              witnesses)
         parts.append(
             f'<text x="{PLOT[2] + 8}" y="{legend_y + 12 * i}">'
             f"{escape(row)}</text>"
         )
-    if len(walls) > LEGEND_MAX_ROWS:
+    if len(records) > LEGEND_MAX_ROWS:
         parts.append(
             f'<text x="{PLOT[2] + 8}" y="{legend_y + 12 * len(shown)}">'
-            f"... and {len(walls) - LEGEND_MAX_ROWS} more walls</text>"
+            f"... and {len(records) - LEGEND_MAX_ROWS} more walls</text>"
         )
     parts.append("</g>")
     parts.append("</svg>")

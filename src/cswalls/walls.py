@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charges import PlanePoint
@@ -24,7 +25,7 @@ from .envelopes import (
     RegionVerdict,
     _frac,
     mercat_bound_pl,
-    region_uc,
+    region_at,
     region_uf,
 )
 from .errors import (
@@ -687,28 +688,22 @@ def _clip_polygon(poly, normal):
     """Keep the part of a convex polygon with normal . p >= 0, each vertex
     an integer triple (x, y, z) with z > 0 standing for (x/z, y/z)."""
     nx, ny = normal
+    fs = [nx * p[0] + ny * p[1] for p in poly]
     out = []
     k = len(poly)
     for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        fp = nx * p[0] + ny * p[1]
-        fq = nx * q[0] + ny * q[1]
+        p, fp = poly[i], fs[i]
         if fp >= 0:
             out.append(p)
+        fq = fs[i + 1 - k]  # the next vertex, wrapping to the first
         if (fp > 0 > fq) or (fp < 0 < fq):
-            # fp*q - fq*p lies on the line; its z has the sign of fp
-            s = 1 if fp > 0 else -1
-            out.append(tuple(s * (fp * b - fq * a) for a, b in zip(p, q)))
+            # fp*q - fq*p lies on the line, and with fp > 0 its z is > 0
+            q = poly[i + 1 - k]
+            if fp < 0:
+                fp, fq = -fp, -fq
+            out.append((fp * q[0] - fq * p[0], fp * q[1] - fq * p[1],
+                        fp * q[2] - fq * p[2]))
     return out
-
-
-def _ray_sort_key(d):
-    """Counterclockwise order from the positive b-axis, exactly."""
-    dx, dy = d
-    upper = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-    # within either half-plane, angle increases as -dx/dy increases; the
-    # boundary rays (dy == 0) open their half-plane
-    return (upper, dy != 0, Fraction(-dx, dy) if dy != 0 else 0)
 
 
 def _primitive(dx: int, dy: int) -> tuple:
@@ -716,10 +711,24 @@ def _primitive(dx: int, dy: int) -> tuple:
     return (dx // g, dy // g)
 
 
-def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
+def _ccw(p: tuple, q: tuple) -> int:
+    """Negative when direction p comes before q counterclockwise from the
+    positive b-axis: the upper half-plane (angles [0, pi)) first, then
+    within a half-plane the sign of -cross(p, q); exact integers."""
+    hp = 0 if p[1] > 0 or (p[1] == 0 and p[0] > 0) else 1
+    hq = 0 if q[1] > 0 or (q[1] == 0 and q[0] > 0) else 1
+    return (hp - hq) or (p[1] * q[0] - p[0] * q[1])
+
+
+_ray_sort_key = cmp_to_key(_ccw)
+
+
+def chamber_decomposition(v: NumClass, records: Sequence[dict],
                           window: Window,
                           model: Optional[BNModel] = None) -> ChamberReport:
-    """Chambers cut out by the given walls of v.
+    """Chambers cut out by the given walls of v, as their `walls_to_json`
+    records; only each record's "owner" and its normalized integer "line"
+    are read.
 
     Nonzero rank: the angular sectors around the projection of v in
     circular order; rank zero: parallel strips ordered by intercept.
@@ -727,35 +736,36 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
     window, and (when a model is supplied) the region verdict at the
     sample.
     """
-    for wall in walls:
-        if wall.owner != v:
+    own = list(v.as_tuple())
+    for rec in records:
+        if rec["owner"] != own:
             raise MixedOwnership(
-                f"wall of {wall.owner} passed to a decomposition for {v}"
+                f"wall of {NumClass(*rec['owner'])} passed to a "
+                f"decomposition for {v}"
             )
 
-    def verdict_at(p: PlanePoint):
-        return region_uc(p.as_tuple(), model) if model is not None else None
+    def sample_at(b: Fraction, w: Fraction) -> tuple:
+        """The sample (b, w) and the region verdict there."""
+        return PlanePoint(b, w), None if model is None else region_at(
+            model, b.numerator, b.denominator, w.numerator, w.denominator)
 
-    lines = list(dict.fromkeys(wall.line for wall in walls))
+    lines = list(dict.fromkeys(tuple(rec["line"]) for rec in records))
 
     if not lines:
         center = (
             PlanePoint(*project(v)) if v.r != 0 else None
         )
-        sample = PlanePoint(
-            (window.b_min + window.b_max) / 2,
-            (window.w_min + window.w_max) / 2,
-        )
-        chamber = Chamber(0, "window", (), True, sample, verdict_at(sample))
+        sample, region = sample_at((window.b_min + window.b_max) / 2,
+                                   (window.w_min + window.w_max) / 2)
+        chamber = Chamber(0, "window", (), True, sample, region)
         return ChamberReport(v, "window", center, (chamber,))
 
     r, d, n = v.r, v.d, v.n
     if r != 0:
-        beta, eta = project(v)
-        center = PlanePoint(beta, eta)
+        center = PlanePoint(*project(v))
         rays = []
-        for line in lines:
-            u = _primitive(line.B, -line.A)
+        for A, B, _ in lines:
+            u = _primitive(B, -A)
             rays.append(u)
             rays.append((-u[0], -u[1]))
         rays.sort(key=_ray_sort_key)
@@ -785,29 +795,33 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
             # first two
             meets = any(det3((poly[0], poly[1], p)) for p in poly[2:])
             if meets:
-                sx = sum(Fraction(x, z) for x, _, z in poly) / len(poly)
-                sy = sum(Fraction(y, z) for _, y, z in poly) / len(poly)
-                sample = PlanePoint(beta + sx, eta + sy)
+                # the vertex average over one common denominator
+                den = lcm(*(z for _, _, z in poly))
+                sx = sum(x * (den // z) for x, _, z in poly)
+                sy = sum(y * (den // z) for _, y, z in poly)
+                den *= len(poly)
             else:
-                sample = PlanePoint(beta + interior[0], eta + interior[1])
+                (sx, sy), den = interior, 1
+            # the sample (d/r + sx/den, n/r + sy/den) over |r|*den
+            sample, region = sample_at(
+                Fraction(s * (d * den + r * sx), abs(r) * den),
+                Fraction(s * (n * den + r * sy), abs(r) * den))
             chambers.append(
-                Chamber(i, "sector", (u, u2), meets, sample,
-                        verdict_at(sample))
+                Chamber(i, "sector", (u, u2), meets, sample, region)
             )
         return ChamberReport(v, "pencil", center, tuple(chambers))
 
     # rank zero: parallel strips
-    a0, b0 = lines[0].A, lines[0].B
-    prim = _primitive(a0, b0)
+    prim = _primitive(*lines[0][:2])
     intercepts = []
-    for line in lines:
+    for A, B, C in lines:
         # a normalized parallel line has (A, B) = gcd(A, B) * prim
-        scale = gcd(line.A, line.B)
-        if (line.A // scale, line.B // scale) != prim:
+        scale = gcd(A, B)
+        if (A // scale, B // scale) != prim:
             raise MixedOwnership(
-                f"line {line.as_tuple()} is not parallel to the family"
+                f"line {(A, B, C)} is not parallel to the family"
             )
-        intercepts.append(Fraction(line.C, scale))
+        intercepts.append(Fraction(C, scale))
     intercepts = sorted(set(intercepts))
     corner_vals = [
         (prim[0] * b + prim[1] * w, (b, w)) for b, w in window.corners()
@@ -824,7 +838,7 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
         if meets:
             t_star = (o_lo + o_hi) / 2
             lam = (t_star - l_min) / (l_max - l_min)
-            sample = PlanePoint(
+            sample, region = sample_at(
                 c_min[0] + lam * (c_max[0] - c_min[0]),
                 c_min[1] + lam * (c_max[1] - c_min[1]),
             )
@@ -838,10 +852,9 @@ def chamber_decomposition(v: NumClass, walls: Sequence[Wall],
             cb = (window.b_min + window.b_max) / 2
             cw = (window.w_min + window.w_max) / 2
             mu = (t_star - (prim[0] * cb + prim[1] * cw)) / norm2
-            sample = PlanePoint(cb + mu * prim[0], cw + mu * prim[1])
+            sample, region = sample_at(cb + mu * prim[0], cw + mu * prim[1])
         chambers.append(
-            Chamber(i, "strip", (t_lo, t_hi), meets, sample,
-                    verdict_at(sample))
+            Chamber(i, "strip", (t_lo, t_hi), meets, sample, region)
         )
     return ChamberReport(v, "strips", None, tuple(chambers))
 

@@ -441,6 +441,76 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
         assert json.loads(entry.read_text())["walls"] == json.loads(base[1])
 
 
+#: one change each to the first record of a cache entry of MALFORMED_ARGS;
+#: before the records were checked, "segment-three-points" made `walls
+#: --format csv|text` exit 2, and "line-doubled", "extra-key" and
+#: "nu-integer" were printed by `walls --format json` as they stood
+MALFORMED = {
+    "segment-three-points": lambda rec: rec["segment"].append(
+        rec["segment"][0]),
+    "line-doubled": lambda rec: rec.update(line=[2 * x for x in rec["line"]]),
+    "extra-key": lambda rec: rec.update(extra=1),
+    "nu-integer": lambda rec: rec.update(nu=-1),
+    "bad-rational": lambda rec: rec["segment"][0].__setitem__(0, "2/4"),
+    "line-zero-normal": lambda rec: rec.update(line=[0, 0, 1]),
+    "owner-bool": lambda rec: rec["owner"].__setitem__(2, True),
+    "owner-wrong": lambda rec: rec.update(owner=[1, 3, 1]),
+    "verdict-missing": lambda rec: rec["verdicts"].pop("region"),
+}
+MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
+                  "--rank-bound", "1"]
+MALFORMED_COMMANDS = [["walls", "--format", "json"],
+                      ["walls", "--format", "csv"],
+                      ["walls", "--format", "text"],
+                      ["chambers", "--format", "json"],
+                      ["plot"]]
+
+
+def _outputs(command, extra, tmp_path):
+    """(exit code, stdout, stderr, the plot file's bytes or None)."""
+    argv = command[:1] + MALFORMED_ARGS + command[1:] + extra
+    svg = tmp_path / "walls.svg"
+    if command[0] == "plot":
+        argv += ["--out", str(svg)]
+    got = invoke(argv)
+    return got + (svg.read_bytes() if command[0] == "plot" else None,)
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_wall_records_are_recomputed(mutation, tmp_path):
+    cache = tmp_path / "cache"
+    extra = ["--cache-dir", str(cache)]
+    expected = [_outputs(c, [], tmp_path) for c in MALFORMED_COMMANDS]
+    assert all(got[0] == 0 for got in expected)
+    assert _outputs(MALFORMED_COMMANDS[0], extra, tmp_path) == expected[0]
+    (entry,) = cache.glob("*.json")
+    good = json.loads(entry.read_text())
+    for command, want in zip(MALFORMED_COMMANDS, expected):
+        doc = json.loads(entry.read_text())
+        MALFORMED[mutation](doc["walls"][0])
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert text != entry.read_text()  # True == 1, but not as text
+        entry.write_text(text)
+        assert _outputs(command, extra, tmp_path) == want, command
+        # the entry is rewritten with the records of a fresh enumeration
+        assert json.loads(entry.read_text()) == good
+
+
+def test_cache_entry_nested_too_deep_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    extra = ["--cache-dir", str(cache)]
+    command = MALFORMED_COMMANDS[0]
+    expected = _outputs(command, [], tmp_path)
+    assert _outputs(command, extra, tmp_path) == expected
+    (entry,) = cache.glob("*.json")
+    good = entry.read_text()
+    # json.load raises RecursionError on this
+    depth = 100_000
+    entry.write_text('{"walls": ' + "[" * depth + "]" * depth + "}")
+    assert _outputs(command, extra, tmp_path) == expected
+    assert entry.read_text() == good
+
+
 @pytest.mark.parametrize("argv", [
     ["region", "--point", "1/0,1"],
     ["region", "--point", "1,x"],

@@ -1,0 +1,156 @@
+import copy
+import functools
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from cswalls.envelopes import make_model
+from cswalls.jsonio import (
+    dumps,
+    rat_pair,
+    wall_records_valid,
+    walls_from_json,
+    walls_to_json,
+)
+from cswalls.lattice import NumClass
+from cswalls.walls import Window, enumerate_walls
+
+# --- the canonical encoder ---------------------------------------------------
+
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-10**80, max_value=10**80)
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300,
+                       5e-324])
+    # every code point, surrogates and control characters included
+    | st.text(st.characters(exclude_categories=()))
+    | st.text("\x00\x1f\x7f\"\\/\n\té \U0001f600")
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children)
+                      | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40,
+)
+
+
+def _nested(depth: int):
+    tree = ["leaf", {}, [], ()]
+    for i in range(depth):
+        tree = [tree] if i % 2 else {"k%d" % i: tree, "a": i}
+    return tree
+
+
+@settings(max_examples=150)
+@given(TREES)
+@example(_nested(150))
+@example({"b": [1, 2.5, "x"], "a": {"z": None, "y": (True, False)}})
+def test_dumps_equals_json_with_sorted_keys_and_indent_2(tree):
+    assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", {1: "a"},
+                                   [1, {"a": object()}]])
+def test_dumps_rejects_what_is_not_a_json_tree(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+# --- wall records ------------------------------------------------------------
+
+WINDOW = Window(-4, 4, 1, 8)
+MODELS = {"general": (2, "general"), "mercat": (5, "mercat"),
+          "elliptic": (1, "elliptic")}
+
+
+@functools.lru_cache(maxsize=None)
+def _records(cls: tuple, model: str) -> tuple:
+    """(owner, the `walls_to_json` records of its walls at rank bound 1)."""
+    g, kind = MODELS[model]
+    v = NumClass(*cls)
+    walls = enumerate_walls(v, g, WINDOW, 1, make_model(kind, g))
+    return v, json.loads(json.dumps(walls_to_json(walls)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(-2, 3), st.integers(-3, 4), st.integers(-2, 3)),
+       st.sampled_from(sorted(MODELS)))
+@example((2, 3, 1), "general")
+@example((0, 3, 1), "mercat")
+def test_validator_accepts_every_record_list_walls_to_json_writes(cls, model):
+    v, records = _records(cls, model)
+    assert wall_records_valid(records, v)
+
+
+@pytest.mark.parametrize("text, pair", [
+    ("0", (0, 1)), ("-7", (-7, 1)), ("3/2", (3, 2)), ("-10/3", (-10, 3)),
+    ("1/1", None), ("2/4", None), ("0/3", None), ("-0", None), ("+1", None),
+    ("01", None), ("1/02", None), ("1/-2", None), ("1/0", None), (" 1", None),
+    ("1_0", None), ("٣", None), ("", None), ("1/", None), ("/2", None),
+    ("1.5", None), (1, None), (None, None)])
+def test_rat_pair_accepts_only_the_canonical_form(text, pair):
+    assert rat_pair(text) == pair
+
+
+#: near-valid replacements for a value of each JSON type
+TWEAKS = {
+    str: ["+1", "01", "2/4", "1/1", "-0", "1/0", "inf", "Pass ", "pass",
+          "Fail", "Unknown", "Pass", "0", "1/2", "-1/2", "3"],
+    int: [0, 1, -1, 2, True, False, 1.0, "1"],
+    bool: [0, 1, None],
+}
+
+
+def _mutated(draw, value):
+    """`value` with one random change somewhere inside it."""
+    here = draw(st.booleans()) or not isinstance(value, (list, dict)) or (
+        not value)
+    if not here:
+        if isinstance(value, list):
+            i = draw(st.integers(0, len(value) - 1))
+            return value[:i] + [_mutated(draw, value[i])] + value[i + 1:]
+        key = draw(st.sampled_from(sorted(value)))
+        return dict(value, **{key: _mutated(draw, value[key])})
+    kind = draw(st.sampled_from(["tweak", "tree", "grow", "shrink",
+                                 "scale"]))
+    if kind == "tweak" and type(value) in TWEAKS:
+        return draw(st.sampled_from(TWEAKS[type(value)]))
+    if kind == "grow" and isinstance(value, list):
+        return value + [draw(st.sampled_from(value) if value else TREES)]
+    if kind == "grow" and isinstance(value, dict):
+        return dict(value, **{draw(st.text(max_size=12)): draw(TREES)})
+    if kind == "shrink" and isinstance(value, (list, dict)) and value:
+        drop = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                    else range(len(value))))
+        if isinstance(value, dict):
+            return {k: v for k, v in value.items() if k != drop}
+        return value[:drop] + value[drop + 1:]
+    if kind == "scale" and isinstance(value, list) and all(
+            type(x) is int for x in value):
+        k = draw(st.sampled_from([-1, 2, 3]))
+        return [k * x for x in value]
+    return draw(TREES)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([((2, 3, 1), "general"), ((0, 3, 1), "general"),
+                        ((2, 4, 0), "mercat"), ((1, 2, 1), "elliptic")]),
+       st.data())
+def test_validator_is_never_looser_than_the_decoder(case, data):
+    v, records = _records(*case)
+    assert records
+    mutated = copy.deepcopy(records)
+    i = data.draw(st.integers(0, len(records) - 1))
+    mutated[i] = _mutated(data.draw, mutated[i])
+    if wall_records_valid(mutated, v):
+        # what the validator accepts decodes, and encodes back as it was
+        assert walls_to_json(walls_from_json(mutated)) == mutated
+    else:  # as text, since True == 1 and 1.0 == 1
+        assert json.dumps(mutated) != json.dumps(records)

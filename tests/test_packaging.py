@@ -67,22 +67,56 @@ def test_cli_runs_with_docstrings_stripped():
     assert done.stdout.startswith("usage: cswalls")
 
 
-def test_trace_targets_resolve():
-    # perfbench's trace mode patches these names; a deletion or rename in
-    # cswalls would otherwise only show as a missing span
-    import importlib
+def _perfbench_tracer():
     import importlib.util
-
-    from cswalls.envelopes import PLFunction
 
     path = SRC.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_trace_targets_resolve():
+    # perfbench's trace mode patches these names; a deletion or rename in
+    # cswalls would otherwise only show as a missing span
+    import importlib
+
+    from cswalls.envelopes import PLFunction
+
+    tracer = _perfbench_tracer()
     for module, attr, _, _ in tracer.TARGETS:
         fn = getattr(importlib.import_module(f"cswalls.{module}"), attr, None)
         assert callable(fn), (module, attr)
     assert "__call__" in vars(PLFunction)
+
+
+def test_trace_sizes_apply_to_real_results():
+    # the trace mode applies each size callable to what its function
+    # returns, so a changed return type would crash `run.py --trace 1`
+    from cswalls.envelopes import make_model
+    from cswalls.jsonio import dumps, walls_to_json
+    from cswalls.lattice import NumClass
+    from cswalls.svg import render_svg
+    from cswalls.walls import Window, chamber_decomposition, enumerate_walls
+
+    v, model, window = NumClass(2, 3, 1), make_model("general", 2), Window(
+        -4, 4, 1, 8)
+    walls = enumerate_walls(v, 2, window, 1, model)
+    records = walls_to_json(walls)
+    results = {
+        ("walls", "enumerate_walls"): walls,
+        ("walls", "chamber_decomposition"): chamber_decomposition(
+            v, records, window, model),
+        ("jsonio", "dumps"): dumps(records),
+        ("svg", "render_svg"): render_svg(records, window, None, model),
+    }
+    sizes = {(module, attr): size
+             for module, attr, _, size in _perfbench_tracer().TARGETS
+             if size is not None}
+    assert set(sizes) == set(results)
+    for target, size in sizes.items():
+        assert size(results[target]) > 0, target
 
 
 def test_project_version_matches_the_package():

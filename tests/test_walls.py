@@ -18,6 +18,7 @@ from cswalls.errors import (
     ZeroAlpha,
     ZeroRank,
 )
+from cswalls.jsonio import walls_to_json
 from cswalls.lattice import NumClass, project
 from cswalls.walls import (
     EVERYWHERE_EQUAL,
@@ -402,7 +403,7 @@ def test_chambers_examples():
     walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
     by_line = {w.line.as_tuple(): w for w in walls}
     two = [by_line[(1, 1, 2)], by_line[(4, 2, 7)]]
-    rep = chamber_decomposition(v, two, STD_WINDOW, m)
+    rep = chamber_decomposition(v, walls_to_json(two), STD_WINDOW, m)
     assert rep.kind == "pencil"
     assert len(rep.chambers) == 4
     assert rep.center == PlanePoint(F(3, 2), F(1, 2))
@@ -421,7 +422,7 @@ def test_chambers_examples():
     torsion = NumClass(0, 1, 0)
     tw = enumerate_walls(torsion, 2, STD_WINDOW, 2, m)
     k = len({w.line.as_tuple() for w in tw})
-    rep1 = chamber_decomposition(torsion, tw, STD_WINDOW, m)
+    rep1 = chamber_decomposition(torsion, walls_to_json(tw), STD_WINDOW, m)
     assert rep1.kind == "strips"
     assert len(rep1.chambers) == k + 1
     for ch in rep1.chambers:
@@ -434,7 +435,7 @@ def test_chambers_single_line_two_halves():
     m = make_model("general", 2)
     walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
     one = [w for w in walls if w.line.as_tuple() == (1, 1, 2)]
-    rep = chamber_decomposition(v, one, STD_WINDOW, m)
+    rep = chamber_decomposition(v, walls_to_json(one), STD_WINDOW, m)
     assert len(rep.chambers) == 2
     signs = set()
     for ch in rep.chambers:
@@ -447,7 +448,8 @@ def test_chambers_mixed_ownership():
     m = make_model("general", 2)
     walls = enumerate_walls(v, 2, STD_WINDOW, 2, m)
     with pytest.raises(MixedOwnership):
-        chamber_decomposition(NumClass(1, 1, 1), walls, STD_WINDOW, m)
+        chamber_decomposition(NumClass(1, 1, 1), walls_to_json(walls),
+                              STD_WINDOW, m)
 
 
 def test_bogomolov_examples():
@@ -959,7 +961,7 @@ def _chamber_cases(name):
             runs = [(walls, windows[0])] + [(spread, win) for win in windows]
             runs += [(walls[:1], windows[0]), (walls[:1], windows[-1])]
             for ws, win in runs:
-                rep = chamber_decomposition(v, ws, win, model)
+                rep = chamber_decomposition(v, walls_to_json(ws), win, model)
                 cases.append((v, ws, win, model, rep))
     return cases
 
