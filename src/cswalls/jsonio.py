@@ -149,6 +149,13 @@ def _is_class(x) -> bool:
     return type(x) is list and list(map(type, x)) == _INT3
 
 
+def _known_checks(values) -> bool:
+    try:
+        return _CHECKS.issuperset(values)
+    except TypeError:  # an unhashable value
+        return False
+
+
 def wall_records_valid(docs, owner: NumClass) -> bool:
     """Whether `docs` is a list of wall records of `owner` in the form
     `walls_to_json` writes, checked in integers without building a `Wall`:
@@ -161,40 +168,36 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
     if type(docs) is not list:
         return False
     own = list(owner.as_tuple())
-    try:
-        for doc in docs:
-            if type(doc) is not dict or doc.keys() != _WALL_KEYS:
+    for doc in docs:
+        if type(doc) is not dict or doc.keys() != _WALL_KEYS:
+            return False
+        line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
+        if not (_is_class(doc["owner"]) and doc["owner"] == own
+                and type(doc["destabilizers"]) is list
+                and all(map(_is_class, doc["destabilizers"]))
+                and _is_class(line) and type(seg) is list
+                and len(seg) == 2 and type(checks) is dict
+                and checks.keys() == _VERDICT_KEYS
+                and _known_checks(checks.values())):
+            return False
+        a, b, c = line
+        if (gcd(a, b, c) != 1 or (a, b) == (0, 0)
+                or a < 0 or (a == 0 and b < 0)):
+            return False
+        if b == 0:
+            nu = "inf"
+        else:
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            nu = str(-a // g) if b == g else f"{-a // g}/{b // g}"
+        if doc["nu"] != nu:
+            return False
+        for point in seg:
+            if type(point) is not list or len(point) != 2:
                 return False
-            line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
-            # issuperset raises TypeError on an unhashable verdict
-            if not (_is_class(doc["owner"]) and doc["owner"] == own
-                    and type(doc["destabilizers"]) is list
-                    and all(map(_is_class, doc["destabilizers"]))
-                    and _is_class(line) and type(seg) is list
-                    and len(seg) == 2 and type(checks) is dict
-                    and checks.keys() == _VERDICT_KEYS
-                    and _CHECKS.issuperset(checks.values())):
+            bp, wp = rat_pair(point[0]), rat_pair(point[1])
+            if (bp is None or wp is None or a * bp[0] * wp[1]
+                    + b * wp[0] * bp[1] != c * bp[1] * wp[1]):
                 return False
-            a, b, c = line
-            if (gcd(a, b, c) != 1 or (a, b) == (0, 0)
-                    or a < 0 or (a == 0 and b < 0)):
-                return False
-            if b == 0:
-                nu = "inf"
-            else:
-                g = gcd(a, b) if b > 0 else -gcd(a, b)
-                nu = str(-a // g) if b == g else f"{-a // g}/{b // g}"
-            if doc["nu"] != nu:
-                return False
-            for point in seg:
-                if type(point) is not list or len(point) != 2:
-                    return False
-                bp, wp = rat_pair(point[0]), rat_pair(point[1])
-                if (bp is None or wp is None or a * bp[0] * wp[1]
-                        + b * wp[0] * bp[1] != c * bp[1] * wp[1]):
-                    return False
-    except TypeError:
-        return False
     return True
 
 

@@ -452,6 +452,8 @@ MALFORMED = {
     "extra-key": lambda rec: rec.update(extra=1),
     "nu-integer": lambda rec: rec.update(nu=-1),
     "bad-rational": lambda rec: rec["segment"][0].__setitem__(0, "2/4"),
+    "segment-off-line": lambda rec: rec["segment"][0].__setitem__(
+        1, str(F(rec["segment"][0][1]) + 1)),
     "line-zero-normal": lambda rec: rec.update(line=[0, 0, 1]),
     "owner-bool": lambda rec: rec["owner"].__setitem__(2, True),
     "owner-wrong": lambda rec: rec.update(owner=[1, 3, 1]),
