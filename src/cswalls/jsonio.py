@@ -159,22 +159,26 @@ def _known_checks(values) -> bool:
 def wall_records_valid(docs, owner: NumClass) -> bool:
     """Whether `docs` is a list of wall records of `owner` in the form
     `walls_to_json` writes, checked in integers without building a `Wall`:
-    exactly the record's keys; the owner; integer classes (no bools); a
-    normalized line (gcd 1, first nonzero of A, B positive) and its slope
-    as "nu"; a segment of two points on the line, each coordinate in
-    `rat_pair`'s canonical form; exactly the four known verdicts, each a
-    `Check` value.  A record list that passes also decodes with
-    `walls_from_json`."""
+    exactly the record's keys; the owner; integer classes (no bools), the
+    destabilizers in strictly ascending order; a normalized line (gcd 1,
+    first nonzero of A, B positive) and its slope as "nu"; records in
+    strictly ascending (nu, line) order; a segment of two points on the
+    line, each coordinate in `rat_pair`'s canonical form; exactly the four
+    known verdicts, each a `Check` value.  A record list that passes also
+    decodes with `walls_from_json`, and encodes back unchanged."""
     if type(docs) is not list:
         return False
     own = list(owner.as_tuple())
+    prev = None  # (nu numerator, nu denominator, line) of the last record
     for doc in docs:
         if type(doc) is not dict or doc.keys() != _WALL_KEYS:
             return False
         line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
+        witnesses = doc["destabilizers"]
         if not (_is_class(doc["owner"]) and doc["owner"] == own
-                and type(doc["destabilizers"]) is list
-                and all(map(_is_class, doc["destabilizers"]))
+                and type(witnesses) is list
+                and all(map(_is_class, witnesses))
+                and all(p < q for p, q in zip(witnesses, witnesses[1:]))
                 and _is_class(line) and type(seg) is list
                 and len(seg) == 2 and type(checks) is dict
                 and checks.keys() == _VERDICT_KEYS
@@ -185,12 +189,18 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
                 or a < 0 or (a == 0 and b < 0)):
             return False
         if b == 0:
-            nu = "inf"
+            nn, nd, nu = 1, 0, "inf"
         else:
             g = gcd(a, b) if b > 0 else -gcd(a, b)
-            nu = str(-a // g) if b == g else f"{-a // g}/{b // g}"
+            nn, nd = -a // g, b // g
+            nu = str(nn) if nd == 1 else f"{nn}/{nd}"
         if doc["nu"] != nu:
             return False
+        # records ascend strictly by (nu, line), with inf = 1/0 last
+        if prev is not None and (prev[0] * nd, prev[2]) >= (nn * prev[1],
+                                                             line):
+            return False
+        prev = nn, nd, line
         for point in seg:
             if type(point) is not list or len(point) != 2:
                 return False

@@ -441,23 +441,30 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
         assert json.loads(entry.read_text())["walls"] == json.loads(base[1])
 
 
-#: one change each to the first record of a cache entry of MALFORMED_ARGS;
-#: before the records were checked, "segment-three-points" made `walls
-#: --format csv|text` exit 2, and "line-doubled", "extra-key" and
-#: "nu-integer" were printed by `walls --format json` as they stood
+#: one change each to the wall records of a cache entry of MALFORMED_ARGS,
+#: mostly to the first record; before the records were checked,
+#: "segment-three-points" made `walls --format csv|text` exit 2, and
+#: "line-doubled", "extra-key", "nu-integer" and "records-reordered"
+#: were printed by `walls --format json` as they stood
 MALFORMED = {
-    "segment-three-points": lambda rec: rec["segment"].append(
-        rec["segment"][0]),
-    "line-doubled": lambda rec: rec.update(line=[2 * x for x in rec["line"]]),
-    "extra-key": lambda rec: rec.update(extra=1),
-    "nu-integer": lambda rec: rec.update(nu=-1),
-    "bad-rational": lambda rec: rec["segment"][0].__setitem__(0, "2/4"),
-    "segment-off-line": lambda rec: rec["segment"][0].__setitem__(
-        1, str(F(rec["segment"][0][1]) + 1)),
-    "line-zero-normal": lambda rec: rec.update(line=[0, 0, 1]),
-    "owner-bool": lambda rec: rec["owner"].__setitem__(2, True),
-    "owner-wrong": lambda rec: rec.update(owner=[1, 3, 1]),
-    "verdict-missing": lambda rec: rec["verdicts"].pop("region"),
+    "segment-three-points": lambda recs: recs[0]["segment"].append(
+        recs[0]["segment"][0]),
+    "line-doubled": lambda recs: recs[0].update(
+        line=[2 * x for x in recs[0]["line"]]),
+    "extra-key": lambda recs: recs[0].update(extra=1),
+    "nu-integer": lambda recs: recs[0].update(nu=-1),
+    "bad-rational": lambda recs: recs[0]["segment"][0].__setitem__(0, "2/4"),
+    "segment-off-line": lambda recs: recs[0]["segment"][0].__setitem__(
+        1, str(F(recs[0]["segment"][0][1]) + 1)),
+    "line-zero-normal": lambda recs: recs[0].update(line=[0, 0, 1]),
+    "owner-bool": lambda recs: recs[0]["owner"].__setitem__(2, True),
+    "owner-wrong": lambda recs: recs[0].update(owner=[1, 3, 1]),
+    "verdict-missing": lambda recs: recs[0]["verdicts"].pop("region"),
+    "records-reordered": lambda recs: recs.reverse(),
+    "record-repeated": lambda recs: recs.append(recs[-1]),
+    "destabilizers-reordered": lambda recs: next(
+        r for r in recs if len(r["destabilizers"]) > 1)[
+            "destabilizers"].reverse(),
 }
 MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
                   "--rank-bound", "1"]
@@ -489,7 +496,7 @@ def test_malformed_wall_records_are_recomputed(mutation, tmp_path):
     good = json.loads(entry.read_text())
     for command, want in zip(MALFORMED_COMMANDS, expected):
         doc = json.loads(entry.read_text())
-        MALFORMED[mutation](doc["walls"][0])
+        MALFORMED[mutation](doc["walls"])
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert text != entry.read_text()  # True == 1, but not as text
         entry.write_text(text)
