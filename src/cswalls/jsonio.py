@@ -140,8 +140,6 @@ _WALL_KEYS = frozenset(("owner", "destabilizers", "line", "nu", "segment",
 _VERDICT_KEYS = frozenset(("im_positive", "q_nonneg", "feasibility",
                            "region"))
 _CHECKS = frozenset(c.value for c in Check)
-
-
 _INT3 = [int, int, int]
 
 
