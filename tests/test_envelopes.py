@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
@@ -19,6 +21,7 @@ from cswalls.envelopes import (
     region_uf,
 )
 from cswalls.errors import DomainError, GenusOutOfRange, InvalidEnvelope
+from cswalls.jsonio import model_to_json
 from cswalls.lattice import Genus
 
 
@@ -81,6 +84,53 @@ def test_model_examples():
         make_model("elliptic", 2)
     with pytest.raises(DomainError):
         make_model("nope", 2)
+
+
+#: sha256 of the model document a cache key stores, per built-in model
+GOLDEN_MODEL_KEYS = {
+    ("general", 1):
+        "33924a2b6049f070ee5ca4e8662bcedc4e3b73a8016a44a5aacc7a1bd06337b9",
+    ("general", 2):
+        "72a649c129195651501fb58b83391be516211dd69ca0a86120fa472bd184d954",
+    ("general", 3):
+        "9b8582f20bb28ae02b5e63eefc1e20257b7280815a831d700813671497d4ce2c",
+    ("general", 4):
+        "519c3cfb6dfa0902a43dce1cffc201799b765bae7ca6c152cc636e8e344f00d3",
+    ("general", 5):
+        "b099bdd46910d937c011f9dc5521632a3ce95d54663f3a0c7501ea31f2fb04f7",
+    ("general", 6):
+        "f83c7722e153346f4e55eac30de4084d4ed4ec9b34320d06206e7482a9ae32b5",
+    ("general", 7):
+        "c1ae4160c386d437ac50334600d654ad035f749538eb2f72b8f552b189bcc437",
+    ("general", 8):
+        "edfba78b8d244337006ac309ccefa5046c9f84d162a03b5cd6db052fbbfa1bc8",
+    ("mercat", 4):
+        "d6e691d23bb7399aa89170c96f218a02909d60b1cbfb218bda4cb0a2bf69b84b",
+    ("mercat", 5):
+        "a254cb84cd5dbce806fcf592908243eef7178ccb17edb9c64ab1f867d63dedae",
+    ("mercat", 6):
+        "477b9f2cd111edffe11d6150ebd6306536860cc6315a30c8d052f8455a1ae3e8",
+    ("mercat", 7):
+        "7fcb853b1ecf192c34545ea0df776ae98c1823789ccdcfefd55c58ed32e9cf7c",
+    ("mercat", 8):
+        "5d98836c7f018161cc9dc4db10e5bdc97fe43092f6fd27fd9611125c96226ffa",
+    ("mercat", 9):
+        "5bb152e29cf9c003d8dd77286fbec943b0c31d6073df87e8f5908fc314d1997f",
+    ("mercat", 10):
+        "b0c5988e69c78ca14a0838a6339b144843f05153292889d9e9428dcf195e4d79",
+    ("mercat", 11):
+        "993ba8949fa794b04f752387c3f19bccbfb3f7fc4f2ca2a0d6de1261d66f51d4",
+    ("elliptic", 1):
+        "a5472b710817bd9477e954f9a7bf475be1c3d7c0c1c70a1a1cd97535448b1fdf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MODEL_KEYS))
+def test_model_cache_key_text_golden(case):
+    # building the model also runs its checks, for every genus listed
+    text = json.dumps(model_to_json(make_model(*case)), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_KEYS[case]
 
 
 # Closed forms of the three envelope bounds, written independently of the
