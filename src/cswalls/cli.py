@@ -79,16 +79,26 @@ _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 _NEGATIVE_VALUE = re.compile(r"^-\d+([.,/]\S*)?$")
 
 
+#: what reading a JSON file can raise: OSError, ValueError (a byte that is
+#: not UTF-8, JSONDecodeError, json's refusal of an integer of more than
+#: 4,300 digits) and RecursionError (nesting too deep for the decoder)
+_JSON_READ_ERRORS = (OSError, ValueError, RecursionError)
+
+
+def _read_json(path: str):
+    """The document in the UTF-8 JSON file at `path`; raises one of
+    `_JSON_READ_ERRORS` when there is none."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_model(args) -> BNModel:
     """The envelope model that the resolved settings `args` name."""
     if args.model.startswith("user:"):
         path = args.model[5:]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            # ValueError covers JSONDecodeError and json's refusal of an
-            # integer of more than 4,300 digits
+            doc = _read_json(path)
+        except _JSON_READ_ERRORS as exc:
             raise CswallsError(f"cannot load user model {path}: {exc}")
         return model_from_json(doc, args.genus)
     return make_model(args.model, args.genus)
@@ -143,11 +153,8 @@ def _load_config_file(environ) -> dict:
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        # ValueError covers JSONDecodeError, a byte that is not UTF-8 and
-        # json's refusal of an integer of more than 4,300 digits
+        doc = _read_json(path)
+    except _JSON_READ_ERRORS as exc:
         raise CswallsError(f"cannot read {CONFIG_ENV} file {path}: {exc}")
     if not isinstance(doc, dict):
         raise CswallsError(f"{CONFIG_ENV} file must hold a JSON object")
@@ -221,9 +228,8 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
         ).hexdigest()
         entry_path = os.path.join(args.cache_dir, f"{digest}.json")
         try:
-            with open(entry_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError):
+            doc = _read_json(entry_path)
+        except _JSON_READ_ERRORS:
             doc = None  # unreadable entries are recomputed
         # so are mismatched ones and any record walls_to_json cannot write
         if (isinstance(doc, dict) and doc.get("key") == key
@@ -232,6 +238,7 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
     records = walls_to_json(
         enumerate_walls(v, args.genus, args.window, args.rank_bound, model))
     if entry_path is not None:
+        tmp = None
         try:
             os.makedirs(args.cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
@@ -242,6 +249,11 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
             os.replace(tmp, entry_path)
         except OSError as exc:
             print(f"warning: cache write failed: {exc}", file=stderr)
+            if tmp is not None:  # the write or the replace failed
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
     return records
 
 

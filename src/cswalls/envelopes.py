@@ -241,12 +241,12 @@ def _check_forced_tails(f: PLFunction, g: int, which: str):
 
 def general_upper(x, g: GenusLike) -> Fraction:
     """Generic upper envelope: 0 / Clifford bound x/2 + 1 / x + 1 - g."""
-    return _general_upper_pl(genus_value(g))(x)
+    return make_model("general", g).upper(x)
 
 
 def lower_envelope(x, g: GenusLike) -> Fraction:
     """Riemann-Roch floor: 0 for x < 0, max(0, x + 1 - g) for x >= 0."""
-    return _lower_pl(genus_value(g))(x)
+    return make_model("general", g).lower(x)
 
 
 def mercat_upper(x, g: GenusLike) -> Fraction:
@@ -265,7 +265,6 @@ def mercat_upper(x, g: GenusLike) -> Fraction:
     return mercat_bound_pl(gg)(x)
 
 
-@lru_cache(maxsize=64)
 def _lower_pl(g: int) -> PLFunction:
     if g == 1:
         pieces = ((Fraction(0), Fraction(1), Fraction(0)),)
@@ -277,7 +276,6 @@ def _lower_pl(g: int) -> PLFunction:
     return PLFunction(pieces, Fraction(0), Fraction(0))
 
 
-@lru_cache(maxsize=64)
 def _general_upper_pl(g: int) -> PLFunction:
     if g == 1:  # the Clifford interval collapses to {0}
         pieces = ((Fraction(0), Fraction(1), Fraction(0)),)
@@ -310,7 +308,6 @@ def mercat_bound_pl(g: int) -> PLFunction:
     return PLFunction(tuple(pieces), Fraction(0), Fraction(0))
 
 
-@lru_cache(maxsize=64)
 def _mercat_upper_pl(g: int) -> PLFunction:
     # Pointwise min of the general and Mercat bounds on b > 0: the Mercat
     # bound wins on (0, 2g-2], the forced tail x+1-g wins beyond.  The
@@ -323,12 +320,6 @@ def _mercat_upper_pl(g: int) -> PLFunction:
     return PLFunction(tuple(pieces), Fraction(0), Fraction(0), overrides)
 
 
-def _elliptic_pl() -> PLFunction:
-    pieces = ((Fraction(0), Fraction(1), Fraction(0)),)
-    return PLFunction(pieces, Fraction(0), Fraction(0),
-                      ((Fraction(0), Fraction(1)),))
-
-
 def make_model(kind: str, g: GenusLike,
                user_data: Optional[tuple] = None) -> BNModel:
     """Build a named envelope model.
@@ -337,29 +328,36 @@ def make_model(kind: str, g: GenusLike,
     kind "mercat": ceiling sharpened by the Mercat bound, g >= 4.
     kind "elliptic": the exact g = 1 function (0 / 1 at 0 / x), whose
       values come from Riemann-Roch plus the classification of semistable
-      bundles on an elliptic curve.
+      bundles on an elliptic curve; it equals the general g = 1 upper bound.
     kind "user": user_data = (lower, upper, exact) with PLFunctions.
+    A built-in model is built and checked once per (kind, genus), then
+    shared; a user model is checked on every call.
     """
     genus = g if isinstance(g, Genus) else Genus(g)
-    gg = genus.g
+    if kind != "user":
+        return _builtin_model(kind, genus.g)
+    if user_data is None:
+        raise InvalidEnvelope("user model needs (lower, upper, exact)")
+    lower, upper, exact = user_data
+    return BNModel(lower, upper, bool(exact), genus, "user")
+
+
+@lru_cache(maxsize=64)
+def _builtin_model(kind: str, g: int) -> BNModel:
+    genus = Genus(g)
     if kind == "general":
-        return BNModel(_lower_pl(gg), _general_upper_pl(gg), False, genus,
+        return BNModel(_lower_pl(g), _general_upper_pl(g), False, genus,
                        "general")
     if kind == "mercat":
-        if gg <= 3:
-            raise GenusOutOfRange(f"mercat model needs genus >= 4, got {gg}")
-        return BNModel(_lower_pl(gg), _mercat_upper_pl(gg), False, genus,
+        if g <= 3:
+            raise GenusOutOfRange(f"mercat model needs genus >= 4, got {g}")
+        return BNModel(_lower_pl(g), _mercat_upper_pl(g), False, genus,
                        "mercat")
     if kind == "elliptic":
-        if gg != 1:
-            raise GenusOutOfRange(f"elliptic model needs genus 1, got {gg}")
-        pl = _elliptic_pl()
+        if g != 1:
+            raise GenusOutOfRange(f"elliptic model needs genus 1, got {g}")
+        pl = _general_upper_pl(1)
         return BNModel(pl, pl, True, genus, "elliptic")
-    if kind == "user":
-        if user_data is None:
-            raise InvalidEnvelope("user model needs (lower, upper, exact)")
-        lower, upper, exact = user_data
-        return BNModel(lower, upper, bool(exact), genus, "user")
     raise DomainError(f"unknown model kind {kind!r}")
 
 

@@ -228,7 +228,8 @@ def test_config_file_resolution(tmp_path):
 @pytest.mark.parametrize("content", [
     b'{"genus": 2, "model": "gen\xffral"}',
     b'{"genus": 1%s}' % (b"0" * 4300),
-], ids=["not-utf8", "integer-too-long"])
+    b"[" * 200_000 + b"]" * 200_000,
+], ids=["not-utf8", "integer-too-long", "nested-too-deep"])
 def test_unreadable_config_file_is_a_domain_error(content, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(content)
@@ -342,6 +343,37 @@ def test_user_model_with_an_integer_too_long_for_json_is_a_load_error(
     assert (code, out) == (1, "") and "cannot load user model" in err
 
 
+def test_user_model_nested_too_deep_for_json_is_a_load_error(tmp_path):
+    # json.load raises RecursionError on this
+    model = tmp_path / "model.json"
+    model.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = invoke(["bn", "--at", "1", "--genus", "2",
+                             "--model", f"user:{model}"])
+    assert (code, out) == (1, "") and "cannot load user model" in err
+
+
+def test_user_model_file_is_read_again_on_every_run(tmp_path):
+    # built-in models are built once per process; outside input is not
+    model = tmp_path / "model.json"
+    argv = ["bn", "--at", "1", "--genus", "2", "--model", f"user:{model}"]
+    lower = [["0", "0", "0"], ["0", "0", "0"], ["1", "1", "0"]]
+
+    def write(lower, upper_at_0):
+        model.write_text(json.dumps({"lower": lower, "upper": [
+            ["0", "0", "0"], ["0", "1/2", upper_at_0], ["2", "1", "1"]],
+            "exact": False}))
+
+    write(lower, "1")
+    assert invoke(argv) == (0, "model=user genus=2 exact=false "
+                               "lower(1)=0 upper(1)=3/2\n", "")
+    write(lower, "2")
+    assert invoke(argv) == (0, "model=user genus=2 exact=false "
+                               "lower(1)=0 upper(1)=5/2\n", "")
+    write([["0", "0", "0"], ["0", "0", "3"], ["2", "1", "1"]], "1")
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "") and "exceeds" in err
+
+
 def test_tall_user_envelope_is_not_an_error(tmp_path):
     # upper = 10^4000 on [0, 2): a midpoint just left of 0 needs a delta
     # about 2^-13300 times its headroom
@@ -426,6 +458,23 @@ def test_svg_write_failure_raises_io_error(tmp_path):
                            "--rank-bound", "0",
                            "--out", str(tmp_path / "nope" / "x.svg")])
     assert code == 1 and "cannot write SVG" in err
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    import errno
+    import os
+
+    def replace(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    cache = tmp_path / "cache"
+    base = invoke(WALL_ARGS + ["--format", "json"])
+    monkeypatch.setattr(os, "replace", replace)
+    code, out, err = invoke(WALL_ARGS + ["--format", "json",
+                                         "--cache-dir", str(cache)])
+    assert (code, out) == (0, base[1])
+    assert "warning: cache write failed" in err
+    assert list(cache.iterdir()) == []
 
 
 def test_cache_entry_not_an_object_is_recomputed(tmp_path):

@@ -86,6 +86,31 @@ def test_model_examples():
         make_model("nope", 2)
 
 
+def test_builtin_models_are_built_and_checked_once(monkeypatch):
+    for kind, g in (("general", 2), ("mercat", 5), ("elliptic", 1)):
+        assert make_model(kind, g) is make_model(kind, g)
+    assert make_model("general", Genus(2)) == make_model("general", 2)
+    checks = []
+    check = BNModel.__post_init__
+    monkeypatch.setattr(BNModel, "__post_init__",
+                        lambda self: checks.append(check(self)))
+    for _ in range(3):  # a genus no other test builds, so not cached yet
+        make_model("general", 1009)
+    assert len(checks) == 1
+    base = make_model("general", 1009)
+    users = [make_model("user", 1009, (base.lower, base.upper, False))
+             for _ in range(2)]
+    assert len(checks) == 3 and users[0] is not users[1]
+    # errors are not cached
+    for _ in range(2):
+        with pytest.raises(GenusOutOfRange):
+            make_model("mercat", 3)
+        with pytest.raises(GenusOutOfRange):
+            make_model("elliptic", 2)
+        with pytest.raises(DomainError):
+            make_model("nope", 2)
+
+
 #: sha256 of the model document a cache key stores, per built-in model
 GOLDEN_MODEL_KEYS = {
     ("general", 1):
