@@ -42,7 +42,6 @@ from .jsonio import (
     slope_text,
     unrat,
     wall_records_valid,
-    walls_to_json,
 )
 from .lattice import NumClass, dual_class, euler, mutate_left, project, serre_class
 from .svg import render_svg
@@ -75,8 +74,11 @@ SETTINGS = {
 CONFIG_ENV = "CSWALLS_CONFIG"
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 
-# let argparse treat tokens like "-3,3,1/2,6" or "-1,2,0" as option values
-_NEGATIVE_VALUE = re.compile(r"^-\d+([.,/]\S*)?$")
+# let argparse treat tokens like "-3,3,1/2,6", "-,0.5,-" or "-.5,1,-" as
+# option values: no flag starts with "-" and a digit, "." or ","
+_NEGATIVE_VALUE = re.compile(r"^-[\d.,]")
+#: setting name -> its flag
+_FLAGS = {name: "--" + name.replace("_", "-") for name in SETTINGS}
 
 
 #: what reading a JSON file can raise: OSError, ValueError (a byte that is
@@ -217,9 +219,10 @@ def _cache_key(v: NumClass, args, model: BNModel) -> dict:
 
 
 def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
-    """The `walls_to_json` records of the walls of v: read from the cache
-    entry when it holds records that `wall_records_valid` accepts, else
-    computed (and written to a new entry when a cache directory is set)."""
+    """The wall records of v that `enumerate_walls` writes: read from the
+    cache entry when it holds records that `wall_records_valid` accepts,
+    else enumerated (and written to a new entry when a cache directory is
+    set)."""
     key = _cache_key(v, args, model)
     entry_path = None
     if args.cache_dir:
@@ -231,12 +234,12 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
             doc = _read_json(entry_path)
         except _JSON_READ_ERRORS:
             doc = None  # unreadable entries are recomputed
-        # so are mismatched ones and any record walls_to_json cannot write
+        # so are mismatched ones and any record enumerate_walls cannot write
         if (isinstance(doc, dict) and doc.get("key") == key
                 and wall_records_valid(doc.get("walls"), v)):
             return doc["walls"]
-    records = walls_to_json(
-        enumerate_walls(v, args.genus, args.window, args.rank_bound, model))
+    records = enumerate_walls(v, args.genus, args.window, args.rank_bound,
+                              model)
     if entry_path is not None:
         tmp = None
         try:
@@ -261,7 +264,7 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
 
 
 def render_walls(records, fmt: str, out) -> None:
-    """Write walls, given as their `walls_to_json` records, in `fmt`."""
+    """Write walls, given as their `enumerate_walls` records, in `fmt`."""
     if fmt == "json":
         out.write(dumps(records))
         return
@@ -469,8 +472,7 @@ def build_parser(streams=None, only=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, streams=streams, help=help_text)
         for setting, (_, _, kw) in SETTINGS.items():
             # None marks a setting no flag gave, for `resolve_config` to fill
-            p.add_argument("--" + setting.replace("_", "-"), dest=setting,
-                           default=None, **kw)
+            p.add_argument(_FLAGS[setting], dest=setting, default=None, **kw)
         for flag, kw in arguments:
             p.add_argument(flag, **kw)
     return parser
@@ -484,6 +486,12 @@ def run(argv, stdout=None, stderr=None, environ=None) -> int:
     only = argv[0] if argv and argv[0] in COMMANDS else None
     parser = build_parser((stdout, stderr), only)
     try:
+        # a setting flag (or a prefix of one, as argparse allows) before
+        # the command would be reported as an invalid command name
+        flag = argv[0].partition("=")[0] if argv else ""
+        if len(flag) > 2 and any(f.startswith(flag) for f in _FLAGS.values()):
+            parser.error(f"{flag} must follow the command name "
+                         f"(cswalls COMMAND {flag} ...)")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

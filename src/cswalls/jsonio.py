@@ -2,10 +2,11 @@
 
 Rationals serialize as strings ("p/q", or "p" for integers), never as
 floats; points and complex values as two-element arrays.  Wall records,
-read back from cache entries, are the only documents read here: they are
-checked in integers (`wall_records_valid`) and used as they are.
-`walls_from_json` decodes them into `Wall`s for tests and callers that
-want the objects.
+as `walls.enumerate_walls` writes them and read back from cache entries,
+are the only documents read here: they are checked in integers
+(`wall_records_valid`) and used as they are.  `walls_from_json` decodes
+them into `Wall`s for callers that want the objects, and `walls_to_json`
+encodes those back.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
 from .envelopes import BNModel, PLFunction, rat
 from .lattice import NumClass
-from .walls import ChamberReport, Check, RationalLine, Wall
+from .walls import ChamberReport, Check, RationalLine, Wall, ratio_text
 
 
 def unrat(x: Fraction) -> str:
@@ -120,9 +121,9 @@ def walls_from_json(docs) -> list:
 
 
 def rat_pair(text):
-    """(num, den) of a rational written as `unrat` writes it ("p", or "p/q"
-    with q > 1 and gcd 1, in plain ASCII digits with no "+" and no leading
-    zero); None for any other value."""
+    """(num, den) of a rational written as `ratio_text` writes it ("p", or
+    "p/q" with q > 1 and gcd 1, in plain ASCII digits with no "+" and no
+    leading zero); None for any other value."""
     if type(text) is not str:
         return None
     num, slash, den = text.partition("/")
@@ -130,7 +131,8 @@ def rat_pair(text):
         n, d = int(num), int(den) if slash else 1
     except ValueError:
         return None
-    if str(n) != num or (den and (str(d) != den or d < 2 or gcd(n, d) != 1)):
+    # ratio_text(1, 0) is "1/0"
+    if d == 0 or ratio_text(n, d) != text:
         return None
     return n, d
 
@@ -156,12 +158,13 @@ def _known_checks(values) -> bool:
 
 def wall_records_valid(docs, owner: NumClass) -> bool:
     """Whether `docs` is a list of wall records of `owner` in the form
-    `walls_to_json` writes, checked in integers without building a `Wall`:
-    exactly the record's keys; the owner; integer classes (no bools), the
-    destabilizers in strictly ascending order; a normalized line (gcd 1,
-    first nonzero of A, B positive) and its slope as "nu"; records in
-    strictly ascending (nu, line) order; a segment of two points on the
-    line, each coordinate in `rat_pair`'s canonical form; exactly the four
+    `enumerate_walls` writes, checked in integers without building a `Wall`:
+    exactly the record's keys; the owner; integer classes (no bools), at
+    least one destabilizer, in strictly ascending order; a normalized line
+    (gcd 1, B != 0, first nonzero of A, B positive) and its slope as "nu"
+    in `ratio_text`'s form; records in strictly ascending (nu, line)
+    order; a segment of two points on the line with strictly ascending b,
+    each coordinate in `rat_pair`'s canonical form; exactly the four
     known verdicts, each a `Check` value.  A record list that passes also
     decodes with `walls_from_json`, and encodes back unchanged."""
     if type(docs) is not list:
@@ -174,7 +177,7 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
         line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
         witnesses = doc["destabilizers"]
         if not (_is_class(doc["owner"]) and doc["owner"] == own
-                and type(witnesses) is list
+                and type(witnesses) is list and witnesses
                 and all(map(_is_class, witnesses))
                 and all(p < q for p, q in zip(witnesses, witnesses[1:]))
                 and _is_class(line) and type(seg) is list
@@ -183,22 +186,17 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
                 and _known_checks(checks.values())):
             return False
         a, b, c = line
-        if (gcd(a, b, c) != 1 or (a, b) == (0, 0)
-                or a < 0 or (a == 0 and b < 0)):
+        if gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0):
             return False
-        if b == 0:
-            nn, nd, nu = 1, 0, "inf"
-        else:
-            g = gcd(a, b) if b > 0 else -gcd(a, b)
-            nn, nd = -a // g, b // g
-            nu = str(nn) if nd == 1 else f"{nn}/{nd}"
-        if doc["nu"] != nu:
+        nn, nd = (-a, b) if b > 0 else (a, -b)
+        if doc["nu"] != ratio_text(nn, nd):
             return False
-        # records ascend strictly by (nu, line), with inf = 1/0 last
+        # records ascend strictly by (nu, line)
         if prev is not None and (prev[0] * nd, prev[2]) >= (nn * prev[1],
                                                              line):
             return False
         prev = nn, nd, line
+        ends = []
         for point in seg:
             if type(point) is not list or len(point) != 2:
                 return False
@@ -206,6 +204,10 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
             if (bp is None or wp is None or a * bp[0] * wp[1]
                     + b * wp[0] * bp[1] != c * bp[1] * wp[1]):
                 return False
+            ends.append(bp)
+        (pn, pd), (qn, qd) = ends
+        if pn * qd >= qn * pd:  # the segment ascends in b
+            return False
     return True
 
 

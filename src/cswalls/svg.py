@@ -57,9 +57,9 @@ def _maps(window: Window):
 def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
                model: Optional[BNModel] = None,
                owner: Optional[NumClass] = None) -> str:
-    """Render walls, given as their `walls_to_json` records (optionally
-    with envelopes and the projection marker), to an SVG document; writes
-    to `path` when given and returns the text."""
+    """Render walls, given as the records that `enumerate_walls` returns
+    (optionally with envelopes and the projection marker), to an SVG
+    document; writes to `path` when given and returns the text."""
     owners = {tuple(rec["owner"]) for rec in records}
     if len(owners) > 1:
         raise DomainError("walls belong to several classes: "

@@ -10,7 +10,6 @@ issues Bogomolov-type feasibility verdicts.  Everything is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -79,12 +78,6 @@ class RationalLine:
         if self.B == 0:
             raise DomainError("vertical line has no w(b)")
         return Fraction(self.C - self.A * b, self.B)
-
-    def slope(self):
-        """Slope -A/B in the (b, w)-plane; +inf for vertical lines."""
-        if self.B == 0:
-            return math.inf
-        return Fraction(-self.A, self.B)
 
     def contains(self, p: PlanePoint) -> bool:
         return self.value_at(p.b, p.w) == 0
@@ -309,7 +302,8 @@ def ray_line(v: NumClass, alpha) -> RationalLine:
 @dataclass(frozen=True)
 class Wall:
     """One wall of `owner`: its line, slope value, destabilizer witnesses,
-    clipped segment, and named check verdicts."""
+    clipped segment, and named check verdicts, as `jsonio.walls_from_json`
+    decodes them from a wall record."""
 
     owner: NumClass
     destabilizers: Tuple[NumClass, ...]
@@ -320,11 +314,6 @@ class Wall:
 
     def verdict(self, name: str) -> Check:
         return dict(self.verdicts)[name]
-
-
-def _sort_key(wall: Wall):
-    # every enumerated line has B != 0, so nu_value is a Fraction
-    return (wall.nu_value, wall.line.A, wall.line.B, wall.line.C)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +331,17 @@ def _reduced(num: int, den: int) -> tuple:
     if den < 0:
         g = -g
     return num // g, den // g
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num/den (den != 0) as `str(Fraction(num, den))` writes it: "p", or
+    "p/q" with q > 1 and gcd 1."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    if g != 1:  # a canonical text, as `jsonio.rat_pair` checks it, skips this
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _normal(a: int, b: int, c: int) -> tuple:
@@ -443,9 +443,10 @@ def _negative_q_core(bn, bd, wn, wd, en, ed):
 
 
 def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
-                    rank_bound: int, model: BNModel) -> List[Wall]:
-    """All candidate walls of v with destabilizer rank within rank_bound,
-    clipped to the window above the model's lower envelope.
+                    rank_bound: int, model: BNModel) -> List[dict]:
+    """The wall records of all candidate walls of v with destabilizer rank
+    within rank_bound, clipped to the window above the model's lower
+    envelope (`jsonio.walls_from_json` decodes them into `Wall`s).
 
     rank_bound = 0 searches nothing and returns [].  Walls are
     deduplicated by line (complementary witnesses merge), pruned by the
@@ -474,11 +475,11 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
         by_line.setdefault(key, {}).setdefault(gi, []).append(cand)
 
     walls = []
-    for line, groups in by_line.items():
-        wall = _line_wall(v, gg, line, groups, window, model)
+    # every enumerated line has B != 0, so its slope -A/B is finite
+    for line in sorted(by_line, key=lambda k: (Fraction(-k[0], k[1]), k)):
+        wall = _line_wall(v, gg, line, by_line[line], window, model)
         if wall is not None:
             walls.append(wall)
-    walls.sort(key=_sort_key)
     return walls
 
 
@@ -542,9 +543,10 @@ def _carve(line: tuple, pl: PLFunction, lo: tuple, hi: tuple):
 
 
 def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
-               window: Window, model: BNModel) -> Optional[Wall]:
-    """The wall that `line` carries for its (r', d', n') candidates,
-    grouped by Im interval, or None when every candidate is rejected."""
+               window: Window, model: BNModel) -> Optional[dict]:
+    """The record of the wall that `line` carries for its (r', d', n')
+    candidates, grouped by Im interval, or None when every candidate is
+    rejected."""
     clipped = _clip(line, window)
     if clipped is None:
         return None
@@ -554,8 +556,9 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
         return None
     A, B, C = line
     r, d, n = v.r, v.d, v.n
-    witnesses, feas_checks = set(), set()
+    witnesses = set()
     q_nonneg = False
+    feas = "Unknown"  # until a witness is tested: then a Fail outranks a Pass
     lo = hi = None  # hull of the accepted parts
     for (gl, gh), cands in groups.items():
         parts = []
@@ -585,7 +588,6 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             q_nonneg = True
         meets_uf = None
         for cand in cands:
-            feas = Check.UNKNOWN
             if cand[0] != 0 and gg >= 4:
                 if meets_uf is None:
                     # somewhere with b > 0 the line clears the Mercat bound
@@ -594,12 +596,8 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
                                a if a[0] > 0 else (0, 1), b)
                         for a, b in parts)
                 if meets_uf:
-                    feas = (
-                        Check.FAIL
-                        if region_uf(project(NumClass(*cand)), gg)
-                        else Check.PASS
-                    )
-            feas_checks.add(feas)
+                    fails = region_uf(project(NumClass(*cand)), gg)
+                    feas = "Fail" if fails or feas == "Fail" else "Pass"
         witnesses.update(cands)
         if lo is None or pn * lo[1] < lo[0] * pd:
             lo = (pn, pd)
@@ -607,33 +605,24 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             hi = (qn, qd)
     if not witnesses:
         return None
-
-    p0, p1 = (PlanePoint(Fraction(bn, bd), Fraction(C * bd - A * bn, B * bd))
-              for bn, bd in (lo, hi))
-    if Check.FAIL in feas_checks:
-        feas_verdict = Check.FAIL
-    elif Check.PASS in feas_checks:
-        feas_verdict = Check.PASS
-    else:
-        feas_verdict = Check.UNKNOWN
-    rational = RationalLine(A, B, C)
-    return Wall(
-        owner=v,
-        destabilizers=tuple(NumClass(*c) for c in sorted(witnesses)),
-        line=rational,
-        nu_value=rational.slope(),
-        segment=(p0, p1),
-        verdicts=(
-            ("im_positive", Check.PASS),
-            ("q_nonneg", Check.PASS if q_nonneg else Check.UNKNOWN),
-            ("feasibility", feas_verdict),
-            ("region", _segment_region_verdict(line, lo, hi, model.upper)),
-        ),
-    )
+    return {
+        "owner": [r, d, n],
+        "destabilizers": [list(c) for c in sorted(witnesses)],
+        "line": [A, B, C],
+        "nu": ratio_text(-A, B),
+        "segment": [[ratio_text(bn, bd), ratio_text(C * bd - A * bn, B * bd)]
+                    for bn, bd in (lo, hi)],
+        "verdicts": {
+            "im_positive": "Pass",
+            "q_nonneg": "Pass" if q_nonneg else "Unknown",
+            "feasibility": feas,
+            "region": _segment_region_verdict(line, lo, hi, model.upper),
+        },
+    }
 
 
 def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
-                            upper: PLFunction) -> Check:
+                            upper: PLFunction) -> str:
     """Pass when the open segment of the line (B != 0) over [lo, hi], as
     pairs, is certified above the upper envelope: at each end w >= upper
     and its one-sided limit on the segment's side, and at the midpoint and
@@ -650,14 +639,14 @@ def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
         return sb * m * (C * xd - A * xn) - abs(B) * max(at[i] for i in sides)
 
     if excess(lo, (0, 2)) < 0 or excess(hi, (0, 1)) < 0:
-        return Check.UNKNOWN
+        return "Unknown"
     knots = [part[0] for part in parts[1:]] + [x for x, _ in points]
     inner = [(x, m) for x in knots
              if lo[0] * m < x * lo[1] and x * hi[1] < hi[0] * m]
     inner.append((lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]))
     if all(excess(x, (0, 1, 2)) > 0 for x in inner):
-        return Check.PASS
-    return Check.UNKNOWN
+        return "Pass"
+    return "Unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +715,9 @@ _ray_sort_key = cmp_to_key(_ccw)
 def chamber_decomposition(v: NumClass, records: Sequence[dict],
                           window: Window,
                           model: Optional[BNModel] = None) -> ChamberReport:
-    """Chambers cut out by the given walls of v, as their `walls_to_json`
-    records; only each record's "owner" and its normalized integer "line"
-    are read.
+    """Chambers cut out by the given walls of v, given as the records that
+    `enumerate_walls` returns; only each record's "owner" and its
+    normalized integer "line" are read.
 
     Nonzero rank: the angular sectors around the projection of v in
     circular order; rank zero: parallel strips ordered by intercept.

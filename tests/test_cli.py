@@ -494,7 +494,9 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
 #: mostly to the first record; before the records were checked,
 #: "segment-three-points" made `walls --format csv|text` exit 2, and
 #: "line-doubled", "extra-key", "nu-integer" and "records-reordered"
-#: were printed by `walls --format json` as they stood
+#: were printed by `walls --format json` as they stood.  The last four
+#: are records that the enumerator never writes but that the check
+#: once accepted
 MALFORMED = {
     "segment-three-points": lambda recs: recs[0]["segment"].append(
         recs[0]["segment"][0]),
@@ -514,6 +516,12 @@ MALFORMED = {
     "destabilizers-reordered": lambda recs: next(
         r for r in recs if len(r["destabilizers"]) > 1)[
             "destabilizers"].reverse(),
+    "destabilizers-empty": lambda recs: recs[0].update(destabilizers=[]),
+    "segment-reversed": lambda recs: recs[0]["segment"].reverse(),
+    "segment-one-point": lambda recs: recs[0]["segment"].__setitem__(
+        1, recs[0]["segment"][0]),
+    "line-vertical": lambda recs: recs[-1].update(
+        line=[1, 0, 1], nu="inf", segment=[["1", "1"], ["1", "2"]]),
 }
 MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
                   "--rank-bound", "1"]
@@ -738,6 +746,31 @@ def test_walls_json_golden_digest_rank_bound_8(case):
             == GOLDEN_WALLS_RANK_8_SHA256[case])
 
 
+def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
+    # the enumerator writes the records that the cache and the renderers
+    # read, so neither a cold run nor a cache hit builds a Wall
+    import cswalls.jsonio as jsonio
+    import cswalls.walls as walls
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a wall object was built")
+
+    for module, name in ((jsonio, "wall_to_json"), (jsonio, "wall_from_json"),
+                         (walls, "Wall"), (walls, "RationalLine"),
+                         (walls, "PlanePoint")):
+        monkeypatch.setattr(module, name, refuse)
+    case = ("2,3,1", "2", "general")
+    argv = ["walls", "--class", case[0], "--genus", case[1], "--model",
+            case[2], "--rank-bound", "3", "--format", "json",
+            "--cache-dir", str(tmp_path / "cache")]
+    for _ in range(2):  # cold, then a cache hit
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == GOLDEN_WALLS_SHA256[case])
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
 #: one fixed argv per command; `plot` also takes `--out <path>`
 CLI_CASES = {
     "euler": ["--genus", "2", "--v1", "0,0,1", "--v2", "1,0,0"],
@@ -946,7 +979,7 @@ GOLDEN_ARGPARSE = {
     "option-before-command": (
         ["--genus", "2"] + _EULER, 2,
         _EMPTY,
-        "b9e16dcd1169095d7718acac432b72a362f385e87fbf4ee4bb2522d13c000d1e"),
+        "eabf9d437556aba635342d705d011c817ec607c426b296333cbd2d33593f9bb4"),
     "format-xml": (
         _EULER + ["--format", "xml"], 2,
         _EMPTY,
@@ -988,6 +1021,29 @@ def test_argparse_paths_golden(case, monkeypatch):
     assert (got, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == (code, out_sha,
                                                            err_sha), err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--genus", "2"] + _EULER, "--genus"),
+    (["--genus=2"] + _EULER, "--genus"),
+    (["--gen", "2"] + _EULER, "--gen"),
+    (["--rank-bound", "2", "walls", "--class", "2,3,1"], "--rank-bound"),
+    (["--format", "json"], "--format"),
+])
+def test_setting_flag_before_the_command_is_a_usage_error(argv, flag):
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {flag} must follow the command name "
+                        f"(cswalls COMMAND {flag} ...)\n")
+
+
+@pytest.mark.parametrize("lifts", ["-,0.5,-", "-.5,0.5,-", "-,-,-"])
+def test_leading_minus_lifts_in_the_space_form(lifts):
+    # a value starting with "-" and a digit, "." or "," is not a flag
+    argv = ["classify", "--z1", "0,-1", "--z2", "0,1", "--z3", "3,2"]
+    spaced = invoke(argv + ["--lifts", lifts])
+    assert spaced == invoke(argv + [f"--lifts={lifts}"])
+    assert spaced[0] == 0 and spaced[1]
 
 
 #: sha256 of the file `plot --out` writes at rank bound 2 with the default

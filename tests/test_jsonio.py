@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from cswalls.jsonio import (
     walls_to_json,
 )
 from cswalls.lattice import NumClass
-from cswalls.walls import Window, enumerate_walls
+from cswalls.walls import Window, enumerate_walls, ratio_text
 
 # --- the canonical encoder ---------------------------------------------------
 
@@ -71,11 +72,11 @@ MODELS = {"general": (2, "general"), "mercat": (5, "mercat"),
 
 @functools.lru_cache(maxsize=None)
 def _records(cls: tuple, model: str) -> tuple:
-    """(owner, the `walls_to_json` records of its walls at rank bound 1)."""
+    """(owner, the records `enumerate_walls` writes for its walls at rank
+    bound 1)."""
     g, kind = MODELS[model]
     v = NumClass(*cls)
-    walls = enumerate_walls(v, g, WINDOW, 1, make_model(kind, g))
-    return v, json.loads(json.dumps(walls_to_json(walls)))
+    return v, enumerate_walls(v, g, WINDOW, 1, make_model(kind, g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,6 +87,26 @@ def _records(cls: tuple, model: str) -> tuple:
 def test_validator_accepts_every_record_list_walls_to_json_writes(cls, model):
     v, records = _records(cls, model)
     assert wall_records_valid(records, v)
+    assert walls_to_json(walls_from_json(records)) == records
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers().filter(bool))
+@example(0, -5)
+@example(6, -4)
+@example(-7, 1)
+def test_ratio_text_writes_what_str_of_fraction_writes(num, den):
+    for d in (den, -den):
+        assert ratio_text(num, d) == str(Fraction(num, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers().filter(bool))
+@example(4, -6)
+@example(0, 9)
+def test_rat_pair_reads_back_the_reduced_pair(num, den):
+    x = Fraction(num, den)
+    assert rat_pair(ratio_text(num, den)) == (x.numerator, x.denominator)
 
 
 @pytest.mark.parametrize("text, pair", [

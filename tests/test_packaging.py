@@ -95,17 +95,16 @@ def test_trace_sizes_apply_to_real_results():
     # the trace mode applies each size callable to what its function
     # returns, so a changed return type would crash `run.py --trace 1`
     from cswalls.envelopes import make_model
-    from cswalls.jsonio import dumps, walls_to_json
+    from cswalls.jsonio import dumps
     from cswalls.lattice import NumClass
     from cswalls.svg import render_svg
     from cswalls.walls import Window, chamber_decomposition, enumerate_walls
 
     v, model, window = NumClass(2, 3, 1), make_model("general", 2), Window(
         -4, 4, 1, 8)
-    walls = enumerate_walls(v, 2, window, 1, model)
-    records = walls_to_json(walls)
+    records = enumerate_walls(v, 2, window, 1, model)
     results = {
-        ("walls", "enumerate_walls"): walls,
+        ("walls", "enumerate_walls"): records,
         ("walls", "chamber_decomposition"): chamber_decomposition(
             v, records, window, model),
         ("jsonio", "dumps"): dumps(records),

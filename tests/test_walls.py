@@ -18,7 +18,7 @@ from cswalls.errors import (
     ZeroAlpha,
     ZeroRank,
 )
-from cswalls.jsonio import walls_to_json
+from cswalls.jsonio import walls_from_json
 from cswalls.lattice import NumClass, project
 from cswalls.walls import (
     EVERYWHERE_EQUAL,
@@ -307,7 +307,8 @@ def test_enumerate_walls_model_genus_mismatch():
 
 def test_enumerate_walls_torsion_owner_horizontal():
     m = make_model("general", 2)
-    walls = enumerate_walls(NumClass(0, 1, 0), 2, STD_WINDOW, 2, m)
+    walls = walls_from_json(enumerate_walls(NumClass(0, 1, 0), 2, STD_WINDOW,
+                                            2, m))
     assert walls
     for w in walls:
         assert w.nu_value == 0  # n/d
@@ -318,7 +319,7 @@ def test_enumerate_walls_torsion_owner_horizontal():
 def test_enumerate_walls_invariants_main_instance():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
-    walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
+    walls = walls_from_json(enumerate_walls(v, 2, STD_WINDOW, 3, m))
     assert walls
     beta, eta = project(v)
     seen_lines = set()
@@ -352,7 +353,7 @@ def test_enumerate_walls_invariants_main_instance():
 def test_enumerate_walls_complementary_witnesses_merge():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
-    walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
+    walls = walls_from_json(enumerate_walls(v, 2, STD_WINDOW, 3, m))
     by_line = {w.line.as_tuple(): w for w in walls}
     # (1,1,1) and its complement (1,2,0) both witness b + w = 2
     w = by_line[(1, 1, 2)]
@@ -363,7 +364,7 @@ def test_enumerate_walls_complementary_witnesses_merge():
 def test_ray_transversality_against_enumerated_walls():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
-    walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
+    walls = walls_from_json(enumerate_walls(v, 2, STD_WINDOW, 3, m))
     pi = project(v)
     for alpha in (F(1, 2), F(1), F(3)):
         ray = ray_line(v, alpha)
@@ -392,7 +393,8 @@ def test_oracle_agreement_small_instances():
         (NumClass(-2, 1, 1), 2, Window(F(-2), F(2), F(1, 2), F(3)), 2, m2, 80),
     ]
     for v, g, win, rb, model, cells in cases:
-        exact = {w.line.as_tuple() for w in enumerate_walls(v, g, win, rb, model)}
+        exact = {tuple(rec["line"])
+                 for rec in enumerate_walls(v, g, win, rb, model)}
         approx = grid_oracle(v, g, win, rb, model, cells)
         assert exact == approx, (v, exact ^ approx)
 
@@ -401,9 +403,9 @@ def test_chambers_examples():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
     walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
-    by_line = {w.line.as_tuple(): w for w in walls}
+    by_line = {tuple(rec["line"]): rec for rec in walls}
     two = [by_line[(1, 1, 2)], by_line[(4, 2, 7)]]
-    rep = chamber_decomposition(v, walls_to_json(two), STD_WINDOW, m)
+    rep = chamber_decomposition(v, two, STD_WINDOW, m)
     assert rep.kind == "pencil"
     assert len(rep.chambers) == 4
     assert rep.center == PlanePoint(F(3, 2), F(1, 2))
@@ -412,7 +414,7 @@ def test_chambers_examples():
         if ch.meets_window:
             assert STD_WINDOW.contains(ch.sample)
         # sample is strictly off every wall line
-        for w in two:
+        for w in walls_from_json(two):
             assert w.line.value_at(ch.sample.b, ch.sample.w) != 0
 
     rep0 = chamber_decomposition(v, [], STD_WINDOW, m)
@@ -421,8 +423,8 @@ def test_chambers_examples():
 
     torsion = NumClass(0, 1, 0)
     tw = enumerate_walls(torsion, 2, STD_WINDOW, 2, m)
-    k = len({w.line.as_tuple() for w in tw})
-    rep1 = chamber_decomposition(torsion, walls_to_json(tw), STD_WINDOW, m)
+    k = len({tuple(rec["line"]) for rec in tw})
+    rep1 = chamber_decomposition(torsion, tw, STD_WINDOW, m)
     assert rep1.kind == "strips"
     assert len(rep1.chambers) == k + 1
     for ch in rep1.chambers:
@@ -434,12 +436,13 @@ def test_chambers_single_line_two_halves():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
     walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
-    one = [w for w in walls if w.line.as_tuple() == (1, 1, 2)]
-    rep = chamber_decomposition(v, walls_to_json(one), STD_WINDOW, m)
+    one = [rec for rec in walls if rec["line"] == [1, 1, 2]]
+    rep = chamber_decomposition(v, one, STD_WINDOW, m)
     assert len(rep.chambers) == 2
     signs = set()
     for ch in rep.chambers:
-        signs.add(one[0].line.value_at(ch.sample.b, ch.sample.w) > 0)
+        signs.add(RationalLine(1, 1, 2).value_at(ch.sample.b, ch.sample.w)
+                  > 0)
     assert signs == {True, False}
 
 
@@ -448,8 +451,7 @@ def test_chambers_mixed_ownership():
     m = make_model("general", 2)
     walls = enumerate_walls(v, 2, STD_WINDOW, 2, m)
     with pytest.raises(MixedOwnership):
-        chamber_decomposition(NumClass(1, 1, 1), walls_to_json(walls),
-                              STD_WINDOW, m)
+        chamber_decomposition(NumClass(1, 1, 1), walls, STD_WINDOW, m)
 
 
 def test_bogomolov_examples():
@@ -463,7 +465,7 @@ def test_bogomolov_examples():
 def test_segments_above_lower_envelope():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
-    for w in enumerate_walls(v, 2, STD_WINDOW, 3, m):
+    for w in walls_from_json(enumerate_walls(v, 2, STD_WINDOW, 3, m)):
         p0, p1 = w.segment
         mid_b = (p0.b + p1.b) / 2
         mid_w = (p0.w + p1.w) / 2
@@ -493,7 +495,7 @@ def test_enumerate_walls_elliptic_model():
     ell = make_model("elliptic", 1)
     win = Window(F(-2), F(2), F(1, 4), F(3))
     v = NumClass(2, 1, 1)
-    walls = enumerate_walls(v, 1, win, 2, ell)
+    walls = walls_from_json(enumerate_walls(v, 1, win, 2, ell))
     assert walls
     beta, eta = project(v)
     spiked = 0
@@ -608,7 +610,7 @@ def test_upper_envelope_jumping_down_leaves_midpoints_unpruned():
     # a segment midpoint at (2, 3/2) is left unpruned instead of failing
     win = Window(F(-4), F(4), F(1, 4), F(8))
     walls = enumerate_walls(NumClass(0, 2, 0), 2, win, 2, model)
-    assert (0, 2, 3) in {w.line.as_tuple() for w in walls}
+    assert [0, 2, 3] in [rec["line"] for rec in walls]
 
 
 def _segment_clears(line, lo, hi, upper) -> bool:
@@ -651,7 +653,8 @@ def test_region_pass_segments_clear_the_upper_envelope():
         g = model.genus.g
         for v in ((0, 2, 0), (1, 1, 0), (2, 3, 1), (-1, 2, 1)):
             for win in windows:
-                for w in enumerate_walls(NumClass(*v), g, win, 3, model):
+                for w in walls_from_json(
+                        enumerate_walls(NumClass(*v), g, win, 3, model)):
                     if w.verdict("region") is Check.PASS:
                         passes += 1
                         p0, p1 = w.segment
@@ -660,8 +663,8 @@ def test_region_pass_segments_clear_the_upper_envelope():
     assert passes > 0
     # the segment over [-1/2, 1] at w = 1 dips under 2b before the jump
     walls = enumerate_walls(NumClass(0, 2, 0), 2, windows[0], 3, jump)
-    flat = [w for w in walls if w.line.as_tuple() == (0, 1, 1)]
-    assert [w.verdict("region") for w in flat] == [Check.UNKNOWN]
+    flat = [rec for rec in walls if rec["line"] == [0, 1, 1]]
+    assert [rec["verdicts"]["region"] for rec in flat] == ["Unknown"]
 
 
 def _fraction_candidates(v, window, rank_bound):
@@ -840,7 +843,8 @@ def _open_region_meets(halfplanes) -> bool:
 
 
 def _check_chamber_report(rep, v, walls, win, model):
-    lines = list({w.line.as_tuple(): w.line for w in walls}.values())
+    lines = [RationalLine(*line)
+             for line in dict.fromkeys(tuple(w["line"]) for w in walls)]
     chambers = rep.chambers
     assert rep.owner == v
     assert [ch.index for ch in chambers] == list(range(len(chambers)))
@@ -921,8 +925,9 @@ STRIP_WINDOWS = [Window(-1, 2, F(1, 3), 3), Window(0, 1, 0, 1),
 
 def _window_touching(line):
     """A unit window with a corner (or, for a vertical line, an edge) on
-    the line and the rest on its positive side."""
-    A, B, C = line.as_tuple()
+    the line A*b + B*w = C, given as (A, B, C), and the rest on its
+    positive side."""
+    A, B, C = line
     b0, w0 = (F(0), F(C, B)) if B else (F(C, A), F(0))
     b1, w1 = b0 + (1 if A >= 0 else -1), w0 + (1 if B >= 0 else -1)
     return Window(min(b0, b1), max(b0, b1), min(w0, w1), max(w0, w1))
@@ -952,7 +957,7 @@ def _chamber_cases(name):
                                     model)
             spread = walls[::max(1, len(walls) // 6)]
             if r == 0:
-                windows = STRIP_WINDOWS + [_window_touching(w.line)
+                windows = STRIP_WINDOWS + [_window_touching(w["line"])
                                            for w in walls[:2]]
             else:
                 b, w = project(v)
@@ -961,7 +966,7 @@ def _chamber_cases(name):
             runs = [(walls, windows[0])] + [(spread, win) for win in windows]
             runs += [(walls[:1], windows[0]), (walls[:1], windows[-1])]
             for ws, win in runs:
-                rep = chamber_decomposition(v, walls_to_json(ws), win, model)
+                rep = chamber_decomposition(v, ws, win, model)
                 cases.append((v, ws, win, model, rep))
     return cases
 
@@ -973,7 +978,7 @@ def test_chamber_oracle(name):
     for v, walls, win, model, rep in _chamber_cases(name):
         _check_chamber_report(rep, v, walls, win, model)
         kinds.add(rep.kind)
-        single += len({w.line for w in walls}) == 1
+        single += len({tuple(w["line"]) for w in walls}) == 1
     assert {"pencil", "strips"} <= kinds and single > 0
 
 
