@@ -37,6 +37,7 @@ from .jsonio import (
     classification_to_json,
     complex_to_json,
     dumps,
+    dumps_wall_records,
     gl_element_to_json,
     model_to_json,
     slope_text,
@@ -266,7 +267,7 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
 def render_walls(records, fmt: str, out) -> None:
     """Write walls, given as their `enumerate_walls` records, in `fmt`."""
     if fmt == "json":
-        out.write(dumps(records))
+        out.write(dumps_wall_records(records))
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")

@@ -6,7 +6,8 @@ as `walls.enumerate_walls` writes them and read back from cache entries,
 are the only documents read here: they are checked in integers
 (`wall_records_valid`) and used as they are.  `walls_from_json` decodes
 them into `Wall`s for callers that want the objects, and `walls_to_json`
-encodes those back.
+encodes those back.  `dumps_wall_records` writes a list of records as
+canonical JSON text, and `dumps` writes every other document.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import itemgetter
 
 from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
@@ -83,6 +85,63 @@ def _encode(o, nl: str) -> str:
 
 # --- walls ---------------------------------------------------------------
 
+_VERDICTS = ("feasibility", "im_positive", "q_nonneg", "region")
+#: one wall record as `dumps` indents it inside the record list: the six
+#: keys and the four verdicts in sorted order, integers and texts in place
+_RECORD = """  {
+    "destabilizers": [
+      %s
+    ],
+    "line": [
+      %d,
+      %d,
+      %d
+    ],
+    "nu": "%s",
+    "owner": [
+      %d,
+      %d,
+      %d
+    ],
+    "segment": [
+      [
+        "%s",
+        "%s"
+      ],
+      [
+        "%s",
+        "%s"
+      ]
+    ],
+    "verdicts": {
+      "feasibility": "%s",
+      "im_positive": "%s",
+      "q_nonneg": "%s",
+      "region": "%s"
+    }
+  }"""
+_CLASS = "[\n        %d,\n        %d,\n        %d\n      ]"
+_verdicts = itemgetter(*_VERDICTS)
+
+
+def dumps_wall_records(records) -> str:
+    """`dumps(records)` for a list of wall records, written from one fixed
+    template; the one JSON writer of record lists.
+
+    It is exact only for records in the form that `enumerate_walls` writes
+    and `wall_records_valid` accepts: classes and lines of three ints (no
+    bools), and texts ("nu", the segment ends, the verdicts) that need no
+    JSON escape.  The texts go in unescaped for that reason: the enumerator
+    writes them with `ratio_text` and as `Check` values, and the check
+    admits no other text."""
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join([_RECORD % (
+        ",\n      ".join([_CLASS % tuple(c) for c in rec["destabilizers"]]),
+        *rec["line"], rec["nu"], *rec["owner"], *rec["segment"][0],
+        *rec["segment"][1], *_verdicts(rec["verdicts"]))
+        for rec in records]) + "\n]\n"
+
 
 def wall_to_json(w: Wall) -> dict:
     return {
@@ -120,15 +179,22 @@ def walls_from_json(docs) -> list:
     return [wall_from_json(d) for d in docs]
 
 
+def ratio_parts(text: str) -> tuple:
+    """(num, den) of a text in `ratio_text`'s form, with no check that it
+    is in that form: the parse half of `rat_pair`, for texts that the
+    enumerator wrote or `wall_records_valid` has accepted."""
+    num, slash, den = text.partition("/")
+    return int(num), int(den) if slash else 1
+
+
 def rat_pair(text):
     """(num, den) of a rational written as `ratio_text` writes it ("p", or
     "p/q" with q > 1 and gcd 1, in plain ASCII digits with no "+" and no
     leading zero); None for any other value."""
     if type(text) is not str:
         return None
-    num, slash, den = text.partition("/")
     try:  # int() also takes "+1", " 1", "1_0" and non-ASCII digits
-        n, d = int(num), int(den) if slash else 1
+        n, d = ratio_parts(text)
     except ValueError:
         return None
     # ratio_text(1, 0) is "1/0"
@@ -139,8 +205,7 @@ def rat_pair(text):
 
 _WALL_KEYS = frozenset(("owner", "destabilizers", "line", "nu", "segment",
                         "verdicts"))
-_VERDICT_KEYS = frozenset(("im_positive", "q_nonneg", "feasibility",
-                           "region"))
+_VERDICT_KEYS = frozenset(_VERDICTS)
 _CHECKS = frozenset(c.value for c in Check)
 _INT3 = [int, int, int]
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .charges import PlanePoint
 from .envelopes import BNModel
 from .errors import DomainError, IoError
-from .jsonio import rat_pair
+from .jsonio import ratio_parts
 from .lattice import NumClass, project
 from .walls import Window
 
@@ -130,7 +130,7 @@ def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
 
     for i, rec in enumerate(records):
         a, b, c = rec["line"]
-        (b0, w0), (b1, w1) = (map(rat_pair, p) for p in rec["segment"])
+        (b0, w0), (b1, w1) = (map(ratio_parts, p) for p in rec["segment"])
         parts.append(
             f'<polyline fill="none" stroke="#1f4fa0" stroke-width="1.5" '
             f'points="{to_x(*b0)},{to_y(*w0)} {to_x(*b1)},{to_y(*w1)}">'

@@ -25,7 +25,6 @@ from .envelopes import (
     _frac,
     mercat_bound_pl,
     region_at,
-    region_uf,
 )
 from .errors import (
     DomainError,
@@ -221,37 +220,30 @@ def _delta_core(bn, bd, wn, wd, hn, hd, scaled) -> tuple:
     bm = bn * m
     # A knot (x/m, u/m^2) gives the row t^2/delta + c - delta with
     # t = x/m - b0 and c = w0 - u/m^2; times head*2^k*(m*bd)^2*wd*hd^2
-    # that is 4^k*a + 2^k*b - c0 with the integers below.
+    # that is 4^k*a + 2^k*b - c0 with a = t'^2*ka, b = (wm - u*wd)*kb and
+    # t' = x*bd - bm.
     ka, kb = wd * hd * hd, hn * hd * bd * bd
     c0 = (hn * m * bd) ** 2 * wd
     wm = wn * m * m
-    points = []
-    for x, u in knots:
-        t = x * bd - bm
-        points.append((t * t * ka, (wm - u * wd) * kb))
     # A part (slope s/m, intercept i/m) has its parabola vertex at
     # b0 + s*delta/(2m); the row there is (w0 - part(b0)) - delta*(1 +
     # s^2/(4m^2)).  Both the row's sign and whether the vertex lies
     # strictly inside the part compare an integer times 2^k with another.
-    vertices = []
-    wmb = wn * m * bd
-    for lo, hi, sl, ic in parts:
-        vertices.append((
-            None if lo is None else (lo * bd - bm) * hd * 2,
-            None if hi is None else (hi * bd - bm) * hd * 2,
-            sl * hn * bd,
-            4 * (wmb - (sl * bn + ic * bd) * wd) * m * hd,
-            hn * (4 * m * m + sl * sl) * bd * wd,
-        ))
+    wmb, hbd, qd = wn * m * bd, hn * bd, hn * bd * wd
 
     def certified(k):
-        for a, b in points:
-            if (a << 2 * k) + (b << k) <= c0:
+        # each row is derived as it is tested: most calls certify at
+        # k = 1, and a failing k stops at its first nonpositive row
+        for x, u in knots:
+            t = x * bd - bm
+            if (t * t * ka << 2 * k) + ((wm - u * wd) * kb << k) <= c0:
                 return False
-        for lo, hi, at, qa, qb in vertices:
-            inside = ((lo is None or (lo << k) < at)
-                      and (hi is None or at < (hi << k)))
-            if inside and (qa << k) <= qb:
+        for lo, hi, sl, ic in parts:
+            at = sl * hbd
+            if ((lo is None or (lo * bd - bm) * hd << k + 1 < at)
+                    and (hi is None or at < (hi * bd - bm) * hd << k + 1)
+                    and ((wmb - (sl * bn + ic * bd) * wd) * m * hd << k + 2
+                         <= (4 * m * m + sl * sl) * qd)):
                 return False
         return True
 
@@ -442,6 +434,15 @@ def _negative_q_core(bn, bd, wn, wd, en, ed):
     return negative
 
 
+def _in_uf(uf: PLFunction, r: int, d: int, n: int) -> bool:
+    """`region_uf(project(NumClass(r, d, n)), g)` in integers, for r != 0
+    and uf = `mercat_bound_pl(g)`: the projection (d/r, n/r) has b > 0 and
+    lies strictly above the bound."""
+    if r < 0:
+        r, d, n = -r, -d, -n
+    return d > 0 and n * uf.scaled[0] > uf.at(d, r)[0]
+
+
 def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
                     rank_bound: int, model: BNModel) -> List[dict]:
     """The wall records of all candidate walls of v with destabilizer rank
@@ -475,12 +476,25 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
         by_line.setdefault(key, {}).setdefault(gi, []).append(cand)
 
     walls = []
-    # every enumerated line has B != 0, so its slope -A/B is finite
-    for line in sorted(by_line, key=lambda k: (Fraction(-k[0], k[1]), k)):
-        wall = _line_wall(v, gg, line, by_line[line], window, model)
+    for line, groups in by_line.items():
+        wall = _line_wall(v, gg, line, groups, window, model)
         if wall is not None:
             walls.append(wall)
+    walls.sort(key=lambda rec: _line_sort_key(rec["line"]))
     return walls
+
+
+def _slope_cmp(p, q) -> int:
+    """Order of lines (A, B, C) with B != 0 by (-A/B, (A, B, C)), the
+    slope compared by cross-multiplication: -A/B - (-A'/B') has the sign
+    of A'*B - A*B' times that of B*B'."""
+    s = q[0] * p[1] - p[0] * q[1]
+    if (p[1] < 0) is not (q[1] < 0):
+        s = -s
+    return s or (p > q) - (p < q)
+
+
+_line_sort_key = cmp_to_key(_slope_cmp)
 
 
 def _clip(line: tuple, window: Window):
@@ -591,12 +605,12 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             if cand[0] != 0 and gg >= 4:
                 if meets_uf is None:
                     # somewhere with b > 0 the line clears the Mercat bound
+                    uf = mercat_bound_pl(gg)
                     meets_uf = any(
-                        _carve(line, mercat_bound_pl(gg),
-                               a if a[0] > 0 else (0, 1), b)
+                        _carve(line, uf, a if a[0] > 0 else (0, 1), b)
                         for a, b in parts)
                 if meets_uf:
-                    fails = region_uf(project(NumClass(*cand)), gg)
+                    fails = _in_uf(uf, *cand)
                     feas = "Fail" if fails or feas == "Fail" else "Pass"
         witnesses.update(cands)
         if lo is None or pn * lo[1] < lo[0] * pd:
@@ -865,6 +879,6 @@ def bogomolov_verdict(v: NumClass, g: GenusLike) -> BogomolovVerdict:
     gg = genus_value(g)
     if v.r == 0 or gg <= 3:
         return BogomolovVerdict.INAPPLICABLE
-    if region_uf(project(v), gg):
+    if _in_uf(mercat_bound_pl(gg), v.r, v.d, v.n):
         return BogomolovVerdict.EXCLUDED
     return BogomolovVerdict.NOT_EXCLUDED

@@ -748,7 +748,10 @@ def test_walls_json_golden_digest_rank_bound_8(case):
 
 def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
     # the enumerator writes the records that the cache and the renderers
-    # read, so neither a cold run nor a cache hit builds a Wall
+    # read, so neither a cold run nor a cache hit builds a Wall; it orders
+    # its lines in integers, and the record writer, not the generic
+    # `dumps`, prints them
+    import cswalls.cli as cli
     import cswalls.jsonio as jsonio
     import cswalls.walls as walls
 
@@ -757,7 +760,8 @@ def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
 
     for module, name in ((jsonio, "wall_to_json"), (jsonio, "wall_from_json"),
                          (walls, "Wall"), (walls, "RationalLine"),
-                         (walls, "PlanePoint")):
+                         (walls, "PlanePoint"), (walls, "Fraction"),
+                         (cli, "dumps")):
         monkeypatch.setattr(module, name, refuse)
     case = ("2,3,1", "2", "general")
     argv = ["walls", "--class", case[0], "--genus", case[1], "--model",

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from cswalls.envelopes import make_model
 from cswalls.jsonio import (
     dumps,
+    dumps_wall_records,
     rat_pair,
     wall_records_valid,
     walls_from_json,
@@ -84,10 +85,13 @@ def _records(cls: tuple, model: str) -> tuple:
        st.sampled_from(sorted(MODELS)))
 @example((2, 3, 1), "general")
 @example((0, 3, 1), "mercat")
+@example((0, 0, 0), "general")  # no walls
 def test_validator_accepts_every_record_list_walls_to_json_writes(cls, model):
     v, records = _records(cls, model)
     assert wall_records_valid(records, v)
     assert walls_to_json(walls_from_json(records)) == records
+    # the record writer writes what `dumps` writes, "[]\n" included
+    assert dumps_wall_records(records) == dumps(records)
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,7 +175,9 @@ def test_validator_is_never_looser_than_the_decoder(case, data):
     i = data.draw(st.integers(0, len(records) - 1))
     mutated[i] = _mutated(data.draw, mutated[i])
     if wall_records_valid(mutated, v):
-        # what the validator accepts decodes, and encodes back as it was
+        # what the validator accepts decodes, encodes back as it was, and
+        # is written by the record writer as `dumps` writes it
         assert walls_to_json(walls_from_json(mutated)) == mutated
+        assert dumps_wall_records(mutated) == dumps(mutated)
     else:  # as text, since True == 1 and 1.0 == 1
         assert json.dumps(mutated) != json.dumps(records)

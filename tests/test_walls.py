@@ -282,6 +282,57 @@ def test_ray_sort_key_is_exact_for_big_integer_rays():
         assert sorted(rays, key=_ray_sort_key) == ccw
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 11), st.integers(-12, 12).filter(bool),
+       st.integers(-60, 60), st.integers(-60, 60))
+# on the bound at a breakpoint (g = 5: f(8/3) = 4/3), and just above it
+@example(5, 3, 8, 4)
+@example(5, -3, -8, -5)
+@example(4, 1, 0, 1)
+def test_integer_mercat_test_matches_region_uf(g, r, d, n):
+    from cswalls.envelopes import mercat_bound_pl, region_uf
+    from cswalls.walls import _in_uf
+
+    expected = region_uf(project(NumClass(r, d, n)), g)
+    assert _in_uf(mercat_bound_pl(g), r, d, n) == expected
+
+
+#: line coefficients, small and beyond 2**64, where floats stop being exact
+COEFFS = st.integers(-4, 4) | st.integers(-2**70, 2**70)
+
+
+@st.composite
+def normalized_lines(draw):
+    """Distinct normalized lines (A, B, C) with B != 0 of either sign, many
+    of them sharing a slope."""
+    slopes = draw(st.lists(st.tuples(COEFFS, COEFFS.filter(bool)),
+                           min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = draw(st.sampled_from(slopes))
+        k = draw(st.sampled_from([1, 2, -1, -3]))
+        lines.append(RationalLine(k * a, k * b, draw(COEFFS)).as_tuple())
+    return list(dict.fromkeys(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalized_lines())
+# the slopes -1 and -(2**64 + 1)/2**64 round to the same float
+@example([(2**64 + 1, 2**64, 0), (1, 1, 5), (1, 1, -5), (1, -1, 0),
+          (2**64 + 1, -(2**64), 3)])
+@example([(0, 1, 2), (0, 1, -2), (1, 2**70, 0), (1, -(2**70), 0)])
+def test_line_order_is_the_exact_slope_order(lines):
+    from cswalls.walls import _line_sort_key
+
+    expected = sorted(lines, key=lambda k: (F(-k[0], k[1]), k))
+    shuffled = lines[:]
+    random.Random(len(lines)).shuffle(shuffled)
+    assert sorted(shuffled, key=_line_sort_key) == expected
+    # the records carry their lines as lists
+    assert sorted(map(list, shuffled), key=_line_sort_key) == list(
+        map(list, expected))
+
+
 def test_ray_line_examples():
     assert ray_line(NumClass(2, 3, 1), F(1)).as_tuple() == (1, 1, 2)
     assert ray_line(NumClass(1, 0, 0), F(1)).as_tuple() == (1, 1, 0)
