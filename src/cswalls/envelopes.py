@@ -414,6 +414,15 @@ def region_uf(point: tuple, g: GenusLike) -> bool:
     if gg <= 3:
         raise GenusOutOfRange(f"the convex region needs genus >= 4, got {gg}")
     b, w = _frac(point[0]), _frac(point[1])
-    if b <= 0:
+    return region_uf_at(gg, b.numerator, b.denominator, w.numerator,
+                        w.denominator)
+
+
+def region_uf_at(gg: int, bn: int, bd: int, wn: int, wd: int) -> bool:
+    """`region_uf` at (bn/bd, wn/wd), bd and wd > 0 and gg >= 4, in
+    integers: b > 0 and w above the bound's value `PLFunction.at(bn,
+    bd)[0]` over m*bd."""
+    if bn <= 0:
         return False
-    return w > mercat_bound_pl(gg)(b)
+    uf = mercat_bound_pl(gg)
+    return wn * uf.scaled[0] * bd > uf.at(bn, bd)[0] * wd

@@ -22,7 +22,8 @@ from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
 from .envelopes import BNModel, PLFunction, rat
 from .lattice import NumClass
-from .walls import ChamberReport, Check, RationalLine, Wall, ratio_text
+from .walls import (ChamberReport, Check, RationalLine, Wall, line_cmp,
+                    ratio_text)
 
 
 def unrat(x: Fraction) -> str:
@@ -235,7 +236,7 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
     if type(docs) is not list:
         return False
     own = list(owner.as_tuple())
-    prev = None  # (nu numerator, nu denominator, line) of the last record
+    prev = None  # the line of the last record
     for doc in docs:
         if type(doc) is not dict or doc.keys() != _WALL_KEYS:
             return False
@@ -256,11 +257,10 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
         nn, nd = (-a, b) if b > 0 else (a, -b)
         if doc["nu"] != ratio_text(nn, nd):
             return False
-        # records ascend strictly by (nu, line)
-        if prev is not None and (prev[0] * nd, prev[2]) >= (nn * prev[1],
-                                                             line):
+        # records ascend strictly in the enumerator's order, by (nu, line)
+        if prev is not None and line_cmp(prev, line) >= 0:
             return False
-        prev = nn, nd, line
+        prev = line
         ends = []
         for point in seg:
             if type(point) is not list or len(point) != 2:

@@ -25,6 +25,7 @@ from .envelopes import (
     _frac,
     mercat_bound_pl,
     region_at,
+    region_uf_at,
 )
 from .errors import (
     DomainError,
@@ -434,15 +435,6 @@ def _negative_q_core(bn, bd, wn, wd, en, ed):
     return negative
 
 
-def _in_uf(uf: PLFunction, r: int, d: int, n: int) -> bool:
-    """`region_uf(project(NumClass(r, d, n)), g)` in integers, for r != 0
-    and uf = `mercat_bound_pl(g)`: the projection (d/r, n/r) has b > 0 and
-    lies strictly above the bound."""
-    if r < 0:
-        r, d, n = -r, -d, -n
-    return d > 0 and n * uf.scaled[0] > uf.at(d, r)[0]
-
-
 def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
                     rank_bound: int, model: BNModel) -> List[dict]:
     """The wall records of all candidate walls of v with destabilizer rank
@@ -484,17 +476,18 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     return walls
 
 
-def _slope_cmp(p, q) -> int:
+def line_cmp(p, q) -> int:
     """Order of lines (A, B, C) with B != 0 by (-A/B, (A, B, C)), the
     slope compared by cross-multiplication: -A/B - (-A'/B') has the sign
-    of A'*B - A*B' times that of B*B'."""
+    of A'*B - A*B' times that of B*B'.  `enumerate_walls` writes its
+    records in this order and `jsonio.wall_records_valid` checks it."""
     s = q[0] * p[1] - p[0] * q[1]
     if (p[1] < 0) is not (q[1] < 0):
         s = -s
     return s or (p > q) - (p < q)
 
 
-_line_sort_key = cmp_to_key(_slope_cmp)
+_line_sort_key = cmp_to_key(line_cmp)
 
 
 def _clip(line: tuple, window: Window):
@@ -605,12 +598,13 @@ def _line_wall(v: NumClass, gg: int, line: tuple, groups: dict,
             if cand[0] != 0 and gg >= 4:
                 if meets_uf is None:
                     # somewhere with b > 0 the line clears the Mercat bound
-                    uf = mercat_bound_pl(gg)
                     meets_uf = any(
-                        _carve(line, uf, a if a[0] > 0 else (0, 1), b)
+                        _carve(line, mercat_bound_pl(gg),
+                               a if a[0] > 0 else (0, 1), b)
                         for a, b in parts)
                 if meets_uf:
-                    fails = _in_uf(uf, *cand)
+                    cr, cd, cn = cand if cand[0] > 0 else (-x for x in cand)
+                    fails = region_uf_at(gg, cd, cr, cn, cr)
                     feas = "Fail" if fails or feas == "Fail" else "Pass"
         witnesses.update(cands)
         if lo is None or pn * lo[1] < lo[0] * pd:
@@ -879,6 +873,7 @@ def bogomolov_verdict(v: NumClass, g: GenusLike) -> BogomolovVerdict:
     gg = genus_value(g)
     if v.r == 0 or gg <= 3:
         return BogomolovVerdict.INAPPLICABLE
-    if _in_uf(mercat_bound_pl(gg), v.r, v.d, v.n):
+    r, d, n = v.as_tuple() if v.r > 0 else (-x for x in v.as_tuple())
+    if region_uf_at(gg, d, r, n, r):
         return BogomolovVerdict.EXCLUDED
     return BogomolovVerdict.NOT_EXCLUDED

@@ -289,12 +289,18 @@ def test_ray_sort_key_is_exact_for_big_integer_rays():
 @example(5, 3, 8, 4)
 @example(5, -3, -8, -5)
 @example(4, 1, 0, 1)
-def test_integer_mercat_test_matches_region_uf(g, r, d, n):
+def test_mercat_region_test_matches_the_fraction_test(g, r, d, n):
+    # region_uf and bogomolov_verdict (and through it the enumerator's
+    # feasibility verdict) share one integer test; it must agree with
+    # evaluating the bound at b = d/r in Fractions
     from cswalls.envelopes import mercat_bound_pl, region_uf
-    from cswalls.walls import _in_uf
 
-    expected = region_uf(project(NumClass(r, d, n)), g)
-    assert _in_uf(mercat_bound_pl(g), r, d, n) == expected
+    b, w = project(NumClass(r, d, n))
+    expected = b > 0 and w > mercat_bound_pl(g)(b)
+    assert region_uf((b, w), g) is expected
+    assert bogomolov_verdict(NumClass(r, d, n), g) is (
+        BogomolovVerdict.EXCLUDED if expected
+        else BogomolovVerdict.NOT_EXCLUDED)
 
 
 #: line coefficients, small and beyond 2**64, where floats stop being exact
