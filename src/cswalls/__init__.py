@@ -60,7 +60,6 @@ from .walls import (  # noqa: F401
     EVERYWHERE_EQUAL,
     NO_WALL,
     BogomolovVerdict,
-    Chamber,
     ChamberReport,
     Check,
     RationalLine,

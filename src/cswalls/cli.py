@@ -33,10 +33,10 @@ from .envelopes import (BNModel, make_model, model_from_json, rat, region_uc,
                         region_uf)
 from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
-    chamber_report_to_json,
     classification_to_json,
     complex_to_json,
     dumps,
+    dumps_chamber_report,
     dumps_wall_records,
     gl_element_to_json,
     model_to_json,
@@ -337,16 +337,19 @@ def _walls(a, out, err):
 
 def _chambers(a, out, err):
     model = load_model(a)
-    doc = chamber_report_to_json(chamber_decomposition(
-        a.cls, cached_walls(a.cls, a, model, err), a.window, model))
-    lines = [f"kind={doc['kind']} chambers={len(doc['chambers'])}"]
+    rep = chamber_decomposition(a.cls, cached_walls(a.cls, a, model, err),
+                                a.window, model)
+    if a.format == "json":
+        out.write(dumps_chamber_report(rep))
+        return
+    lines = [f"kind={rep.kind} chambers={len(rep.chambers)}"]
     lines += [
         f"  [{ch['index']}] {ch['kind']} bounds={ch['bounds']} "
         f"meets_window={str(ch['meets_window']).lower()} "
         f"sample={ch['sample'][0]},{ch['sample'][1]} region={ch['region']}"
-        for ch in doc["chambers"]
+        for ch in rep.chambers
     ]
-    return "\n".join(lines), doc
+    out.write("\n".join(lines) + "\n")
 
 
 def _classify(a, *_):

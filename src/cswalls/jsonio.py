@@ -6,8 +6,9 @@ as `walls.enumerate_walls` writes them and read back from cache entries,
 are the only documents read here: they are checked in integers
 (`wall_records_valid`) and used as they are.  `walls_from_json` decodes
 them into `Wall`s for callers that want the objects, and `walls_to_json`
-encodes those back.  `dumps_wall_records` writes a list of records as
-canonical JSON text, and `dumps` writes every other document.
+encodes those back.  `dumps_wall_records` writes a list of records and
+`dumps_chamber_report` a chamber report as canonical JSON text, and
+`dumps` writes every other document.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
     (gcd 1, B != 0, first nonzero of A, B positive) and its slope as "nu"
     in `ratio_text`'s form; records in strictly ascending (nu, line)
     order; a segment of two points on the line with strictly ascending b,
-    each coordinate in `rat_pair`'s canonical form; exactly the four
+    each b in `rat_pair`'s canonical form and each w the text that
+    `ratio_text` writes for the line's w at that b; exactly the four
     known verdicts, each a `Check` value.  A record list that passes also
     decodes with `walls_from_json`, and encodes back unchanged."""
     if type(docs) is not list:
@@ -244,13 +246,17 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
         witnesses = doc["destabilizers"]
         if not (_is_class(doc["owner"]) and doc["owner"] == own
                 and type(witnesses) is list and witnesses
-                and all(map(_is_class, witnesses))
-                and all(p < q for p, q in zip(witnesses, witnesses[1:]))
                 and _is_class(line) and type(seg) is list
                 and len(seg) == 2 and type(checks) is dict
                 and checks.keys() == _VERDICT_KEYS
                 and _known_checks(checks.values())):
             return False
+        last = None  # witnesses ascend strictly
+        for x in witnesses:
+            if (type(x) is not list or list(map(type, x)) != _INT3
+                    or last is not None and last >= x):
+                return False
+            last = x
         a, b, c = line
         if gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0):
             return False
@@ -265,9 +271,11 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
         for point in seg:
             if type(point) is not list or len(point) != 2:
                 return False
-            bp, wp = rat_pair(point[0]), rat_pair(point[1])
-            if (bp is None or wp is None or a * bp[0] * wp[1]
-                    + b * wp[0] * bp[1] != c * bp[1] * wp[1]):
+            bp = rat_pair(point[0])
+            # w is on the line exactly when it is the text the enumerator
+            # writes for it; an int or a non-canonical text is refused
+            if bp is None or point[1] != ratio_text(c * bp[1] - a * bp[0],
+                                                    b * bp[1]):
                 return False
             ends.append(bp)
         (pn, pd), (qn, qd) = ends
@@ -280,32 +288,67 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
 
 
 def chamber_report_to_json(rep: ChamberReport) -> dict:
-    chambers = []
-    for ch in rep.chambers:
-        if ch.kind == "sector":
-            bounds = [list(ch.bounds[0]), list(ch.bounds[1])]
-        elif ch.kind == "strip":
-            bounds = [
-                None if t is None else unrat(t) for t in ch.bounds
-            ]
-        else:
-            bounds = []
-        chambers.append(
-            {
-                "index": ch.index,
-                "kind": ch.kind,
-                "bounds": bounds,
-                "meets_window": ch.meets_window,
-                "sample": point_to_json(ch.sample),
-                "region": None if ch.region is None else ch.region.value,
-            }
-        )
     return {
         "owner": list(rep.owner.as_tuple()),
         "kind": rep.kind,
-        "center": None if rep.center is None else point_to_json(rep.center),
-        "chambers": chambers,
+        "center": rep.center,
+        "chambers": rep.chambers,
     }
+
+
+#: a chamber report as `dumps` indents it: its four keys, and each chamber
+#: record's six, in sorted order
+_REPORT = ('{\n  "center": %s,\n  "chambers": [\n%s\n  ],\n  "kind": "%s",\n'
+           '  "owner": [\n    %d,\n    %d,\n    %d\n  ]\n}\n')
+_CHAMBER = """    {
+      "bounds": %s,
+      "index": %d,
+      "kind": "%s",
+      "meets_window": %s,
+      "region": %s,
+      "sample": [
+        "%s",
+        "%s"
+      ]
+    }"""
+_SECTOR = ("[\n        [\n          %d,\n          %d\n        ],\n"
+           "        [\n          %d,\n          %d\n        ]\n      ]")
+_STRIP = "[\n        %s,\n        %s\n      ]"
+
+
+def _text_or_null(text) -> str:
+    return "null" if text is None else '"' + text + '"'
+
+
+def dumps_chamber_report(rep: ChamberReport) -> str:
+    """`dumps(chamber_report_to_json(rep))`, written from fixed templates;
+    the one JSON writer of chamber reports.
+
+    It is exact only for reports in the form that `chamber_decomposition`
+    writes: at least one chamber, sector bounds of two integer pairs,
+    strip bounds of two texts or None, and texts (the centre, samples,
+    strip bounds, kinds, regions) that need no JSON escape.  The texts go
+    in unescaped for that reason: the decomposition writes the rationals
+    with `ratio_text` and the rest as fixed names and `RegionVerdict`
+    values."""
+    chambers = []
+    for ch in rep.chambers:
+        bounds = ch["bounds"]
+        if ch["kind"] == "sector":
+            bounds = _SECTOR % (*bounds[0], *bounds[1])
+        elif bounds:
+            bounds = _STRIP % tuple(map(_text_or_null, bounds))
+        else:
+            bounds = "[]"
+        chambers.append(_CHAMBER % (
+            bounds, ch["index"], ch["kind"],
+            "true" if ch["meets_window"] else "false",
+            _text_or_null(ch["region"]), *ch["sample"]))
+    center = rep.center
+    return _REPORT % (
+        "null" if center is None
+        else '[\n    "%s",\n    "%s"\n  ]' % tuple(center),
+        ",\n".join(chambers), rep.kind, *rep.owner.as_tuple())
 
 
 # --- charges, elements and classifications --------------------------------

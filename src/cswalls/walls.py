@@ -21,7 +21,6 @@ from .charges import PlanePoint
 from .envelopes import (
     BNModel,
     PLFunction,
-    RegionVerdict,
     _frac,
     mercat_bound_pl,
     region_at,
@@ -34,7 +33,7 @@ from .errors import (
     ZeroAlpha,
     ZeroRank,
 )
-from .lattice import GenusLike, NumClass, det3, genus_value, project
+from .lattice import GenusLike, NumClass, det3, genus_value
 
 
 class Check(str, Enum):
@@ -662,23 +661,18 @@ def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
 
 
 @dataclass(frozen=True)
-class Chamber:
-    """One connected piece of the wall complement, with a sample point."""
-
-    index: int
-    kind: str  # "window" | "sector" | "strip"
-    bounds: tuple
-    meets_window: bool
-    sample: PlanePoint
-    region: Optional[RegionVerdict]
-
-
-@dataclass(frozen=True)
 class ChamberReport:
+    """The chambers of the walls of `owner`.  `center` is the projection
+    of `owner` as its text pair ["b", "w"] (None at rank zero); `chambers`
+    holds one record per chamber, the dict that
+    `jsonio.chamber_report_to_json` writes: "index", "kind" ("window",
+    "sector" or "strip"), "bounds", "meets_window", "sample" (a text pair)
+    and "region" (a `RegionVerdict` value, or None without a model)."""
+
     owner: NumClass
     kind: str  # "pencil" | "strips" | "window"
-    center: Optional[PlanePoint]
-    chambers: Tuple[Chamber, ...]
+    center: Optional[list]
+    chambers: List[dict]
 
 
 def _clip_polygon(poly, normal):
@@ -729,8 +723,8 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
 
     Nonzero rank: the angular sectors around the projection of v in
     circular order; rank zero: parallel strips ordered by intercept.
-    Each chamber carries a rational sample point, whether it meets the
-    window, and (when a model is supplied) the region verdict at the
+    Each chamber record carries a rational sample point, whether it meets
+    the window, and (when a model is supplied) the region verdict at the
     sample.
     """
     own = list(v.as_tuple())
@@ -741,25 +735,30 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
                 f"decomposition for {v}"
             )
 
-    def sample_at(b: Fraction, w: Fraction) -> tuple:
-        """The sample (b, w) and the region verdict there."""
-        return PlanePoint(b, w), None if model is None else region_at(
-            model, b.numerator, b.denominator, w.numerator, w.denominator)
+    def chamber(i, kind, bounds, meets, bn, bd, wn, wd) -> dict:
+        """The record of chamber i, sampled at (bn/bd, wn/wd), each pair
+        reduced with a positive denominator."""
+        return {
+            "index": i,
+            "kind": kind,
+            "bounds": bounds,
+            "meets_window": meets,
+            "sample": [ratio_text(bn, bd), ratio_text(wn, wd)],
+            "region": None if model is None
+            else region_at(model, bn, bd, wn, wd).value,
+        }
 
     lines = list(dict.fromkeys(tuple(rec["line"]) for rec in records))
+    r, d, n = v.r, v.d, v.n
+    center = [ratio_text(d, r), ratio_text(n, r)] if r else None
 
     if not lines:
-        center = (
-            PlanePoint(*project(v)) if v.r != 0 else None
-        )
-        sample, region = sample_at((window.b_min + window.b_max) / 2,
-                                   (window.w_min + window.w_max) / 2)
-        chamber = Chamber(0, "window", (), True, sample, region)
-        return ChamberReport(v, "window", center, (chamber,))
+        b = (window.b_min + window.b_max) / 2
+        w = (window.w_min + window.w_max) / 2
+        return ChamberReport(v, "window", center, [
+            chamber(0, "window", [], True, *_pair(b), *_pair(w))])
 
-    r, d, n = v.r, v.d, v.n
     if r != 0:
-        center = PlanePoint(*project(v))
         rays = []
         for A, B, _ in lines:
             u = _primitive(B, -A)
@@ -800,13 +799,11 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
             else:
                 (sx, sy), den = interior, 1
             # the sample (d/r + sx/den, n/r + sy/den) over |r|*den
-            sample, region = sample_at(
-                Fraction(s * (d * den + r * sx), abs(r) * den),
-                Fraction(s * (n * den + r * sy), abs(r) * den))
-            chambers.append(
-                Chamber(i, "sector", (u, u2), meets, sample, region)
-            )
-        return ChamberReport(v, "pencil", center, tuple(chambers))
+            chambers.append(chamber(
+                i, "sector", [list(u), list(u2)], meets,
+                *_reduced(s * (d * den + r * sx), abs(r) * den),
+                *_reduced(s * (n * den + r * sy), abs(r) * den)))
+        return ChamberReport(v, "pencil", center, chambers)
 
     # rank zero: parallel strips
     prim = _primitive(*lines[0][:2])
@@ -835,10 +832,8 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
         if meets:
             t_star = (o_lo + o_hi) / 2
             lam = (t_star - l_min) / (l_max - l_min)
-            sample, region = sample_at(
-                c_min[0] + lam * (c_max[0] - c_min[0]),
-                c_min[1] + lam * (c_max[1] - c_min[1]),
-            )
+            b = c_min[0] + lam * (c_max[0] - c_min[0])
+            w = c_min[1] + lam * (c_max[1] - c_min[1])
         else:
             t_star = (
                 intercepts[0] - 1 if t_lo is None
@@ -849,11 +844,11 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
             cb = (window.b_min + window.b_max) / 2
             cw = (window.w_min + window.w_max) / 2
             mu = (t_star - (prim[0] * cb + prim[1] * cw)) / norm2
-            sample, region = sample_at(cb + mu * prim[0], cw + mu * prim[1])
-        chambers.append(
-            Chamber(i, "strip", (t_lo, t_hi), meets, sample, region)
-        )
-    return ChamberReport(v, "strips", None, tuple(chambers))
+            b, w = cb + mu * prim[0], cw + mu * prim[1]
+        bounds = [None if t is None else str(t) for t in (t_lo, t_hi)]
+        chambers.append(chamber(i, "strip", bounds, meets, *_pair(b),
+                                *_pair(w)))
+    return ChamberReport(v, "strips", None, chambers)
 
 
 class BogomolovVerdict(str, Enum):

@@ -775,6 +775,35 @@ def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
     assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
+#: sha256 of `chambers --class 2,3,1 --genus 2 --model general
+#: --rank-bound 3 --format json` with the default window
+GOLDEN_CHAMBERS_JSON_SHA256 = (
+    "13222c137420e2d766a9e32c5cb4443059f14995690546f47678b50c781de430")
+
+
+def test_chambers_command_builds_no_chamber_objects(tmp_path, monkeypatch):
+    # the decomposition writes chamber records from its integer samples,
+    # and the report writer, not the generic `dumps`, prints them
+    import cswalls.cli as cli
+    import cswalls.walls as walls
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chamber object was built")
+
+    for module, name in ((walls, "Fraction"), (walls, "PlanePoint"),
+                         (cli, "dumps")):
+        monkeypatch.setattr(module, name, refuse)
+    argv = ["chambers", "--class", "2,3,1", "--genus", "2", "--model",
+            "general", "--rank-bound", "3", "--format", "json",
+            "--cache-dir", str(tmp_path / "cache")]
+    for _ in range(2):  # cold, then a cache hit
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == GOLDEN_CHAMBERS_JSON_SHA256)
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
 #: one fixed argv per command; `plot` also takes `--out <path>`
 CLI_CASES = {
     "euler": ["--genus", "2", "--v1", "0,0,1", "--v2", "1,0,0"],

@@ -123,6 +123,56 @@ def test_rat_pair_accepts_only_the_canonical_form(text, pair):
     assert rat_pair(text) == pair
 
 
+def _valid_with_w(end: int, w) -> bool:
+    """Whether the check accepts the records of (2, 3, 1) with the w of
+    segment end `end` of the first record replaced by `w`."""
+    v, records = _records((2, 3, 1), "general")
+    mutated = copy.deepcopy(records)
+    mutated[0]["segment"][end][1] = w
+    return wall_records_valid(mutated, v)
+
+
+def test_first_record_of_the_w_cases():
+    # the record that the w cases below edit: ends (1/4, 8) and (1, 7/2)
+    # on 12*b + 2*w = 19
+    _, records = _records((2, 3, 1), "general")
+    assert records[0]["line"] == [12, 2, 19]
+    assert records[0]["segment"] == [["1/4", "8"], ["1", "7/2"]]
+    assert _valid_with_w(0, "8") and _valid_with_w(1, "7/2")
+
+
+@pytest.mark.parametrize("end, w", [
+    # the same values in other texts
+    (1, "14/4"), (0, "16/2"), (1, "+7/2"), (0, "+8"), (1, "07/2"),
+    (1, "7/02"), (0, "08"), (1, " 7/2"), (1, "7/2 "), (0, " 8"),
+    # canonical texts off the line by 1/(B*bd): 1/2 at b = 1, 1/8 at 1/4
+    (1, "4"), (1, "3"), (0, "65/8"), (0, "63/8"),
+    # the value as a JSON number
+    (0, 8), (1, 3.5)])
+def test_validator_refuses_a_w_the_enumerator_would_not_write(end, w):
+    assert not _valid_with_w(end, w)
+
+
+@pytest.mark.parametrize("witnesses", [
+    [[0, 1, -5], [1, 1, 3], [1, 2, -2]],  # as written: accepted
+    [[0, 1, -5], [1, 1, 3], [1, 1, 3], [1, 2, -2]],  # a repeat
+    [[0, 1, -5], [1, 2, -2], [1, 1, 3]],  # out of order
+    [[False, 1, -5], [1, 1, 3], [1, 2, -2]],  # a bool
+    [[0, 1.0, -5], [1, 1, 3], [1, 2, -2]],  # a float
+    [[0, 1, -5], [1, 1], [1, 2, -2]],  # two ints
+    [[0, 1, -5], [1, 1, 3, 0], [1, 2, -2]],  # four ints
+    [[0, 1, -5], "1,1,3", [1, 2, -2]],  # not a list
+    []])
+def test_validator_accepts_witnesses_only_as_written(witnesses):
+    v, records = _records((2, 3, 1), "general")
+    assert records[1]["destabilizers"] == [[0, 1, -5], [1, 1, 3], [1, 2, -2]]
+    mutated = copy.deepcopy(records)
+    mutated[1]["destabilizers"] = witnesses
+    # as text, since False == 0 and 1.0 == 1
+    assert wall_records_valid(mutated, v) == (
+        json.dumps(witnesses) == json.dumps(records[1]["destabilizers"]))
+
+
 #: near-valid replacements for a value of each JSON type
 TWEAKS = {
     str: ["+1", "01", "2/4", "1/1", "-0", "1/0", "inf", "Pass ", "pass",

@@ -5,12 +5,14 @@ import math
 import random
 from fractions import Fraction as F
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cswalls.charges import PlanePoint, nu
-from cswalls.envelopes import PLFunction, _lower_pl, make_model, region_uc
+from cswalls.envelopes import (PLFunction, RegionVerdict, _lower_pl,
+                                make_model, region_uc)
 from cswalls.errors import (
     DomainError,
     MixedOwnership,
@@ -18,7 +20,8 @@ from cswalls.errors import (
     ZeroAlpha,
     ZeroRank,
 )
-from cswalls.jsonio import walls_from_json
+from cswalls.jsonio import (chamber_report_to_json, dumps,
+                            dumps_chamber_report, walls_from_json)
 from cswalls.lattice import NumClass, project
 from cswalls.walls import (
     EVERYWHERE_EQUAL,
@@ -462,7 +465,7 @@ def test_chambers_examples():
     walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
     by_line = {tuple(rec["line"]): rec for rec in walls}
     two = [by_line[(1, 1, 2)], by_line[(4, 2, 7)]]
-    rep = chamber_decomposition(v, two, STD_WINDOW, m)
+    rep = _decoded(chamber_decomposition(v, two, STD_WINDOW, m))
     assert rep.kind == "pencil"
     assert len(rep.chambers) == 4
     assert rep.center == PlanePoint(F(3, 2), F(1, 2))
@@ -474,14 +477,14 @@ def test_chambers_examples():
         for w in walls_from_json(two):
             assert w.line.value_at(ch.sample.b, ch.sample.w) != 0
 
-    rep0 = chamber_decomposition(v, [], STD_WINDOW, m)
+    rep0 = _decoded(chamber_decomposition(v, [], STD_WINDOW, m))
     assert len(rep0.chambers) == 1
     assert rep0.chambers[0].meets_window
 
     torsion = NumClass(0, 1, 0)
     tw = enumerate_walls(torsion, 2, STD_WINDOW, 2, m)
     k = len({tuple(rec["line"]) for rec in tw})
-    rep1 = chamber_decomposition(torsion, tw, STD_WINDOW, m)
+    rep1 = _decoded(chamber_decomposition(torsion, tw, STD_WINDOW, m))
     assert rep1.kind == "strips"
     assert len(rep1.chambers) == k + 1
     for ch in rep1.chambers:
@@ -494,7 +497,7 @@ def test_chambers_single_line_two_halves():
     m = make_model("general", 2)
     walls = enumerate_walls(v, 2, STD_WINDOW, 3, m)
     one = [rec for rec in walls if rec["line"] == [1, 1, 2]]
-    rep = chamber_decomposition(v, one, STD_WINDOW, m)
+    rep = _decoded(chamber_decomposition(v, one, STD_WINDOW, m))
     assert len(rep.chambers) == 2
     signs = set()
     for ch in rep.chambers:
@@ -843,6 +846,48 @@ def test_integer_candidates_match_the_fraction_reference(case):
 # chamber oracle: each report of `chamber_decomposition` is checked against
 # its wall lines alone, in plain Fraction geometry (no `walls` internals)
 
+#: the keys of a chamber record, in the order the golden digest hashes them
+CHAMBER_KEYS = ["index", "kind", "bounds", "meets_window", "sample", "region"]
+
+
+def _rational(text):
+    """The Fraction a text stands for; only the text `str` of that
+    Fraction writes is accepted."""
+    assert type(text) is str and str(F(text)) == text, text
+    return F(text)
+
+
+def _point(pair):
+    assert type(pair) is list and len(pair) == 2, pair
+    return PlanePoint(_rational(pair[0]), _rational(pair[1]))
+
+
+def _decoded(rep):
+    """A chamber report with its records read back: texts as Fractions,
+    regions as RegionVerdicts, sector bounds as pairs of integer tuples and
+    strip bounds as tuples of Fractions and Nones."""
+    chambers = []
+    for rec in rep.chambers:
+        assert list(rec) == CHAMBER_KEYS, rec
+        assert type(rec["index"]) is int and type(rec["meets_window"]) is bool
+        bounds = rec["bounds"]
+        assert type(bounds) is list, rec
+        if rec["kind"] == "sector":
+            bounds = tuple(tuple(u) for u in bounds)
+            assert all(len(u) == 2 and all(type(x) is int for x in u)
+                       for u in bounds), rec
+        else:
+            bounds = tuple(None if t is None else _rational(t)
+                           for t in bounds)
+        region = rec["region"]
+        chambers.append(SimpleNamespace(
+            index=rec["index"], kind=rec["kind"], bounds=bounds,
+            meets_window=rec["meets_window"], sample=_point(rec["sample"]),
+            region=None if region is None else RegionVerdict(region)))
+    center = None if rep.center is None else _point(rep.center)
+    return SimpleNamespace(owner=rep.owner, kind=rep.kind, center=center,
+                           chambers=chambers)
+
 
 def _halfplanes_of_window(win):
     """The open window as half-planes (a, c, e): a*b + c*w > e."""
@@ -900,6 +945,7 @@ def _open_region_meets(halfplanes) -> bool:
 
 
 def _check_chamber_report(rep, v, walls, win, model):
+    rep = _decoded(rep)
     lines = [RationalLine(*line)
              for line in dict.fromkeys(tuple(w["line"]) for w in walls)]
     chambers = rep.chambers
@@ -1034,6 +1080,8 @@ def test_chamber_oracle(name):
     single = 0
     for v, walls, win, model, rep in _chamber_cases(name):
         _check_chamber_report(rep, v, walls, win, model)
+        # the report writer writes what `dumps` writes
+        assert dumps_chamber_report(rep) == dumps(chamber_report_to_json(rep))
         kinds.add(rep.kind)
         single += len({tuple(w["line"]) for w in walls}) == 1
     assert {"pencil", "strips"} <= kinds and single > 0
@@ -1046,8 +1094,6 @@ GOLDEN_CHAMBERS_SHA256 = (
 
 
 def test_chamber_oracle_reports_golden_digest():
-    from cswalls.jsonio import chamber_report_to_json
-
     h = hashlib.sha256()
     for name in CHAMBER_MODELS:
         for *_, rep in _chamber_cases(name):
