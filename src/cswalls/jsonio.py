@@ -226,11 +226,13 @@ def _known_checks(values) -> bool:
 def wall_records_valid(docs, owner: NumClass) -> bool:
     """Whether `docs` is a list of wall records of `owner` in the form
     `enumerate_walls` writes, checked in integers without building a `Wall`:
-    exactly the record's keys; the owner; integer classes (no bools), at
-    least one destabilizer, in strictly ascending order; a normalized line
-    (gcd 1, B != 0, first nonzero of A, B positive) and its slope as "nu"
-    in `ratio_text`'s form; records in strictly ascending (nu, line)
-    order; a segment of two points on the line with strictly ascending b,
+    exactly the record's keys; the owner; integer classes (no bools); a
+    normalized line (gcd 1, B != 0, first nonzero of A, B positive) through
+    the owner's projection (A*d + B*n = C*r) and its slope as "nu" in
+    `ratio_text`'s form; at least one destabilizer (r', d', n'), in
+    strictly ascending order, each with that line as its wall line
+    (A*d' + B*n' = C*r' and r*d' != r'*d); records in strictly ascending
+    (nu, line) order; a segment of two points on the line with strictly ascending b,
     each b in `rat_pair`'s canonical form and each w the text that
     `ratio_text` writes for the line's w at that b; exactly the four
     known verdicts, each a `Check` value.  A record list that passes also
@@ -238,6 +240,7 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
     if type(docs) is not list:
         return False
     own = list(owner.as_tuple())
+    r, d, n = own
     prev = None  # the line of the last record
     for doc in docs:
         if type(doc) is not dict or doc.keys() != _WALL_KEYS:
@@ -251,15 +254,18 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
                 and checks.keys() == _VERDICT_KEYS
                 and _known_checks(checks.values())):
             return False
-        last = None  # witnesses ascend strictly
+        a, b, c = line
+        if (gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0)
+                or a * d + b * n != c * r):
+            return False
+        last = None  # witnesses ascend strictly, each on the line
         for x in witnesses:
             if (type(x) is not list or list(map(type, x)) != _INT3
-                    or last is not None and last >= x):
+                    or last is not None and last >= x
+                    or a * x[1] + b * x[2] != c * x[0]
+                    or r * x[1] == x[0] * d):
                 return False
             last = x
-        a, b, c = line
-        if gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0):
-            return False
         nn, nd = (-a, b) if b > 0 else (a, -b)
         if doc["nu"] != ratio_text(nn, nd):
             return False

@@ -675,26 +675,27 @@ class ChamberReport:
     chambers: List[dict]
 
 
-def _clip_polygon(poly, normal):
-    """Keep the part of a convex polygon with normal . p >= 0, each vertex
-    an integer triple (x, y, z) with z > 0 standing for (x/z, y/z)."""
-    nx, ny = normal
-    fs = [nx * p[0] + ny * p[1] for p in poly]
-    out = []
-    k = len(poly)
-    for i in range(k):
-        p, fp = poly[i], fs[i]
-        if fp >= 0:
-            out.append(p)
-        fq = fs[i + 1 - k]  # the next vertex, wrapping to the first
-        if (fp > 0 > fq) or (fp < 0 < fq):
-            # fp*q - fq*p lies on the line, and with fp > 0 its z is > 0
-            q = poly[i + 1 - k]
-            if fp < 0:
-                fp, fq = -fp, -fq
-            out.append((fp * q[0] - fq * p[0], fp * q[1] - fq * p[1],
-                        fp * q[2] - fq * p[2]))
-    return out
+def _chord(u: tuple, box: tuple) -> list:
+    """The ends of the chord {t*u : t > 0} of the integer box (x0, x1, y0,
+    y1), as triples (X, Y, T) with T > 0 for (X/T, Y/T): each slab cuts t
+    to an interval of (num, den) pairs, compared by cross-multiplying."""
+    lo, hi = (0, 1), None
+    for p, a, b in ((u[0], box[0], box[1]), (u[1], box[2], box[3])):
+        if p == 0:
+            if a > 0 or b < 0:
+                return []
+            continue
+        if p < 0:
+            a, b, p = -b, -a, -p
+        if a * lo[1] > lo[0] * p:
+            lo = (a, p)
+        if hi is None or b * hi[1] < hi[0] * p:
+            hi = (b, p)
+    if hi[0] <= 0 or lo[0] * hi[1] > hi[0] * lo[1]:
+        return []
+    # t = 0 is the centre, no end of the chord
+    ends = [hi] if lo[0] == 0 or lo[0] * hi[1] == hi[0] * lo[1] else [lo, hi]
+    return [(t * u[0], t * u[1], z) for t, z in ends]
 
 
 def _primitive(dx: int, dy: int) -> tuple:
@@ -736,8 +737,8 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
             )
 
     def chamber(i, kind, bounds, meets, bn, bd, wn, wd) -> dict:
-        """The record of chamber i, sampled at (bn/bd, wn/wd), each pair
-        reduced with a positive denominator."""
+        """The record of chamber i, sampled at (bn/bd, wn/wd) with bd and
+        wd > 0; `ratio_text` and `region_at` take unreduced pairs."""
         return {
             "index": i,
             "kind": kind,
@@ -759,50 +760,64 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
             chamber(0, "window", [], True, *_pair(b), *_pair(w))])
 
     if r != 0:
+        # each line's upper-half direction, then its negation: records
+        # ascend in slope, so the sort merges a few ascending runs
         rays = []
-        for A, B, _ in lines:
-            u = _primitive(B, -A)
-            rays.append(u)
-            rays.append((-u[0], -u[1]))
+        for A, B, C in lines:
+            if A * d + B * n != C * r:
+                raise MixedOwnership(
+                    f"line {(A, B, C)} misses the projection of {v}")
+            rays.append(_primitive(-B, A) if A else (1, 0))
+        rays += [(-x, -y) for x, y in rays]
         rays.sort(key=_ray_sort_key)
-        # the window corners relative to the centre (d/r, n/r), as triples
-        # (x, y, z) with z > 0 standing for (x/z, y/z)
+        # the window relative to the centre (d/r, n/r), times D = |r|*m:
+        # the integer box (x0, x1, y0, y1) with corners (x, y, 1)
         s = 1 if r > 0 else -1
-        corners = []
-        for b, w in window.corners():
-            (bn, bd), (wn, wd) = _pair(b), _pair(w)
-            corners.append((s * (bn * r - d * bd) * wd,
-                            s * (wn * r - n * wd) * bd, abs(r) * bd * wd))
+        m = lcm(window.b_min.denominator, window.b_max.denominator,
+                window.w_min.denominator, window.w_max.denominator)
+        box = tuple(abs(r) * q.numerator * (m // q.denominator) - s * e * m
+                    for q, e in ((window.b_min, d), (window.b_max, d),
+                                 (window.w_min, n), (window.w_max, n)))
+        corners = [(x, y, 1) for x in box[:2] for y in box[2:]]
+        centre_in = box[0] <= 0 <= box[1] and box[2] <= 0 <= box[3]
+        chords = [_chord(u, box) for u in rays]
+        # sides[i][c] = cross(rays[i], corners[c])
+        sides = [[x * q[1] - y * q[0] for q in corners] for x, y in rays]
+        size = abs(r) * m  # D
         chambers = []
         k = len(rays)
         for i in range(k):
-            u = rays[i]
-            u2 = rays[(i + 1) % k]
-            # one line (k == 2) leaves u2 = -u: the sector is the
-            # half-plane on the left of u, which both cuts below give
-            interior = ((-u[1], u[0]) if k == 2
-                        else (u[0] + u2[0], u[1] + u2[1]))
-            poly = corners
-            # wedge = {p : cross(u, p-c) > 0 and cross(p-c, u2) > 0}
-            for normal in ((-u[1], u[0]), (u2[1], -u2[0])):
-                poly = _clip_polygon(poly, normal)
-            # a clipped polygon of nonzero area has distinct vertices, so
-            # its area is nonzero when one lies off the line through the
-            # first two
-            meets = any(det3((poly[0], poly[1], p)) for p in poly[2:])
+            j = (i + 1) % k
+            u, u2 = rays[i], rays[j]
+            # the vertices of the window cut to the closed sector: its rays'
+            # chord ends, the corners strictly inside, and the centre when
+            # it is the apex or ends a half-plane's boundary chord
+            pts = chords[i] + chords[j] + [
+                q for q, a, b in zip(corners, sides[i], sides[j])
+                if a > 0 > b]
+            if centre_in and (u[0] * u2[1] > u[1] * u2[0]
+                              or not chords[i] or not chords[j]):
+                pts.append((0, 0, 1))
+            # the cut has nonzero area when a point lies off the line
+            # through the first two (distinct) ones
+            meets = any(det3((pts[0], pts[1], p)) for p in pts[2:])
             if meets:
                 # the vertex average over one common denominator
-                den = lcm(*(z for _, _, z in poly))
-                sx = sum(x * (den // z) for x, _, z in poly)
-                sy = sum(y * (den // z) for _, y, z in poly)
-                den *= len(poly)
+                den = lcm(*(z for _, _, z in pts))
+                sx = sum(x * (den // z) for x, _, z in pts)
+                sy = sum(y * (den // z) for _, y, z in pts)
+                den *= len(pts)
             else:
-                (sx, sy), den = interior, 1
-            # the sample (d/r + sx/den, n/r + sy/den) over |r|*den
+                # the centre plus an inner direction; one line (k == 2)
+                # leaves u2 = -u, the half-plane on the left of u
+                ix, iy = ((-u[1], u[0]) if k == 2
+                          else (u[0] + u2[0], u[1] + u2[1]))
+                sx, sy, den = ix * size, iy * size, 1
+            # the sample (d/r + sx/(den*D), n/r + sy/(den*D))
             chambers.append(chamber(
                 i, "sector", [list(u), list(u2)], meets,
-                *_reduced(s * (d * den + r * sx), abs(r) * den),
-                *_reduced(s * (n * den + r * sy), abs(r) * den)))
+                s * d * m * den + sx, size * den,
+                s * n * m * den + sy, size * den))
         return ChamberReport(v, "pencil", center, chambers)
 
     # rank zero: parallel strips

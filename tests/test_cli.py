@@ -494,7 +494,7 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
 #: mostly to the first record; before the records were checked,
 #: "segment-three-points" made `walls --format csv|text` exit 2, and
 #: "line-doubled", "extra-key", "nu-integer" and "records-reordered"
-#: were printed by `walls --format json` as they stood.  The last four
+#: were printed by `walls --format json` as they stood.  The last five
 #: are records that the enumerator never writes but that the check
 #: once accepted
 MALFORMED = {
@@ -522,6 +522,9 @@ MALFORMED = {
         1, recs[0]["segment"][0]),
     "line-vertical": lambda recs: recs[-1].update(
         line=[1, 0, 1], nu="inf", segment=[["1", "1"], ["1", "2"]]),
+    # (0, 1, -4) on 8*b + 2*w = 13 replaced by (0, 1, 5), off that line
+    "destabilizer-off-line": lambda recs: recs[0].update(
+        destabilizers=[[0, 1, 5]]),
 }
 MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
                   "--rank-bound", "1"]
@@ -802,6 +805,31 @@ def test_chambers_command_builds_no_chamber_objects(tmp_path, monkeypatch):
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == GOLDEN_CHAMBERS_JSON_SHA256)
     assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+#: sha256 of the stdout of two `chambers` commands of the warm-cache
+#: benchmark at rank bound 1 with the default window: the projection
+#: (2, 0) of (2, 4, 0) lies below the window, so 65 of its 132 sectors miss
+#: it; (2, 3, 2) is read against the Mercat model
+GOLDEN_WARM_CHAMBERS_SHA256 = {
+    ("2,4,0", "2", "general", "json"):
+        "319e0ea0f31c19ab17d62a102f5cbe01812283b7a06f1fd1aba38a8b759da04d",
+    ("2,3,2", "5", "mercat", "text"):
+        "ff9a59b7449d478ccde6f0c042dd93cae75fa0faed62725f416c5e0337b64f34",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WARM_CHAMBERS_SHA256))
+def test_warm_chambers_golden_digest(case, tmp_path):
+    cls, genus, model, fmt = case
+    argv = ["chambers", "--class", cls, "--genus", genus, "--model", model,
+            "--rank-bound", "1", "--format", fmt,
+            "--cache-dir", str(tmp_path / "cache")]
+    for _ in range(2):  # cold, then a cache hit
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == GOLDEN_WARM_CHAMBERS_SHA256[case])
 
 
 #: one fixed argv per command; `plot` also takes `--out <path>`

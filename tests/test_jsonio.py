@@ -173,6 +173,28 @@ def test_validator_accepts_witnesses_only_as_written(witnesses):
         json.dumps(witnesses) == json.dumps(records[1]["destabilizers"]))
 
 
+#: edits to the first record of (2, 3, 1), 12*b + 2*w = 19 through the
+#: projection (3/2, 1/2) with the witness (0, 1, -6), that keep every
+#: other rule of the check: a witness off that line, and the parallel line
+#: 12*b + 2*w = 21 (its segment moved with it), which (0, 1, -6) still
+#: satisfies but which misses the projection
+OFF_LINE = {
+    "witness-off-line": {"destabilizers": [[0, 1, 5]]},
+    "line-off-centre": {"line": [12, 2, 21],
+                        "segment": [["1/4", "9"], ["1", "9/2"]]},
+}
+
+
+@pytest.mark.parametrize("edit", sorted(OFF_LINE))
+def test_validator_refuses_a_witness_whose_wall_is_not_the_line(edit):
+    v, records = _records((2, 3, 1), "general")
+    assert records[0]["destabilizers"] == [[0, 1, -6]]
+    mutated = copy.deepcopy(records)
+    mutated[0].update(OFF_LINE[edit])
+    assert walls_to_json(walls_from_json(mutated)) == mutated  # decodes
+    assert not wall_records_valid(mutated, v)
+
+
 #: near-valid replacements for a value of each JSON type
 TWEAKS = {
     str: ["+1", "01", "2/4", "1/1", "-0", "1/0", "inf", "Pass ", "pass",

@@ -22,7 +22,7 @@ from cswalls.errors import (
 )
 from cswalls.jsonio import (chamber_report_to_json, dumps,
                             dumps_chamber_report, walls_from_json)
-from cswalls.lattice import NumClass, project
+from cswalls.lattice import NumClass, det3, project
 from cswalls.walls import (
     EVERYWHERE_EQUAL,
     NO_WALL,
@@ -1099,3 +1099,128 @@ def test_chamber_oracle_reports_golden_digest():
         for *_, rep in _chamber_cases(name):
             h.update(json.dumps(chamber_report_to_json(rep)).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_CHAMBERS_SHA256
+
+
+def test_chambers_refuse_a_line_off_the_projection():
+    # 1*b + 1*w = 100 misses (3/2, 1/2); it used to be read as the line of
+    # its direction through that point
+    v = NumClass(2, 3, 1)
+    with pytest.raises(MixedOwnership):
+        chamber_decomposition(v, [{"owner": [2, 3, 1], "line": [1, 1, 100]}],
+                              STD_WINDOW, make_model("general", 2))
+
+
+# ---------------------------------------------------------------------------
+# the pencil sectors against a reference: the window clipped to each closed
+# sector, as `chamber_decomposition` once computed them
+
+
+def _clip_polygon(poly, normal):
+    """Keep the part of a convex polygon with normal . p >= 0, each vertex
+    an integer triple (x, y, z) with z > 0 standing for (x/z, y/z)."""
+    nx, ny = normal
+    fs = [nx * p[0] + ny * p[1] for p in poly]
+    out = []
+    k = len(poly)
+    for i in range(k):
+        p, fp = poly[i], fs[i]
+        if fp >= 0:
+            out.append(p)
+        fq = fs[i + 1 - k]  # the next vertex, wrapping to the first
+        if (fp > 0 > fq) or (fp < 0 < fq):
+            # fp*q - fq*p lies on the line, and with fp > 0 its z is > 0
+            q = poly[i + 1 - k]
+            if fp < 0:
+                fp, fq = -fp, -fq
+            out.append((fp * q[0] - fq * p[0], fp * q[1] - fq * p[1],
+                        fp * q[2] - fq * p[2]))
+    return out
+
+
+def _reference_sectors(v, lines, win, model):
+    """The sector records of v for distinct lines through its projection:
+    each sector's sample is the vertex average of the window clipped to
+    the closed sector when that has nonzero area, else the centre plus an
+    inner direction."""
+    from cswalls.walls import _ray_sort_key
+
+    r, d, n = v.as_tuple()
+    rays = []
+    for A, B, _ in lines:
+        g = gcd(A, B)
+        rays += [(B // g, -A // g), (-B // g, A // g)]
+    rays.sort(key=_ray_sort_key)
+    s = 1 if r > 0 else -1
+    corners = []
+    for b, w in win.corners():
+        corners.append((s * (b.numerator * r - d * b.denominator)
+                        * w.denominator,
+                        s * (w.numerator * r - n * w.denominator)
+                        * b.denominator,
+                        abs(r) * b.denominator * w.denominator))
+    out = []
+    k = len(rays)
+    for i in range(k):
+        u, u2 = rays[i], rays[(i + 1) % k]
+        poly = corners
+        for normal in ((-u[1], u[0]), (u2[1], -u2[0])):
+            poly = _clip_polygon(poly, normal)
+        meets = any(det3((poly[0], poly[1], p)) for p in poly[2:])
+        if meets:
+            sx = sum(F(x, z) for x, _, z in poly) / len(poly)
+            sy = sum(F(y, z) for _, y, z in poly) / len(poly)
+        else:
+            sx, sy = ((-u[1], u[0]) if k == 2
+                      else (u[0] + u2[0], u[1] + u2[1]))
+        b, w = F(d, r) + sx, F(n, r) + sy
+        out.append({
+            "index": i, "kind": "sector", "bounds": [list(u), list(u2)],
+            "meets_window": meets, "sample": [str(b), str(w)],
+            "region": None if model is None else region_uc((b, w),
+                                                           model).value})
+    return out
+
+
+#: window edges as offsets from the projection: 0 puts the projection on
+#: that edge
+OFFSETS = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def pencil_cases(draw):
+    """(v, records, window, model): lines (A*r, B*r, A*d + B*n) through the
+    projection of v, normalized, horizontal ones included; a window with
+    the projection inside, outside, on an edge or on a corner."""
+    v = NumClass(draw(st.integers(-3, 3).filter(bool)),
+                 draw(st.integers(-5, 5)), draw(st.integers(-5, 5)))
+    r, d, n = v.as_tuple()
+    normals = draw(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+        min_size=1, max_size=5))
+    lines = dict.fromkeys(RationalLine(A * r, B * r, A * d + B * n).as_tuple()
+                          for A, B in normals)
+    b0, b1 = sorted(draw(st.lists(OFFSETS, min_size=2, max_size=2,
+                                  unique=True)))
+    w0, w1 = sorted(draw(st.lists(OFFSETS, min_size=2, max_size=2,
+                                  unique=True)))
+    b, w = project(v)
+    win = Window(b + b0, b + b1, w + w0, w + w1)
+    model = draw(st.sampled_from([None, make_model("general", 2)]))
+    return v, [{"owner": [r, d, n], "line": list(x)} for x in lines], win, model
+
+
+@settings(max_examples=400, deadline=None)
+@given(pencil_cases())
+# one line: two half-planes, the projection on the window's edge
+@example((NumClass(2, 3, 1), [{"owner": [2, 3, 1], "line": [1, 1, 2]}],
+          Window(F(3, 2), 3, -1, 2), None))
+# a ray through the window's corner (3, 2), the projection outside
+@example((NumClass(1, 0, 0), [{"owner": [1, 0, 0], "line": [2, -3, 0]},
+                              {"owner": [1, 0, 0], "line": [0, 1, 0]}],
+          Window(1, 3, 1, 2), None))
+def test_pencil_sectors_match_the_clipped_window(case):
+    v, records, win, model = case
+    lines = [tuple(rec["line"]) for rec in records]
+    rep = chamber_decomposition(v, records, win, model)
+    assert rep.kind == "pencil"
+    assert rep.chambers == _reference_sectors(v, lines, win, model)
