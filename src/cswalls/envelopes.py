@@ -167,6 +167,12 @@ class PLFunction:
         knots.extend((x, v * m) for x, v in points)
         return m, parts, tuple(dict.fromkeys(knots)), points
 
+    @cached_property
+    def knot_xs(self) -> list:
+        """The breakpoints, then the point overrides, each x times m."""
+        _, parts, _, points = self.scaled
+        return [part[0] for part in parts[1:]] + [x for x, _ in points]
+
 
 def _probes(f: PLFunction, g_fn: PLFunction) -> list:
     """The breakpoints and overrides of both functions (ascending), one

@@ -729,6 +729,17 @@ GOLDEN_WALLS_RANK_8_SHA256 = {
 }
 
 
+#: the same at rank bound 16: 1,153 walls (g=2 general) and 971 (g=5
+#: mercat), where most of a run is the per-line work that the two-process
+#: split shares out
+GOLDEN_WALLS_RANK_16_SHA256 = {
+    ("2,3,1", "2", "general"):
+        "87d90205b9d9beb8ea63b502ed4ffed7e934474011d0a121bebc1d57643f25bf",
+    ("2,3,1", "5", "mercat"):
+        "fb4bd22ff4788abd54f23cd9717736cfc1e695cc65c0460552dc226b839de899",
+}
+
+
 def _walls_json_digest(case, rank_bound):
     cls, genus, model = case
     code, out, _ = invoke(["walls", "--class", cls, "--genus", genus,
@@ -747,6 +758,12 @@ def test_walls_json_golden_digest(case):
 def test_walls_json_golden_digest_rank_bound_8(case):
     assert (_walls_json_digest(case, "8")
             == GOLDEN_WALLS_RANK_8_SHA256[case])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WALLS_RANK_16_SHA256))
+def test_walls_json_golden_digest_rank_bound_16(case):
+    assert (_walls_json_digest(case, "16")
+            == GOLDEN_WALLS_RANK_16_SHA256[case])
 
 
 def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
+import threading
 from fractions import Fraction as F
 from math import gcd
 from types import SimpleNamespace
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cswalls.charges import PlanePoint, nu
 from cswalls.envelopes import (PLFunction, RegionVerdict, _lower_pl,
-                                make_model, region_uc)
+                                make_model, model_from_json, region_uc)
 from cswalls.errors import (
     DomainError,
     MixedOwnership,
@@ -264,14 +266,17 @@ def test_find_delta_returns_the_first_certifying_halving(case):
        st.fractions(min_value=F(1, 50), max_value=40, max_denominator=50),
        st.tuples(*[st.integers(-60, 60)] * 3))
 def test_negative_q_matches_support_form_value(b0, w0, delta, rdn):
-    from cswalls.walls import _negative_q_core
+    from cswalls.walls import _q_nonnegative
 
     v = NumClass(*rdn)
     expected = support_form_value(v, SupportForm(b0, w0, delta)) < 0
-    negative = _negative_q_core(b0.numerator, b0.denominator, w0.numerator,
-                                w0.denominator, delta.numerator,
-                                delta.denominator)
-    assert negative(*rdn) == expected
+    form = (b0.numerator, b0.denominator, w0.numerator, w0.denominator,
+            delta.numerator, delta.denominator)
+    # as the owner, and as a candidate of the zero class, whose complement
+    # -v has the same Q
+    assert (_q_nonnegative(rdn, [], *form) is None) == expected
+    assert _q_nonnegative((0, 0, 0), [rdn], *form) == (
+        [] if expected else [rdn])
 
 
 def test_ray_sort_key_is_exact_for_big_integer_rays():
@@ -619,10 +624,10 @@ def line_window_model(draw):
 @example((RationalLine(0, 1, 0), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
 @example((RationalLine(0, 1, 2), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
 def test_integer_clip_and_carve_agree_with_fractions(case):
-    from cswalls.walls import _carve, _clip
+    from cswalls.walls import _box, _carve, _clip
 
     line, win, model = case
-    clipped = _clip(line.as_tuple(), win)
+    clipped = _clip(line.as_tuple(), _box(win))
     if clipped is None:
         # the line misses the closed box: every corner strictly on one side
         sides = {line.value_at(b, w) > 0 for b, w in win.corners()}
@@ -840,6 +845,101 @@ def test_integer_candidates_match_the_fraction_reference(case):
     for (rp, dp, np_), ((ln, ld), (hn, hd)) in got:
         assert isinstance(np_, int) and ld > 0 and hd > 0
         assert gcd(ln, ld) == 1 and gcd(hn, hd) == 1
+
+
+# ---------------------------------------------------------------------------
+# the two-process split: above `_SPLIT_GROUPS` groups, `enumerate_walls`
+# deals every other line to one forked child
+
+
+def _split_cases():
+    """(class, genus, window, rank bound, model): ranks -2 to 3 under six
+    models, rank bounds 1-3, two windows."""
+    from test_cli import JUMP_MODEL
+
+    models = [(2, make_model("general", 2)), (3, make_model("general", 3)),
+              (4, make_model("mercat", 4)), (5, make_model("mercat", 5)),
+              (1, make_model("elliptic", 1)),
+              (2, model_from_json(JUMP_MODEL, 2))]
+    classes = [NumClass(-2, 1, 1), NumClass(-1, 2, 0), NumClass(0, 3, 1),
+               NumClass(1, -1, 1), NumClass(2, 3, 1), NumClass(3, 2, 2)]
+    windows = [STD_WINDOW, Window(F(-4), F(4), F(1, 4), F(8))]
+    for i, (g, model) in enumerate(models):
+        for j, v in enumerate(classes):
+            yield v, g, windows[(i + j) % 2], 1 + (i + j) % 3, model
+
+
+def _counting_fork(monkeypatch) -> list:
+    """Patch `os.fork` to record, in the returned list, each child pid."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_split_enumeration_is_exact_and_reaps_its_child(monkeypatch):
+    import cswalls.walls as walls
+
+    forks = _counting_fork(monkeypatch)
+    for case in _split_cases():
+        monkeypatch.setattr(walls, "_SPLIT_GROUPS", float("inf"))
+        serial = enumerate_walls(*case)
+        assert forks == []
+        monkeypatch.setattr(walls, "_SPLIT_GROUPS", 0)
+        assert enumerate_walls(*case) == serial
+        assert len(forks) == 1
+        forks.clear()
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", ["fork fails", "child raises",
+                                   "second thread"])
+def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
+    import cswalls.walls as walls
+
+    case = (NumClass(2, 3, 1), 2, STD_WINDOW, 3, make_model("general", 2))
+    monkeypatch.setattr(walls, "_SPLIT_GROUPS", float("inf"))
+    serial = enumerate_walls(*case)
+    monkeypatch.setattr(walls, "_SPLIT_GROUPS", 0)
+    forks = _counting_fork(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if fault == "child raises":
+        # the child decides nothing, and this process decides its lines
+        pid, line_wall = os.getpid(), walls._line_wall
+
+        def kernel(*args):
+            if os.getpid() != pid:
+                raise RuntimeError("the child's kernel fails")
+            return line_wall(*args)
+
+        monkeypatch.setattr(walls, "_line_wall", kernel)
+    else:
+        def fork():
+            if fault == "second thread":
+                raise AssertionError("forked beside a second thread")
+            raise OSError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+        if fault == "second thread":
+            thread.start()
+    try:
+        assert enumerate_walls(*case) == serial
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == (fault == "child raises")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,6 +1208,15 @@ def test_chambers_refuse_a_line_off_the_projection():
     with pytest.raises(MixedOwnership):
         chamber_decomposition(v, [{"owner": [2, 3, 1], "line": [1, 1, 100]}],
                               STD_WINDOW, make_model("general", 2))
+
+
+def test_chambers_refuse_a_rank_zero_line_off_the_class():
+    # every wall of (0, 1, 0) runs along (1, 0); b + w = 3 used to bound
+    # two strips
+    with pytest.raises(MixedOwnership):
+        chamber_decomposition(NumClass(0, 1, 0),
+                              [{"owner": [0, 1, 0], "line": [1, 1, 3]}],
+                              Window(-3, 3, 1, 6))
 
 
 # ---------------------------------------------------------------------------
