@@ -107,14 +107,6 @@ class Window:
                 f"x[{self.w_min},{self.w_max}]"
             )
 
-    def corners(self) -> tuple:
-        return (
-            (self.b_min, self.w_min),
-            (self.b_max, self.w_min),
-            (self.b_max, self.w_max),
-            (self.b_min, self.w_max),
-        )
-
     def contains(self, p: PlanePoint) -> bool:
         return (
             self.b_min <= p.b <= self.b_max
@@ -315,10 +307,6 @@ class Wall:
 # ---------------------------------------------------------------------------
 # wall enumeration in integers: a b-value is a pair (num, den) with den > 0,
 # pairs compare by cross-multiplication, and a line is its (A, B, C) tuple
-
-
-def _pair(x: Fraction) -> tuple:
-    return x.numerator, x.denominator
 
 
 def _reduced(num: int, den: int) -> tuple:
@@ -578,10 +566,18 @@ def line_cmp(p, q) -> int:
 _line_sort_key = cmp_to_key(line_cmp)
 
 
+def _scaled(window: Window) -> tuple:
+    """The window over one denominator m > 0: the integers (m, b_min*m,
+    b_max*m, w_min*m, w_max*m)."""
+    ends = (window.b_min, window.b_max, window.w_min, window.w_max)
+    m = lcm(*(x.denominator for x in ends))
+    return (m, *(x.numerator * (m // x.denominator) for x in ends))
+
+
 def _box(window: Window) -> tuple:
-    """The window as the pairs (b_min, b_max, w_min, w_max)."""
-    w = window
-    return tuple(map(_pair, (w.b_min, w.b_max, w.w_min, w.w_max)))
+    """The window's ends (b_min, b_max, w_min, w_max) as `_scaled`'s (x, m)."""
+    m, *ends = _scaled(window)
+    return tuple((x, m) for x in ends)
 
 
 def _clip(line: tuple, box: tuple):
@@ -810,12 +806,19 @@ def _ccw(p: tuple, q: tuple) -> int:
 _ray_sort_key = cmp_to_key(_ccw)
 
 
+#: order of pairs (num, den) with den > 0 by value, cross-multiplied
+_ratio_sort_key = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
 def chamber_decomposition(v: NumClass, records: Sequence[dict],
                           window: Window,
                           model: Optional[BNModel] = None) -> ChamberReport:
     """Chambers cut out by the given walls of v, given as the records that
-    `enumerate_walls` returns; only each record's "owner" and its
-    normalized integer "line" are read.
+    `enumerate_walls` returns; only each record's "owner" and its integer
+    "line" are read.  A line that is not normalized ((A, B) != (0, 0),
+    gcd 1, the first nonzero of (A, B) positive) raises DomainError; one
+    that is not a wall of v, and any line for the zero class, raises
+    MixedOwnership.
 
     Nonzero rank: the angular sectors around the projection of v in
     circular order; rank zero: parallel strips ordered by intercept.
@@ -847,17 +850,20 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
     lines = list(dict.fromkeys(tuple(rec["line"]) for rec in records))
     r, d, n = v.r, v.d, v.n
     # every wall of v passes through its projection (d/r, n/r); at rank
-    # zero this says that every wall runs along the direction (d, n)
+    # zero this says that every wall runs along the direction (d, n), and
+    # the zero class has none
     for A, B, C in lines:
-        if A * d + B * n != C * r:
+        if (A, B) == (0, 0) or _normal(A, B, C) != (A, B, C):
+            raise DomainError(f"line {(A, B, C)} is not normalized")
+        if A * d + B * n != C * r or not (r or d or n):
             raise MixedOwnership(f"line {(A, B, C)} is not a wall of {v}")
     center = [ratio_text(d, r), ratio_text(n, r)] if r else None
+    # the window is [x0/m, x1/m] x [y0/m, y1/m]
+    m, x0, x1, y0, y1 = _scaled(window)
 
     if not lines:
-        b = (window.b_min + window.b_max) / 2
-        w = (window.w_min + window.w_max) / 2
         return ChamberReport(v, "window", center, [
-            chamber(0, "window", [], True, *_pair(b), *_pair(w))])
+            chamber(0, "window", [], True, x0 + x1, 2 * m, y0 + y1, 2 * m)])
 
     if r != 0:
         # each line's upper-half direction, then its negation: records
@@ -866,13 +872,10 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
         rays += [(-x, -y) for x, y in rays]
         rays.sort(key=_ray_sort_key)
         # the window relative to the centre (d/r, n/r), times D = |r|*m:
-        # the integer box (x0, x1, y0, y1) with corners (x, y, 1)
+        # an integer box (as `_chord` reads it) with corners (x, y, 1)
         s = 1 if r > 0 else -1
-        m = lcm(window.b_min.denominator, window.b_max.denominator,
-                window.w_min.denominator, window.w_max.denominator)
-        box = tuple(abs(r) * q.numerator * (m // q.denominator) - s * e * m
-                    for q, e in ((window.b_min, d), (window.b_max, d),
-                                 (window.w_min, n), (window.w_max, n)))
+        box = tuple(abs(r) * x - s * e * m
+                    for x, e in ((x0, d), (x1, d), (y0, n), (y1, n)))
         corners = [(x, y, 1) for x in box[:2] for y in box[2:]]
         centre_in = box[0] <= 0 <= box[1] and box[2] <= 0 <= box[3]
         chords = [_chord(u, box) for u in rays]
@@ -915,49 +918,43 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
                 s * n * m * den + sy, size * den))
         return ChamberReport(v, "pencil", center, chambers)
 
-    # rank zero: parallel strips
-    prim = _primitive(*lines[0][:2])
-    intercepts = []
-    for A, B, C in lines:
-        # a normalized parallel line has (A, B) = gcd(A, B) * prim
-        scale = gcd(A, B)
-        if (A // scale, B // scale) != prim:
-            raise MixedOwnership(
-                f"line {(A, B, C)} is not parallel to the family"
-            )
-        intercepts.append(Fraction(C, scale))
-    intercepts = sorted(set(intercepts))
-    corner_vals = [
-        (prim[0] * b + prim[1] * w, (b, w)) for b, w in window.corners()
-    ]
-    l_min, c_min = min(corner_vals)
-    l_max, c_max = max(corner_vals)
-    bounds_seq = [None] + intercepts + [None]
+    # rank zero: the walls (k*p, C), k > 0, of v are the lines p.(b, w) =
+    # C/k, and the window's corners have p-values X/m
+    p = _normal(n, -d, 0)[:2]
+    cuts = sorted(((C, gcd(A, B)) for A, B, C in lines), key=_ratio_sort_key)
+    # the lowest corner in p, the least (b, w) at its value, and the
+    # highest, the greatest (b, w) at its value
+    corners = sorted((p[0] * x + p[1] * y, x, y)
+                     for x in (x0, x1) for y in (y0, y1))
+    (l_min, *c_min), (l_max, *c_max) = corners[0], corners[-1]
+    lo, hi = (l_min, m), (l_max, m)
+    ends = [None] + cuts + [None]
     chambers = []
-    for i in range(len(intercepts) + 1):
-        t_lo, t_hi = bounds_seq[i], bounds_seq[i + 1]
-        o_lo = l_min if t_lo is None else max(t_lo, l_min)
-        o_hi = l_max if t_hi is None else min(t_hi, l_max)
-        meets = o_lo < o_hi
+    for i in range(len(cuts) + 1):
+        t_lo, t_hi = ends[i], ends[i + 1]
+        o_lo = lo if t_lo is None else max(t_lo, lo, key=_ratio_sort_key)
+        o_hi = hi if t_hi is None else min(t_hi, hi, key=_ratio_sort_key)
+        meets = o_lo[0] * o_hi[1] < o_hi[0] * o_lo[1]
         if meets:
-            t_star = (o_lo + o_hi) / 2
-            lam = (t_star - l_min) / (l_max - l_min)
-            b = c_min[0] + lam * (c_max[0] - c_min[0])
-            w = c_min[1] + lam * (c_max[1] - c_min[1])
+            # on the diagonal from the lowest corner to the highest
+            base = (2 * c_min[0], 2 * c_min[1])
+            step = (c_max[0] - c_min[0], c_max[1] - c_min[1])
         else:
-            t_star = (
-                intercepts[0] - 1 if t_lo is None
-                else (intercepts[-1] + 1 if t_hi is None
-                      else (t_lo + t_hi) / 2)
-            )
-            norm2 = Fraction(prim[0] ** 2 + prim[1] ** 2)
-            cb = (window.b_min + window.b_max) / 2
-            cw = (window.w_min + window.w_max) / 2
-            mu = (t_star - (prim[0] * cb + prim[1] * cw)) / norm2
-            b, w = cb + mu * prim[0], cw + mu * prim[1]
-        bounds = [None if t is None else str(t) for t in (t_lo, t_hi)]
-        chambers.append(chamber(i, "strip", bounds, meets, *_pair(b),
-                                *_pair(w)))
+            # on the strip's middle line nearest the window centre; an
+            # outermost strip is cut two units beyond its one wall
+            o_lo = t_lo or (t_hi[0] - 2 * t_hi[1], t_hi[1])
+            o_hi = t_hi or (t_lo[0] + 2 * t_lo[1], t_lo[1])
+            base, step = (x0 + x1, y0 + y1), p
+        # the sample (base + lam*step)/2m at the middle t of the overlap,
+        # or of the strip: p.sample = t gives lam = num/den with den > 0
+        (a, e), (c, f) = o_lo, o_hi
+        num = m * (a * f + c * e) - e * f * (p[0] * base[0] + p[1] * base[1])
+        den = e * f * (p[0] * step[0] + p[1] * step[1])
+        bounds = [None if t is None else ratio_text(*t) for t in (t_lo, t_hi)]
+        chambers.append(chamber(
+            i, "strip", bounds, meets,
+            base[0] * den + num * step[0], 2 * m * den,
+            base[1] * den + num * step[1], 2 * m * den))
     return ChamberReport(v, "strips", None, chambers)
 
 

@@ -795,13 +795,22 @@ def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
     assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
-#: sha256 of `chambers --class 2,3,1 --genus 2 --model general
-#: --rank-bound 3 --format json` with the default window
-GOLDEN_CHAMBERS_JSON_SHA256 = (
-    "13222c137420e2d766a9e32c5cb4443059f14995690546f47678b50c781de430")
+#: sha256 of `chambers --class <class> --genus 2 --model general
+#: --rank-bound 3 --format json` with the default window: a pencil, strips,
+#: and the one window chamber of the zero-rank class with no walls
+GOLDEN_CHAMBERS_JSON_SHA256 = {
+    "2,3,1":
+        "13222c137420e2d766a9e32c5cb4443059f14995690546f47678b50c781de430",
+    "0,4,1":
+        "c2c36472b90f8159ab144d847d844aef0db82c6ab266a8ae75ee5a594b0e4453",
+    "0,0,1":
+        "3f0397cb27cc975a20b12db0eaeb6711e3f7e2245aca61b490ab727c0a71f731",
+}
 
 
-def test_chambers_command_builds_no_chamber_objects(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cls", list(GOLDEN_CHAMBERS_JSON_SHA256))
+def test_chambers_command_builds_no_chamber_objects(cls, tmp_path,
+                                                    monkeypatch):
     # the decomposition writes chamber records from its integer samples,
     # and the report writer, not the generic `dumps`, prints them
     import cswalls.cli as cli
@@ -813,30 +822,35 @@ def test_chambers_command_builds_no_chamber_objects(tmp_path, monkeypatch):
     for module, name in ((walls, "Fraction"), (walls, "PlanePoint"),
                          (cli, "dumps")):
         monkeypatch.setattr(module, name, refuse)
-    argv = ["chambers", "--class", "2,3,1", "--genus", "2", "--model",
+    argv = ["chambers", "--class", cls, "--genus", "2", "--model",
             "general", "--rank-bound", "3", "--format", "json",
             "--cache-dir", str(tmp_path / "cache")]
     for _ in range(2):  # cold, then a cache hit
         code, out, err = invoke(argv)
         assert (code, err) == (0, "")
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == GOLDEN_CHAMBERS_JSON_SHA256)
+                == GOLDEN_CHAMBERS_JSON_SHA256[cls])
     assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
-#: sha256 of the stdout of two `chambers` commands of the warm-cache
+#: sha256 of the stdout of four `chambers` commands of the warm-cache
 #: benchmark at rank bound 1 with the default window: the projection
 #: (2, 0) of (2, 4, 0) lies below the window, so 65 of its 132 sectors miss
-#: it; (2, 3, 2) is read against the Mercat model
+#: it; (2, 3, 2) is read against the Mercat model; (0, 4, 1) and (0, 3, 2)
+#: are cut into strips
 GOLDEN_WARM_CHAMBERS_SHA256 = {
     ("2,4,0", "2", "general", "json"):
         "319e0ea0f31c19ab17d62a102f5cbe01812283b7a06f1fd1aba38a8b759da04d",
     ("2,3,2", "5", "mercat", "text"):
         "ff9a59b7449d478ccde6f0c042dd93cae75fa0faed62725f416c5e0337b64f34",
+    ("0,4,1", "2", "general", "json"):
+        "6a9c2be44a6f52d37c42388584ff5e440ff9934352a7d479421d02a9bc9d3382",
+    ("0,3,2", "5", "mercat", "text"):
+        "24b8604d2a27ae5d6997763286647119fb006d6d1e332b7bf2b0a1c451a9ca8a",
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_WARM_CHAMBERS_SHA256))
+@pytest.mark.parametrize("case", list(GOLDEN_WARM_CHAMBERS_SHA256))
 def test_warm_chambers_golden_digest(case, tmp_path):
     cls, genus, model, fmt = case
     argv = ["chambers", "--class", cls, "--genus", genus, "--model", model,

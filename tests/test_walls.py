@@ -46,6 +46,12 @@ from cswalls.walls import (
 STD_WINDOW = Window(F(-3), F(3), F(1, 2), F(6))
 
 
+def _corners(win):
+    """The window's corners, counterclockwise from (b_min, w_min)."""
+    return ((win.b_min, win.w_min), (win.b_max, win.w_min),
+            (win.b_max, win.w_max), (win.b_min, win.w_max))
+
+
 def rng_class(rng, bound=9):
     return NumClass(rng.randint(-bound, bound), rng.randint(-bound, bound),
                     rng.randint(-bound, bound))
@@ -630,9 +636,9 @@ def test_integer_clip_and_carve_agree_with_fractions(case):
     clipped = _clip(line.as_tuple(), _box(win))
     if clipped is None:
         # the line misses the closed box: every corner strictly on one side
-        sides = {line.value_at(b, w) > 0 for b, w in win.corners()}
+        sides = {line.value_at(b, w) > 0 for b, w in _corners(win)}
         assert len(sides) == 1 and all(
-            line.value_at(b, w) != 0 for b, w in win.corners())
+            line.value_at(b, w) != 0 for b, w in _corners(win))
         return
     lo, hi = F(*clipped[0]), F(*clipped[1])
     for x in (lo, hi):
@@ -1201,22 +1207,30 @@ def test_chamber_oracle_reports_golden_digest():
     assert h.hexdigest() == GOLDEN_CHAMBERS_SHA256
 
 
-def test_chambers_refuse_a_line_off_the_projection():
+@pytest.mark.parametrize("owner, lines, error", [
     # 1*b + 1*w = 100 misses (3/2, 1/2); it used to be read as the line of
     # its direction through that point
-    v = NumClass(2, 3, 1)
-    with pytest.raises(MixedOwnership):
-        chamber_decomposition(v, [{"owner": [2, 3, 1], "line": [1, 1, 100]}],
-                              STD_WINDOW, make_model("general", 2))
-
-
-def test_chambers_refuse_a_rank_zero_line_off_the_class():
+    ((2, 3, 1), [(1, 1, 100)], MixedOwnership),
     # every wall of (0, 1, 0) runs along (1, 0); b + w = 3 used to bound
     # two strips
-    with pytest.raises(MixedOwnership):
-        chamber_decomposition(NumClass(0, 1, 0),
-                              [{"owner": [0, 1, 0], "line": [1, 1, 3]}],
-                              Window(-3, 3, 1, 6))
+    ((0, 1, 0), [(1, 1, 3)], MixedOwnership),
+    # the zero class has no walls; b = 1 used to bound two strips
+    ((0, 0, 0), [(1, 0, 1)], MixedOwnership),
+    # lines that are not normalized: (0, 0, 5) used to end in a
+    # ZeroDivisionError, (0, 0, 0) to give a pencil with the ray (1, 0),
+    # and a multiple of a line to give two zero-width sectors
+    ((0, 1, 0), [(0, 0, 5)], DomainError),
+    ((2, 3, 1), [(0, 0, 0)], DomainError),
+    ((2, 3, 1), [(16, 4, 26), (8, 2, 13)], DomainError),
+    ((0, 1, 0), [(0, -1, 3)], DomainError),
+], ids=["off-the-projection", "rank-zero-off-the-class", "zero-class",
+        "zero-normal", "zero-line", "multiple", "negative-normal"])
+def test_chambers_refuse_what_is_not_a_wall(owner, lines, error):
+    records = [{"owner": list(owner), "line": list(x)} for x in lines]
+    for model in (None, make_model("general", 2)):
+        with pytest.raises(error):
+            chamber_decomposition(NumClass(*owner), records, STD_WINDOW,
+                                  model)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,7 +1275,7 @@ def _reference_sectors(v, lines, win, model):
     rays.sort(key=_ray_sort_key)
     s = 1 if r > 0 else -1
     corners = []
-    for b, w in win.corners():
+    for b, w in _corners(win):
         corners.append((s * (b.numerator * r - d * b.denominator)
                         * w.denominator,
                         s * (w.numerator * r - n * w.denominator)
@@ -1333,3 +1347,96 @@ def test_pencil_sectors_match_the_clipped_window(case):
     rep = chamber_decomposition(v, records, win, model)
     assert rep.kind == "pencil"
     assert rep.chambers == _reference_sectors(v, lines, win, model)
+
+
+# ---------------------------------------------------------------------------
+# the rank-zero strips against a reference: the Fraction geometry that
+# `chamber_decomposition` once computed them with
+
+
+def _reference_strips(lines, win, model):
+    """The strip records for distinct normalized parallel lines, ordered by
+    intercept along their primitive normal: a strip that meets the window
+    is sampled on the diagonal from its lowest corner in the normal (the
+    least (b, w) at that value) to its highest (the greatest), at the
+    middle of its overlap with the window; any other on its middle line
+    (one unit beyond an outermost line), at the point nearest the window
+    centre."""
+    g = gcd(*lines[0][:2])
+    prim = (lines[0][0] // g, lines[0][1] // g)
+    intercepts = sorted({F(C, gcd(A, B)) for A, B, C in lines})
+    corner_vals = [(prim[0] * b + prim[1] * w, (b, w))
+                   for b, w in _corners(win)]
+    l_min, c_min = min(corner_vals)
+    l_max, c_max = max(corner_vals)
+    bounds_seq = [None] + intercepts + [None]
+    out = []
+    for i in range(len(intercepts) + 1):
+        t_lo, t_hi = bounds_seq[i], bounds_seq[i + 1]
+        o_lo = l_min if t_lo is None else max(t_lo, l_min)
+        o_hi = l_max if t_hi is None else min(t_hi, l_max)
+        meets = o_lo < o_hi
+        if meets:
+            lam = ((o_lo + o_hi) / 2 - l_min) / (l_max - l_min)
+            b = c_min[0] + lam * (c_max[0] - c_min[0])
+            w = c_min[1] + lam * (c_max[1] - c_min[1])
+        else:
+            t_star = (intercepts[0] - 1 if t_lo is None
+                      else intercepts[-1] + 1 if t_hi is None
+                      else (t_lo + t_hi) / 2)
+            cb = (win.b_min + win.b_max) / 2
+            cw = (win.w_min + win.w_max) / 2
+            mu = ((t_star - (prim[0] * cb + prim[1] * cw))
+                  / (prim[0] ** 2 + prim[1] ** 2))
+            b, w = cb + mu * prim[0], cw + mu * prim[1]
+        out.append({
+            "index": i, "kind": "strip",
+            "bounds": [None if t is None else str(t) for t in (t_lo, t_hi)],
+            "meets_window": meets, "sample": [str(b), str(w)],
+            "region": None if model is None else region_uc((b, w),
+                                                           model).value})
+    return out
+
+
+#: window ends with denominators up to 7
+STRIP_ENDS = st.fractions(-4, 4, max_denominator=7)
+
+
+@st.composite
+def strip_cases(draw):
+    """(v, records, window, model) at rank zero: one to six normalized
+    walls (k*p, C) of v, p the primitive normal of (d, n), some of them
+    beyond either side of a window with denominators up to 7."""
+    d, n = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+                .filter(any))
+    s = (1 if n > 0 or (n == 0 and d < 0) else -1) * gcd(d, n)
+    p = (n // s, -d // s)
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        C, k = draw(st.integers(-60, 60)), draw(st.integers(1, 4))
+        k, C = k // gcd(k, C), C // gcd(k, C)
+        records.append({"owner": [0, d, n], "line": [k * p[0], k * p[1], C]})
+    b0, b1 = sorted(draw(st.lists(STRIP_ENDS, min_size=2, max_size=2,
+                                  unique=True)))
+    w0, w1 = sorted(draw(st.lists(STRIP_ENDS, min_size=2, max_size=2,
+                                  unique=True)))
+    model = draw(st.sampled_from([None, make_model("general", 2)]))
+    return NumClass(0, d, n), records, Window(b0, b1, w0, w1), model
+
+
+@settings(max_examples=400, deadline=None)
+@given(strip_cases())
+# a horizontal family and a vertical one: two corners tie at the lowest
+# and at the highest value, and the tie-break picks the sample's diagonal
+@example((NumClass(0, 1, 0), [{"owner": [0, 1, 0], "line": [0, 1, 1]},
+                              {"owner": [0, 1, 0], "line": [0, 2, 9]}],
+          Window(F(-1, 2), 3, F(1, 3), 7), None))
+@example((NumClass(0, 0, -2), [{"owner": [0, 0, -2], "line": [1, 0, -1]},
+                               {"owner": [0, 0, -2], "line": [3, 0, 20]}],
+          Window(-2, F(5, 7), -1, 1), make_model("general", 2)))
+def test_strips_match_the_fraction_reference(case):
+    v, records, win, model = case
+    lines = list(dict.fromkeys(tuple(rec["line"]) for rec in records))
+    rep = chamber_decomposition(v, records, win, model)
+    assert rep.kind == "strips"
+    assert rep.chambers == _reference_strips(lines, win, model)
