@@ -62,8 +62,6 @@ from .walls import (  # noqa: F401
     BogomolovVerdict,
     ChamberReport,
     Check,
-    RationalLine,
-    SupportForm,
     Wall,
     Window,
     bogomolov_verdict,

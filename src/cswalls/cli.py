@@ -425,8 +425,7 @@ COMMANDS = {
     "walls": ("enumerate walls of a class", [_CLASS], _walls),
     "chambers": ("chamber decomposition of a class", [_CLASS], _chambers),
     "ray": ("large-volume ray line of a class", [_CLASS, _ALPHA],
-            lambda a, *_: _answer("line",
-                                  ray_line(a.cls, a.alpha).as_tuple())),
+            lambda a, *_: _answer("line", ray_line(a.cls, a.alpha))),
     "feasible": ("Bogomolov-type feasibility verdict", [_CLASS],
                  lambda a, *_: _answer(
                      "verdict", bogomolov_verdict(a.cls, a.genus).value)),

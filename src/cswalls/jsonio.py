@@ -23,8 +23,7 @@ from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
 from .envelopes import BNModel, PLFunction, rat
 from .lattice import NumClass
-from .walls import (ChamberReport, Check, RationalLine, Wall, line_cmp,
-                    ratio_text)
+from .walls import ChamberReport, Check, Wall, line_cmp, ratio_text
 
 
 def unrat(x: Fraction) -> str:
@@ -149,7 +148,7 @@ def wall_to_json(w: Wall) -> dict:
     return {
         "owner": list(w.owner.as_tuple()),
         "destabilizers": [list(d.as_tuple()) for d in w.destabilizers],
-        "line": list(w.line.as_tuple()),
+        "line": list(w.line),
         "nu": slope_text(w.nu_value),
         "segment": [point_to_json(p) for p in w.segment],
         "verdicts": {name: check.value for name, check in w.verdicts},
@@ -163,7 +162,7 @@ def wall_from_json(doc: dict) -> Wall:
     return Wall(
         owner=NumClass(*doc["owner"]),
         destabilizers=tuple(NumClass(*d) for d in doc["destabilizers"]),
-        line=RationalLine(*doc["line"]),
+        line=tuple(doc["line"]),
         nu_value=nu_value,
         segment=seg,
         verdicts=tuple(

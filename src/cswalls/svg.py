@@ -59,8 +59,11 @@ def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
                owner: Optional[NumClass] = None) -> str:
     """Render walls, given as the records that `enumerate_walls` returns
     (optionally with envelopes and the projection marker), to an SVG
-    document; writes to `path` when given and returns the text."""
+    document; writes to `path` when given and returns the text.  An
+    `owner` that is not the records' owner is refused."""
     owners = {tuple(rec["owner"]) for rec in records}
+    if owner is not None:
+        owners.add(owner.as_tuple())
     if len(owners) > 1:
         raise DomainError("walls belong to several classes: "
                           f"{ {NumClass(*o) for o in owners} }")

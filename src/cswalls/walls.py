@@ -60,36 +60,6 @@ NO_WALL = _Sentinel("NoWall")
 
 
 @dataclass(frozen=True)
-class RationalLine:
-    """Line A*b + B*w = C with integer coefficients, gcd 1, and the first
-    nonzero of (A, B) positive."""
-
-    A: int
-    B: int
-    C: int
-
-    def __post_init__(self):
-        if self.A == 0 and self.B == 0:
-            raise DomainError("a line needs (A, B) != (0, 0)")
-        for name, x in zip("ABC", _normal(self.A, self.B, self.C)):
-            object.__setattr__(self, name, x)
-
-    def value_at(self, b: Fraction, w: Fraction) -> Fraction:
-        return self.A * b + self.B * w - self.C
-
-    def w_at(self, b: Fraction) -> Fraction:
-        if self.B == 0:
-            raise DomainError("vertical line has no w(b)")
-        return Fraction(self.C - self.A * b, self.B)
-
-    def contains(self, p: PlanePoint) -> bool:
-        return self.value_at(p.b, p.w) == 0
-
-    def as_tuple(self) -> tuple:
-        return (self.A, self.B, self.C)
-
-
-@dataclass(frozen=True)
 class Window:
     """Closed search rectangle [b_min, b_max] x [w_min, w_max]."""
 
@@ -114,25 +84,14 @@ class Window:
         )
 
 
-@dataclass(frozen=True)
-class SupportForm:
-    """Quadratic form Q(r,d,n) = (d - b0*r)^2/delta + r^2*(w0 - delta) - n*r."""
-
-    b0: Fraction
-    w0: Fraction
-    delta: Fraction
-
-    def __post_init__(self):
-        for name in ("b0", "w0", "delta"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-        if self.delta <= 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-
-
-def support_form_value(v: NumClass, sf: SupportForm) -> Fraction:
-    """Evaluate the support form exactly."""
-    lin = v.d - sf.b0 * v.r
-    return lin * lin / sf.delta + v.r * v.r * (sf.w0 - sf.delta) - v.n * v.r
+def support_form_value(v: NumClass, b0, w0, delta) -> Fraction:
+    """The quadratic form Q(r,d,n) = (d - b0*r)^2/delta + r^2*(w0 - delta)
+    - n*r at v, exactly; delta must be positive."""
+    b0, w0, delta = _frac(b0), _frac(w0), _frac(delta)
+    if delta <= 0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    lin = v.d - b0 * v.r
+    return lin * lin / delta + v.r * v.r * (w0 - delta) - v.n * v.r
 
 
 def delta_certificate(b0, w0, delta, model: BNModel) -> list:
@@ -262,7 +221,8 @@ def wall_line(v: NumClass, v_sub: NumClass):
     """Locus where the slice slopes of v and v_sub agree.
 
     Cross-multiplying the slope equality gives A*b + B*w = C with
-    A = n*r' - n'*r, B = r*d' - r'*d, C = n*d' - n'*d.  Returns
+    A = n*r' - n'*r, B = r*d' - r'*d, C = n*d' - n'*d, returned as the
+    `_normal` triple (A, B, C) that wall records carry.  Returns
     EVERYWHERE_EQUAL for proportional classes (A = B = C = 0) and
     NO_WALL when the slopes are distinct constants (A = B = 0, C != 0).
     """
@@ -271,11 +231,11 @@ def wall_line(v: NumClass, v_sub: NumClass):
     c = v.n * v_sub.d - v_sub.n * v.d
     if a == 0 and b == 0:
         return EVERYWHERE_EQUAL if c == 0 else NO_WALL
-    return RationalLine(a, b, c)
+    return _normal(a, b, c)
 
 
-def ray_line(v: NumClass, alpha) -> RationalLine:
-    """Line of slope -1/alpha through the projection of v."""
+def ray_line(v: NumClass, alpha) -> tuple:
+    """Line of slope -1/alpha through the projection of v, as (A, B, C)."""
     if v.r == 0:
         raise ZeroRank(f"ray needs a nonzero-rank class, got {v}")
     alpha = _frac(alpha)
@@ -284,7 +244,7 @@ def ray_line(v: NumClass, alpha) -> RationalLine:
     p, q = alpha.numerator, alpha.denominator
     # w = -(b - d/r)/alpha + n/r  <=>  b + alpha*w = d/r + alpha*n/r;
     # times q*r with alpha = p/q
-    return RationalLine(q * v.r, p * v.r, q * v.d + p * v.n)
+    return _normal(q * v.r, p * v.r, q * v.d + p * v.n)
 
 
 @dataclass(frozen=True)
@@ -295,7 +255,7 @@ class Wall:
 
     owner: NumClass
     destabilizers: Tuple[NumClass, ...]
-    line: RationalLine
+    line: tuple  # (A, B, C), as `_normal` writes it
     nu_value: object  # Fraction or math.inf
     segment: Tuple[PlanePoint, PlanePoint]
     verdicts: Tuple[Tuple[str, Check], ...]
@@ -346,16 +306,17 @@ def _cut(lo: tuple, hi: tuple, a: int, c: int) -> tuple:
     return lo, hi
 
 
-def _candidates(v: NumClass, window: Window, rank_bound: int):
+def _candidates(v: NumClass, box: tuple, rank_bound: int):
     """Yield ((r', d', n'), Im interval) for the destabilizer classes with
     |r'| <= rank_bound that can carry a genuine wall segment inside the
-    window box (a finite, complete superset; exact clipping happens
-    downstream).  The Im interval is the open b-range where Im Z(v') > 0
-    and Im Z(v - v') > 0, clipped to the window, as a pair of reduced
-    pairs; candidates whose interval is empty are skipped, and so are
-    those with r*d' - r'*d = 0, whose wall line would be vertical."""
+    window box, given by `_box` (a finite, complete superset; exact
+    clipping happens downstream).  The Im interval is the open b-range
+    where Im Z(v') > 0 and Im Z(v - v') > 0, clipped to the window, as a
+    pair of reduced pairs; candidates whose interval is empty are
+    skipped, and so are those with r*d' - r'*d = 0, whose wall line would
+    be vertical."""
     r, d, n = v.r, v.d, v.n
-    blo, bhi, *ws = _box(window)
+    blo, bhi, *ws = box
     # relaxed generation: some b in [flo, fhi] has 0 <= d' - b*r' <= d - b*r
     if r == 0 and d == 0:
         return
@@ -410,8 +371,8 @@ def _candidates(v: NumClass, window: Window, rank_bound: int):
 
 def _q_nonnegative(owner: tuple, cands: list, bn, bd, wn, wd, en, ed):
     """The candidates c of `cands` at which neither Q(c) nor Q(v - c) is
-    negative, Q being support_form_value for SupportForm(b0, w0, delta)
-    with b0 = bn/bd, w0 = wn/wd and delta = en/ed (positive denominators)
+    negative, Q being support_form_value at (b0, w0, delta) with
+    b0 = bn/bd, w0 = wn/wd and delta = en/ed (positive denominators)
     and v = owner; None when Q(v) < 0.  In integers: delta*Q(r,d,n) times
     bd^2*wd*ed^2 is (d*bd - bn*r)^2*ka + r*(r*kb - n*kc) with ka, kb, kc
     below, and the linear term of v - c is that of v minus that of c."""
@@ -458,10 +419,11 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     # and the carve depend on the line alone, the segment and its support
     # form on the interval too (complementary witnesses share both).
     r, d, n = v.r, v.d, v.n
+    owner, box = (r, d, n), _box(window)
     by_line: Dict[tuple, dict] = {}
-    for cand, gi in _candidates(v, window, rank_bound):
+    for cand, gi in _candidates(v, box, rank_bound):
         rp, dp, np_ = cand
-        # wall_line(v, cand) as RationalLine normalizes it; B != 0 here
+        # wall_line(v, cand), inline with no NumClass built; B != 0 here
         key = _normal(n * rp - np_ * r, r * dp - rp * d, n * dp - np_ * d)
         groups = by_line.get(key)
         if groups is None:
@@ -472,8 +434,6 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
                 groups[gi] = [cand]
             else:
                 cands.append(cand)
-
-    owner, box = (r, d, n), _box(window)
 
     def decide(items) -> list:
         walls = []

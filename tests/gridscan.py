@@ -3,8 +3,8 @@
 Detects candidate wall lines by exact sign changes of the slope
 difference at genuine grid nodes (both flip endpoints genuine, or an
 exact zero at a genuine node), then applies the documented midpoint
-support-form rule computed from scratch.  Shares no clipping or merging
-code with the implementation.
+support-form rule computed from scratch.  Shares no code with
+`cswalls.walls`: its wall lines and its delta are its own.
 """
 
 import math
@@ -12,7 +12,47 @@ from fractions import Fraction as F
 from math import gcd
 
 from cswalls.lattice import NumClass, project
-from cswalls.walls import EVERYWHERE_EQUAL, NO_WALL, find_delta, wall_line
+
+
+def _wall_line(v, c):
+    """The normalized (A, B, C) of A*b + B*w = C where v and c have equal
+    slice slopes, None when there is no such line: the cross product
+    v x c = (x, y, z) gives A = y, B = z and C = -x."""
+    x = v.d * c.n - v.n * c.d
+    y = v.n * c.r - v.r * c.n
+    z = v.r * c.d - v.d * c.r
+    if y == 0 and z == 0:
+        return None
+    g = gcd(x, y, z)
+    if y < 0 or (y == 0 and z < 0):
+        g = -g
+    return y // g, z // g, -x // g
+
+
+def _delta(b0, w0, upper):
+    """The first delta = (w0 - upper(b0))/2^k, k = 1, 2, ..., at which
+    q(x) = (x - b0)^2/delta + w0 - delta - upper(x) is positive at every
+    piece end, every in-range parabola vertex b0 + s*delta/2 and every
+    point override; None unless w0 lies above upper(b0) and above both
+    one-sided limits of upper at b0."""
+    parts = list(upper.affine_parts())
+    limits = [val + s * (b0 - ref) for lo, hi, s, val, ref in parts
+              if (lo is None or lo <= b0) and (hi is None or b0 <= hi)]
+    if not all(w0 > y for y in limits + [upper(b0)]):
+        return None
+    delta = w0 - upper(b0)
+    while True:
+        delta /= 2
+        rows = []
+        for lo, hi, s, val, ref in parts:
+            xs = [x for x in (lo, hi) if x is not None]
+            vertex = b0 + s * delta / 2
+            if (lo is None or lo < vertex) and (hi is None or vertex < hi):
+                xs.append(vertex)
+            rows += [(x, val + s * (x - ref)) for x in xs]
+        rows += upper.point_values
+        if all((x - b0) ** 2 / delta + w0 - delta > y for x, y in rows):
+            return delta
 
 
 def grid_oracle(v, g, window, rank_bound, model, cells):
@@ -124,9 +164,9 @@ def grid_oracle(v, g, window, rank_bound, model, cells):
             return False
         mid = (slo + shi) / 2
         wm = w0 + slope * mid
-        if not wm > model.upper(mid):
+        delta = _delta(mid, wm, model.upper)
+        if delta is None:
             return True
-        delta = find_delta(mid, wm, model)
 
         def q(cls):
             lin = cls.d - mid * cls.r
@@ -137,12 +177,10 @@ def grid_oracle(v, g, window, rank_bound, model, cells):
 
     lines = set()
     for cand in candidates():
-        line = wall_line(v, cand)
-        if line in (EVERYWHERE_EQUAL, NO_WALL):
+        line = _wall_line(v, cand)
+        if line is None or line in lines:
             continue
-        if line.as_tuple() in lines:
-            continue
-        A, B, C = line.as_tuple()
+        A, B, C = line
         col_ok = [
             (cand.d * db - b * cand.r > 0)
             and ((d - cand.d) * db - b * (r - cand.r) > 0)
@@ -187,5 +225,5 @@ def grid_oracle(v, g, window, rank_bound, model, cells):
             if detected:
                 break
         if detected and midpoint_q_ok(cand, A, B, C):
-            lines.add(line.as_tuple())
+            lines.add(line)
     return lines

@@ -53,7 +53,6 @@ from cswalls.walls import (
     EVERYWHERE_EQUAL,
     NO_WALL,
     BogomolovVerdict,
-    SupportForm,
     Window,
     bogomolov_verdict,
     delta_certificate,
@@ -132,13 +131,14 @@ def test_c05_wall_geometry():
         line = wall_line(v, vs)
         if line in (EVERYWHERE_EQUAL, NO_WALL):
             continue
+        A, B, C = line
         beta, eta = project(v)
-        assert line.A * beta + line.B * eta == line.C
-        if line.B != 0:
-            slope = F(-line.A, line.B)
+        assert A * beta + B * eta == C
+        if B != 0:
+            slope = F(-A, B)
             for _ in range(2):
                 b = beta + F(rng.randint(1, 60), rng.randint(1, 9)) * rng.choice([1, -1])
-                assert nu(v, PlanePoint(b, line.w_at(b))) == slope
+                assert nu(v, PlanePoint(b, F(C - A * b, B))) == slope
         else:
             assert nu(v, PlanePoint(beta, eta + rng.randint(1, 9))) == math.inf
         done += 1
@@ -148,9 +148,9 @@ def test_c05_wall_geometry():
         v = NumClass(0, d, rng.randint(-20, 20))
         vs = rng_class(rng, 20)
         line = wall_line(v, vs)
-        if line in (EVERYWHERE_EQUAL, NO_WALL) or line.B == 0:
+        if line in (EVERYWHERE_EQUAL, NO_WALL) or line[1] == 0:
             continue
-        assert F(-line.A, line.B) == F(v.n, v.d)
+        assert F(-line[0], line[1]) == F(v.n, v.d)
         done += 1
     report(5, "wall lines pass through the projection, carry constant "
               "slope -A/B, torsion owners give slope n/d")
@@ -179,13 +179,15 @@ def test_c07_ray_transversality():
     pi = project(v)
     for alpha in (F(1, 2), F(1), F(3)):
         ray = ray_line(v, alpha)
+        ra, rb, rc = ray
         for w in walls:
             if w.line == ray:
                 continue
-            det = w.line.A * ray.B - ray.A * w.line.B
+            A, B, C = w.line
+            det = A * rb - ra * B
             assert det != 0
-            b = F(w.line.C * ray.B - ray.C * w.line.B, det)
-            ww = F(w.line.A * ray.C - ray.A * w.line.C, det)
+            b = F(C * rb - rc * B, det)
+            ww = F(A * rc - ra * C, det)
             assert (b, ww) == pi
     report(7, "every enumerated wall meets each tested ray exactly at "
               "the projection point")
@@ -221,10 +223,9 @@ def test_c09_support_form():
         b0 = F(rng.randint(-30, 6 * g), rng.randint(1, 7))
         w0 = model.upper(b0) + F(rng.randint(1, 40), rng.randint(1, 7))
         delta = find_delta(b0, w0, model)
-        sf = SupportForm(b0, w0, delta)
         q = b0.denominator * w0.denominator
         kernel = NumClass(q, int(b0 * q), int(w0 * q))
-        assert support_form_value(kernel, sf) == -delta * q * q < 0
+        assert support_form_value(kernel, b0, w0, delta) == -delta * q * q < 0
         rows = delta_certificate(b0, w0, delta, model)
         assert rows and all(val > 0 for _, val in rows)
         below = model.upper(b0) - F(rng.randint(0, 5))
@@ -361,7 +362,8 @@ def test_c14_cli_contract(tmp_path):
             x_txt, y_txt = pair.split(",")
             b = (F(x_txt) - 60) / sx + F(-3)
             w = F(1, 2) + (F(560) - F(y_txt)) / sy
-            residual = wall.line.A * b + wall.line.B * w - wall.line.C
+            A, B, C = wall.line
+            residual = A * b + B * w - C
             assert abs(residual) < F(1, 10**6)
     report(14, "CLI: JSON round trip, byte determinism, cache soundness, "
                "well-formed SVG inverting onto the exact lines within 1e-6")

@@ -419,7 +419,7 @@ def test_plot_svg_well_formed_and_invertible(tmp_path):
             x_txt, y_txt = pair.split(",")
             b = F(x_txt) / sx - F(60) / sx + b_min
             w = w_min + (F(560) - F(y_txt)) / sy
-            residual = line.A * b + line.B * w - line.C
+            residual = line[0] * b + line[1] * w - line[2]
             assert abs(residual) < F(1, 10**6)
 
 
@@ -458,6 +458,28 @@ def test_svg_write_failure_raises_io_error(tmp_path):
                            "--rank-bound", "0",
                            "--out", str(tmp_path / "nope" / "x.svg")])
     assert code == 1 and "cannot write SVG" in err
+
+
+@pytest.mark.parametrize("other", ["owner", "records"])
+def test_svg_refuses_walls_of_another_class(other):
+    from cswalls.envelopes import make_model
+    from cswalls.errors import DomainError
+    from cswalls.lattice import NumClass
+    from cswalls.svg import render_svg
+    from cswalls.walls import Window, enumerate_walls
+
+    model = make_model("general", 2)
+    win = Window(-4, 4, 1, 8)
+    records = enumerate_walls(NumClass(2, 3, 1), 2, win, 2, model)
+    assert records
+    if other == "owner":
+        kwargs = {"owner": NumClass(1, 0, 0)}
+    else:
+        records = records + enumerate_walls(NumClass(1, 0, 0), 2, win, 2,
+                                            model)
+        kwargs = {}
+    with pytest.raises(DomainError, match="several classes"):
+        render_svg(records, win, None, model, **kwargs)
 
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -779,9 +801,8 @@ def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
         raise AssertionError("a wall object was built")
 
     for module, name in ((jsonio, "wall_to_json"), (jsonio, "wall_from_json"),
-                         (walls, "Wall"), (walls, "RationalLine"),
-                         (walls, "PlanePoint"), (walls, "Fraction"),
-                         (cli, "dumps")):
+                         (walls, "Wall"), (walls, "PlanePoint"),
+                         (walls, "Fraction"), (cli, "dumps")):
         monkeypatch.setattr(module, name, refuse)
     case = ("2,3,1", "2", "general")
     argv = ["walls", "--class", case[0], "--genus", case[1], "--model",

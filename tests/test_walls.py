@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cswalls.charges import PlanePoint, nu
+from cswalls.charges import PlanePoint, mu_alpha, nu
 from cswalls.envelopes import (PLFunction, RegionVerdict, _lower_pl,
                                 make_model, model_from_json, region_uc)
 from cswalls.errors import (
@@ -30,8 +30,6 @@ from cswalls.walls import (
     NO_WALL,
     BogomolovVerdict,
     Check,
-    RationalLine,
-    SupportForm,
     Window,
     bogomolov_verdict,
     chamber_decomposition,
@@ -52,29 +50,51 @@ def _corners(win):
             (win.b_max, win.w_max), (win.b_min, win.w_max))
 
 
+def _normalized(a, b, c):
+    """(a, b, c) over its gcd, with the first nonzero of (a, b) positive."""
+    g = gcd(a, b, c) * (-1 if a < 0 or (a == 0 and b < 0) else 1)
+    return a // g, b // g, c // g
+
+
+def _value_at(line, b, w):
+    """A*b + B*w - C for the line (A, B, C)."""
+    A, B, C = line
+    return A * b + B * w - C
+
+
+def _w_at(line, b):
+    """The w of the line (A, B, C) at b, for B != 0."""
+    A, B, C = line
+    return F(C - A * b, B)
+
+
 def rng_class(rng, bound=9):
     return NumClass(rng.randint(-bound, bound), rng.randint(-bound, bound),
                     rng.randint(-bound, bound))
 
 
 def test_rational_line_normalization():
-    line = RationalLine(-2, -2, -4)
-    assert line.as_tuple() == (1, 1, 2)
-    line = RationalLine(0, -4, -2)
-    assert line.as_tuple() == (0, 2, 1)
-    with pytest.raises(DomainError):
-        RationalLine(0, 0, 5)
+    # gcd 1 and the first nonzero of (A, B) positive: from the raw
+    # (-2, -2, -4), (0, -4, -2), (-2, -2, -4) and (4, -2, 2)
+    assert wall_line(NumClass(-2, -2, -2), NumClass(2, 3, 1)) == (1, 1, 2)
+    assert wall_line(NumClass(-2, -1, -1), NumClass(2, 3, 1)) == (0, 2, 1)
+    assert ray_line(NumClass(-2, -3, -1), F(1)) == (1, 1, 2)
+    assert ray_line(NumClass(2, 4, 6), F(-2, 4)) == (2, -1, 1)
 
 
 @pytest.mark.parametrize("call", [
     lambda: Window(-4, 4, 0.1, 8),
-    lambda: SupportForm(F(1, 2), 0.5, 1),
+    lambda: support_form_value(NumClass(1, 0, 0), F(1, 2), 0.5, 1),
     lambda: find_delta(0.5, 3, make_model("general", 2)),
     lambda: find_delta(0, 3.0, make_model("general", 2)),
     lambda: delta_certificate(0, 3, 0.25, make_model("general", 2)),
     lambda: ray_line(NumClass(2, 3, 1), 0.1),
+    lambda: PLFunction(((F(0), 0.5, F(0)),), F(0), F(0)),
+    lambda: PlanePoint(0.5, 1),
+    lambda: mu_alpha(NumClass(2, 3, 1), 0.5),
 ], ids=["window", "support-form", "find-delta-b0", "find-delta-w0",
-        "delta-certificate", "ray-line"])
+        "delta-certificate", "ray-line", "pl-function", "plane-point",
+        "mu-alpha"])
 def test_exact_apis_reject_floats(call):
     with pytest.raises(TypeError, match="floats are not exact"):
         call()
@@ -87,12 +107,12 @@ def test_window_validation():
 
 def test_wall_line_examples():
     line = wall_line(NumClass(2, 3, 1), NumClass(1, 1, 1))
-    assert line.as_tuple() == (1, 1, 2)
+    assert line == (1, 1, 2)
     # brute-force check: slope equality at two points of the line
     for b in (F(0), F(1, 2)):
-        p = PlanePoint(b, line.w_at(b))
+        p = PlanePoint(b, _w_at(line, b))
         assert nu(NumClass(2, 3, 1), p) == nu(NumClass(1, 1, 1), p)
-    assert line.contains(PlanePoint(F(3, 2), F(1, 2)))
+    assert _value_at(line, F(3, 2), F(1, 2)) == 0
     assert wall_line(NumClass(2, 3, 1), NumClass(4, 6, 2)) is EVERYWHERE_EQUAL
     assert wall_line(NumClass(0, 1, 0), NumClass(0, 1, 1)) is NO_WALL
 
@@ -107,12 +127,13 @@ def test_wall_line_pencil_and_constant_slope():
         line = wall_line(v, vs)
         if line in (EVERYWHERE_EQUAL, NO_WALL):
             continue
+        A, B, C = line
         beta, eta = project(v)
-        assert line.A * beta + line.B * eta == line.C
-        if line.B != 0:
-            slope = F(-line.A, line.B)
+        assert A * beta + B * eta == C
+        if B != 0:
+            slope = F(-A, B)
             for b in (beta + 1, beta - F(2, 3)):
-                p = PlanePoint(b, line.w_at(b))
+                p = PlanePoint(b, _w_at(line, b))
                 assert nu(v, p) == slope
         else:
             # vertical wall through the projection: nu is +inf there
@@ -129,19 +150,19 @@ def test_wall_line_torsion_owner_slopes():
         v = NumClass(0, d, rng.randint(-9, 9))
         vs = rng_class(rng)
         line = wall_line(v, vs)
-        if line in (EVERYWHERE_EQUAL, NO_WALL) or line.B == 0:
+        if line in (EVERYWHERE_EQUAL, NO_WALL) or line[1] == 0:
             continue
-        assert F(-line.A, line.B) == F(v.n, v.d)
+        assert F(-line[0], line[1]) == F(v.n, v.d)
         done += 1
 
 
 def test_support_form_examples():
-    sf = SupportForm(F(2), F(3), F(5))
-    assert support_form_value(NumClass(1, 2, 3), sf) == -5  # kernel class
-    assert support_form_value(NumClass(0, 4, 7), SupportForm(F(1), F(1), F(2))) == 8
-    assert support_form_value(NumClass(1, 0, 0), SupportForm(F(0), F(2), F(1))) == 1
+    # kernel class
+    assert support_form_value(NumClass(1, 2, 3), F(2), F(3), F(5)) == -5
+    assert support_form_value(NumClass(0, 4, 7), F(1), F(1), F(2)) == 8
+    assert support_form_value(NumClass(1, 0, 0), F(0), F(2), F(1)) == 1
     with pytest.raises(DomainError):
-        SupportForm(F(0), F(1), F(0))
+        support_form_value(NumClass(1, 0, 0), F(0), F(1), F(0))
 
 
 def test_kernel_negativity_random():
@@ -150,10 +171,10 @@ def test_kernel_negativity_random():
         b0 = F(rng.randint(-40, 40), rng.randint(1, 8))
         w0 = F(rng.randint(1, 60), rng.randint(1, 8))
         delta = F(rng.randint(1, 50), rng.randint(1, 8))
-        sf = SupportForm(b0, w0, delta)
         q_num = b0.denominator * w0.denominator
         kernel = NumClass(q_num, int(b0 * q_num), int(w0 * q_num))
-        assert support_form_value(kernel, sf) == -delta * q_num * q_num
+        assert (support_form_value(kernel, b0, w0, delta)
+                == -delta * q_num * q_num)
 
 
 def test_find_delta_examples_and_certificate():
@@ -275,7 +296,7 @@ def test_negative_q_matches_support_form_value(b0, w0, delta, rdn):
     from cswalls.walls import _q_nonnegative
 
     v = NumClass(*rdn)
-    expected = support_form_value(v, SupportForm(b0, w0, delta)) < 0
+    expected = support_form_value(v, b0, w0, delta) < 0
     form = (b0.numerator, b0.denominator, w0.numerator, w0.denominator,
             delta.numerator, delta.denominator)
     # as the owner, and as a candidate of the zero class, whose complement
@@ -331,7 +352,7 @@ def normalized_lines(draw):
     for _ in range(draw(st.integers(0, 12))):
         a, b = draw(st.sampled_from(slopes))
         k = draw(st.sampled_from([1, 2, -1, -3]))
-        lines.append(RationalLine(k * a, k * b, draw(COEFFS)).as_tuple())
+        lines.append(_normalized(k * a, k * b, draw(COEFFS)))
     return list(dict.fromkeys(lines))
 
 
@@ -354,14 +375,14 @@ def test_line_order_is_the_exact_slope_order(lines):
 
 
 def test_ray_line_examples():
-    assert ray_line(NumClass(2, 3, 1), F(1)).as_tuple() == (1, 1, 2)
-    assert ray_line(NumClass(1, 0, 0), F(1)).as_tuple() == (1, 1, 0)
+    assert ray_line(NumClass(2, 3, 1), F(1)) == (1, 1, 2)
+    assert ray_line(NumClass(1, 0, 0), F(1)) == (1, 1, 0)
     with pytest.raises(ZeroRank):
         ray_line(NumClass(0, 1, 0), F(1))
     with pytest.raises(ZeroAlpha):
         ray_line(NumClass(2, 3, 1), F(0))
-    line = ray_line(NumClass(2, 3, 1), F(1, 2))
-    assert F(-line.A, line.B) == -2  # slope -1/alpha
+    A, B, _ = ray_line(NumClass(2, 3, 1), F(1, 2))
+    assert F(-A, B) == -2  # slope -1/alpha
 
 
 def test_enumerate_walls_rank_bound_zero():
@@ -383,7 +404,7 @@ def test_enumerate_walls_torsion_owner_horizontal():
     assert walls
     for w in walls:
         assert w.nu_value == 0  # n/d
-        assert w.line.A == 0  # horizontal lines
+        assert w.line[0] == 0  # horizontal lines
         assert w.owner == NumClass(0, 1, 0)
 
 
@@ -396,14 +417,15 @@ def test_enumerate_walls_invariants_main_instance():
     seen_lines = set()
     for w in walls:
         line = w.line
-        assert line.as_tuple() not in seen_lines  # deduplicated
-        seen_lines.add(line.as_tuple())
+        A, B, C = line
+        assert line not in seen_lines  # deduplicated
+        seen_lines.add(line)
         # pencil property
-        assert line.A * beta + line.B * eta == line.C
+        assert A * beta + B * eta == C
         # nu constant on the wall, equal to the slope -A/B
-        assert w.nu_value == F(-line.A, line.B)
+        assert w.nu_value == F(-A, B)
         p0, p1 = w.segment
-        assert line.contains(p0) and line.contains(p1)
+        assert A * p0.b + B * p0.w == C and A * p1.b + B * p1.w == C
         assert STD_WINDOW.contains(p0) and STD_WINDOW.contains(p1)
         mid = PlanePoint((p0.b + p1.b) / 2, (p0.w + p1.w) / 2)
         assert nu(v, mid) == w.nu_value
@@ -417,7 +439,7 @@ def test_enumerate_walls_invariants_main_instance():
             assert wall_line(v, cand) == line
     # sorted by (nu, A, B, C)
     keys = [(w.nu_value == math.inf, w.nu_value if w.nu_value != math.inf
-             else F(0), *w.line.as_tuple()) for w in walls]
+             else F(0), *w.line) for w in walls]
     assert keys == sorted(keys)
 
 
@@ -425,7 +447,7 @@ def test_enumerate_walls_complementary_witnesses_merge():
     v = NumClass(2, 3, 1)
     m = make_model("general", 2)
     walls = walls_from_json(enumerate_walls(v, 2, STD_WINDOW, 3, m))
-    by_line = {w.line.as_tuple(): w for w in walls}
+    by_line = {w.line: w for w in walls}
     # (1,1,1) and its complement (1,2,0) both witness b + w = 2
     w = by_line[(1, 1, 2)]
     assert NumClass(1, 1, 1) in w.destabilizers
@@ -439,13 +461,15 @@ def test_ray_transversality_against_enumerated_walls():
     pi = project(v)
     for alpha in (F(1, 2), F(1), F(3)):
         ray = ray_line(v, alpha)
+        ra, rb, rc = ray
         for w in walls:
             if w.line == ray:
                 continue
-            det = w.line.A * ray.B - ray.A * w.line.B
+            A, B, C = w.line
+            det = A * rb - ra * B
             assert det != 0
-            b = F(w.line.C * ray.B - ray.C * w.line.B, det)
-            ww = F(w.line.A * ray.C - ray.A * w.line.C, det)
+            b = F(C * rb - rc * B, det)
+            ww = F(A * rc - ra * C, det)
             assert (b, ww) == pi
 
 
@@ -454,14 +478,28 @@ from gridscan import grid_oracle
 
 def test_oracle_agreement_small_instances():
     # small-instance equivalence of the grid oracle and the enumerator
+    from test_cli import JUMP_MODEL
+
     m2 = make_model("general", 2)
     ell = make_model("elliptic", 1)
+    m3 = make_model("general", 3)
+    mer5 = make_model("mercat", 5)
+    jump = model_from_json(JUMP_MODEL, 2)
     cases = [
         (NumClass(2, 3, 1), 2, Window(F(-2), F(2), F(1, 2), F(3)), 2, m2, 80),
         (NumClass(1, -1, 1), 2, Window(F(-3), F(1), F(1, 3), F(4)), 2, m2, 80),
         (NumClass(0, 1, 0), 2, Window(F(-2), F(2), F(1, 2), F(3)), 2, m2, 60),
         (NumClass(2, 1, 1), 1, Window(F(-2), F(2), F(1, 4), F(3)), 2, ell, 80),
         (NumClass(-2, 1, 1), 2, Window(F(-2), F(2), F(1, 2), F(3)), 2, m2, 80),
+        (NumClass(2, 3, 1), 5, Window(-2, 6, F(1, 2), 6), 2, mer5, 80),
+        (NumClass(2, 3, 2), 5, Window(-2, 6, F(1, 2), 6), 2, mer5, 80),
+        (NumClass(1, -1, 1), 3, Window(-3, 3, F(1, 3), 4), 2, m3, 80),
+        # a user upper envelope that jumps down at b = 2
+        (NumClass(0, 2, 0), 2, Window(-2, 3, F(1, 4), 3), 2, jump, 80),
+        (NumClass(2, 3, 1), 2, Window(-2, 3, F(1, 4), 3), 2, jump, 80),
+        # the oracle's midpoint (2, 5/4) of w = 5/4 lies above upper(2) = 1
+        # but below the left limit 15/8 there: the candidate is kept
+        (NumClass(0, 2, 1), 2, Window(-4, 4, F(1, 4), 8), 2, jump, 80),
     ]
     for v, g, win, rb, model, cells in cases:
         exact = {tuple(rec["line"])
@@ -486,7 +524,7 @@ def test_chambers_examples():
             assert STD_WINDOW.contains(ch.sample)
         # sample is strictly off every wall line
         for w in walls_from_json(two):
-            assert w.line.value_at(ch.sample.b, ch.sample.w) != 0
+            assert _value_at(w.line, ch.sample.b, ch.sample.w) != 0
 
     rep0 = _decoded(chamber_decomposition(v, [], STD_WINDOW, m))
     assert len(rep0.chambers) == 1
@@ -512,8 +550,7 @@ def test_chambers_single_line_two_halves():
     assert len(rep.chambers) == 2
     signs = set()
     for ch in rep.chambers:
-        signs.add(RationalLine(1, 1, 2).value_at(ch.sample.b, ch.sample.w)
-                  > 0)
+        signs.add(_value_at((1, 1, 2), ch.sample.b, ch.sample.w) > 0)
     assert signs == {True, False}
 
 
@@ -546,7 +583,7 @@ def test_segments_above_lower_envelope():
 def _carve_fractions(line, pl, lo, hi):
     from cswalls.walls import _carve
 
-    pieces = _carve(line.as_tuple(), pl, (lo.numerator, lo.denominator),
+    pieces = _carve(line, pl, (lo.numerator, lo.denominator),
                     (hi.numerator, hi.denominator))
     return [(F(*a), F(*b)) for a, b in pieces]
 
@@ -555,10 +592,10 @@ def test_affine_above_pl_carves_isolated_spikes():
     ell = make_model("elliptic", 1)
     # constant height 1/2: above the elliptic envelope for b < 1/2 except
     # at the isolated spike value 1 at b = 0
-    parts = _carve_fractions(RationalLine(0, 2, 1), ell.lower, F(-2), F(2))
+    parts = _carve_fractions((0, 2, 1), ell.lower, F(-2), F(2))
     assert parts == [(F(-2), F(0)), (F(0), F(1, 2))]
     # height 2 clears the spike: single component up to b = 2
-    parts = _carve_fractions(RationalLine(0, 1, 2), ell.lower, F(-2), F(2))
+    parts = _carve_fractions((0, 1, 2), ell.lower, F(-2), F(2))
     assert parts == [(F(-2), F(2))]
 
 
@@ -571,7 +608,8 @@ def test_enumerate_walls_elliptic_model():
     beta, eta = project(v)
     spiked = 0
     for w in walls:
-        assert w.line.A * beta + w.line.B * eta == w.line.C
+        A, B, C = w.line
+        assert A * beta + B * eta == C
         p0, p1 = w.segment
         for p in w.segment:
             assert win.contains(p)
@@ -579,7 +617,7 @@ def test_enumerate_walls_elliptic_model():
         # stored hull meets an isolated envelope spike it fails to clear
         expected = Check.PASS
         for x, vo in ell.upper.point_values:
-            height = w.line.w_at(x)
+            height = _w_at(w.line, x)
             below = height < vo and p0.b <= x <= p1.b
             touches = height == vo and p0.b < x < p1.b
             if below or touches:
@@ -618,8 +656,8 @@ def line_window_model(draw):
     w_min, w_max = sorted(draw(st.lists(w, min_size=2, max_size=2,
                                         unique=True)))
     bb = draw(st.integers(-9, 9).filter(lambda x: x != 0))
-    line = RationalLine(draw(st.integers(-9, 9)), bb,
-                        draw(st.integers(-40, 40)))
+    line = _normalized(draw(st.integers(-9, 9)), bb,
+                       draw(st.integers(-40, 40)))
     return line, Window(b_min, b_max, w_min, w_max), model
 
 
@@ -627,32 +665,32 @@ def line_window_model(draw):
 @given(line_window_model())
 # horizontal lines on the bottom and top edge of a closed window, the
 # first also on general g=2's flat lower piece: the a == 0 branches
-@example((RationalLine(0, 1, 0), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
-@example((RationalLine(0, 1, 2), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
+@example(((0, 1, 0), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
+@example(((0, 1, 2), Window(-2, 3, 0, 2), CARVE_MODELS[0]))
 def test_integer_clip_and_carve_agree_with_fractions(case):
     from cswalls.walls import _box, _carve, _clip
 
     line, win, model = case
-    clipped = _clip(line.as_tuple(), _box(win))
+    clipped = _clip(line, _box(win))
     if clipped is None:
         # the line misses the closed box: every corner strictly on one side
-        sides = {line.value_at(b, w) > 0 for b, w in _corners(win)}
+        sides = {_value_at(line, b, w) > 0 for b, w in _corners(win)}
         assert len(sides) == 1 and all(
-            line.value_at(b, w) != 0 for b, w in _corners(win))
+            _value_at(line, b, w) != 0 for b, w in _corners(win))
         return
     lo, hi = F(*clipped[0]), F(*clipped[1])
     for x in (lo, hi):
-        assert win.contains(PlanePoint(x, line.w_at(x)))
+        assert win.contains(PlanePoint(x, _w_at(line, x)))
     # each end is tight: a window side, or the line leaves the strip there
-    assert lo == win.b_min or line.w_at(lo) in (win.w_min, win.w_max)
-    assert hi == win.b_max or line.w_at(hi) in (win.w_min, win.w_max)
+    assert lo == win.b_min or _w_at(line, lo) in (win.w_min, win.w_max)
+    assert hi == win.b_max or _w_at(line, hi) in (win.w_min, win.w_max)
 
     lower = model.lower
 
     def above(x):
-        return line.w_at(x) > lower(x)
+        return _w_at(line, x) > lower(x)
 
-    pieces = [(F(*a), F(*b)) for a, b in _carve(line.as_tuple(), lower, *clipped)]
+    pieces = [(F(*a), F(*b)) for a, b in _carve(line, lower, *clipped)]
     for a, b in pieces:
         assert lo <= a < b <= hi
         assert above((a + b) / 2)
@@ -661,8 +699,46 @@ def test_integer_clip_and_carve_agree_with_fractions(case):
         assert not above((a + b) / 2)
     # every override the line fails to clear is cut out
     for x, vo in lower.point_values:
-        if line.w_at(x) <= vo:
+        if _w_at(line, x) <= vo:
             assert not any(a < x < b for a, b in pieces)
+
+
+@functools.lru_cache(maxsize=None)
+def _delta_models():
+    """`CARVE_MODELS`, then two genus 2 user upper envelopes that jump
+    down: `JUMP_MODEL` at b = 2, and one of slope 2 on [0, 1), where a
+    parabola vertex decides the first halvings."""
+    from test_cli import JUMP_MODEL
+
+    steep = make_model("user", 2, (
+        PLFunction(((F(0), F(0), F(0)), (F(1), F(1), F(0))), F(0), F(0)),
+        PLFunction(((F(0), F(2), F(0)), (F(1), F(1), F(0)),
+                    (F(2), F(1), F(1))), F(0), F(0)),
+        False,
+    ))
+    return CARVE_MODELS + [model_from_json(JUMP_MODEL, 2), steep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(CARVE_MODELS) + 1),
+       st.fractions(-6, 12, max_denominator=6) | st.sampled_from(
+           [F(0), F(1), F(2), F(1, 2)]),
+       st.fractions(-2, 20, max_denominator=6))
+# between upper(2) = 1 and the left limit 15/8 of the jump; and the vertex
+# row at b = 1/2 of the slope 2 piece, the only row that refuses k = 1
+@example(len(CARVE_MODELS), F(2), F(1, 4))
+@example(len(CARVE_MODELS) + 1, F(1, 4), F(1, 2))
+def test_oracle_delta_matches_find_delta(i, b0, offset):
+    # the grid oracle certifies its own delta from the README's rows
+    from gridscan import _delta
+
+    model = _delta_models()[i]
+    w0 = model.upper(b0) + offset
+    try:
+        expected = find_delta(b0, w0, model)
+    except NotAboveEnvelope:
+        expected = None
+    assert _delta(b0, w0, model.upper) == expected
 
 
 def test_upper_envelope_jumping_down_leaves_midpoints_unpruned():
@@ -688,9 +764,9 @@ def _segment_clears(line, lo, hi, upper) -> bool:
     """Exactly, piece by piece: w >= upper at lo and hi, and w > upper
     on the open segment (lo, hi) of the line."""
     def excess(x, slope, value, ref):
-        return line.w_at(x) - (value + slope * (x - ref))
+        return _w_at(line, x) - (value + slope * (x - ref))
 
-    if line.w_at(lo) < upper(lo) or line.w_at(hi) < upper(hi):
+    if _w_at(line, lo) < upper(lo) or _w_at(line, hi) < upper(hi):
         return False
     spikes = {x for x, _ in upper.point_values}
     for plo, phi, s, val, ref in upper.affine_parts():
@@ -705,7 +781,7 @@ def _segment_clears(line, lo, hi, upper) -> bool:
             return False
         if a > lo and a not in spikes and ea == 0:
             return False
-    return all(line.w_at(x) > val for x, val in upper.point_values
+    return all(_w_at(line, x) > val for x, val in upper.point_values
                if lo < x < hi)
 
 
@@ -843,10 +919,10 @@ def class_window_bound(draw):
 def test_integer_candidates_match_the_fraction_reference(case):
     from collections import Counter
 
-    from cswalls.walls import _candidates
+    from cswalls.walls import _box, _candidates
 
     v, win, rank_bound = case
-    got = Counter(_candidates(v, win, rank_bound))
+    got = Counter(_candidates(v, _box(win), rank_bound))
     assert got == Counter(_fraction_candidates(v, win, rank_bound))
     for (rp, dp, np_), ((ln, ld), (hn, hd)) in got:
         assert isinstance(np_, int) and ld > 0 and hd > 0
@@ -1052,8 +1128,7 @@ def _open_region_meets(halfplanes) -> bool:
 
 def _check_chamber_report(rep, v, walls, win, model):
     rep = _decoded(rep)
-    lines = [RationalLine(*line)
-             for line in dict.fromkeys(tuple(w["line"]) for w in walls)]
+    lines = list(dict.fromkeys(_normalized(*w["line"]) for w in walls))
     chambers = rep.chambers
     assert rep.owner == v
     assert [ch.index for ch in chambers] == list(range(len(chambers)))
@@ -1075,9 +1150,10 @@ def _check_chamber_report(rep, v, walls, win, model):
         assert len(chambers) == 2 * len(lines)
         rays = set()
         for line in lines:
-            assert line.contains(rep.center)
-            g = gcd(line.A, line.B)
-            rays |= {(line.B // g, -line.A // g), (-line.B // g, line.A // g)}
+            A, B, C = line
+            assert A * rep.center.b + B * rep.center.w == C
+            g = gcd(A, B)
+            rays |= {(B // g, -A // g), (-B // g, A // g)}
         for i, ch in enumerate(chambers):
             u, u2 = ch.bounds
             assert ch.kind == "sector" and u in rays and u2 in rays
@@ -1091,9 +1167,10 @@ def _check_chamber_report(rep, v, walls, win, model):
     else:
         assert rep.kind == "strips" and rep.center is None
         assert len(chambers) == len(lines) + 1
-        g = gcd(lines[0].A, lines[0].B)
-        prim = (lines[0].A // g, lines[0].B // g)
-        ts = sorted(F(line.C, gcd(line.A, line.B)) for line in lines)
+        A, B, _ = lines[0]
+        g = gcd(A, B)
+        prim = (A // g, B // g)
+        ts = sorted(F(C, gcd(A, B)) for A, B, C in lines)
         assert [ch.bounds for ch in chambers] == list(
             zip([None] + ts, ts + [None]))
         neighbours = [(i, i + 1) for i in range(len(chambers) - 1)]
@@ -1108,8 +1185,8 @@ def _check_chamber_report(rep, v, walls, win, model):
         # the sign of A*b + B*w - C at the sample, in integers
         (bn, bd), (wn, wd) = (ch.sample.b.as_integer_ratio(),
                               ch.sample.w.as_integer_ratio())
-        values = [line.A * bn * wd + line.B * wn * bd - line.C * bd * wd
-                  for line in lines]
+        values = [A * bn * wd + B * wn * bd - C * bd * wd
+                  for A, B, C in lines]
         assert 0 not in values
         signs.append(tuple(x > 0 for x in values))
     assert len(set(signs)) == len(signs)
@@ -1320,7 +1397,7 @@ def pencil_cases(draw):
     normals = draw(st.lists(
         st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
         min_size=1, max_size=5))
-    lines = dict.fromkeys(RationalLine(A * r, B * r, A * d + B * n).as_tuple()
+    lines = dict.fromkeys(_normalized(A * r, B * r, A * d + B * n)
                           for A, B in normals)
     b0, b1 = sorted(draw(st.lists(OFFSETS, min_size=2, max_size=2,
                                   unique=True)))
