@@ -144,10 +144,10 @@ class PLFunction:
         `parts` lists (lo, hi, slope, intercept) of each of
         `affine_parts` times m (None for an unbounded side), so at the
         point x/m the part's value is (slope*x + intercept*m)/m^2.
-        `knots` lists (x, value) with x times m and value times m^2: each
-        part's value at its finite ends, then every point override,
-        without repeats.  `points` lists the point overrides (x, value),
-        both times m.
+        `knots` lists (x, value) with x times m and value times m^2: at
+        each part's finite ends and each point override, the highest of
+        the parts' values and the override there.  `points` lists the
+        point overrides (x, value), both times m.
         """
         lines = [(lo, hi, s, v - s * ref)
                  for lo, hi, s, v, ref in self.affine_parts()]
@@ -165,7 +165,59 @@ class PLFunction:
                  for x in (lo, hi) if x is not None]
         points = tuple((sc(x), sc(v)) for x, v in self.point_values)
         knots.extend((x, v * m) for x, v in points)
-        return m, parts, tuple(dict.fromkeys(knots)), points
+        top = {}
+        for x, u in knots:
+            top[x] = max(u, top.get(x, u))
+        return m, parts, tuple(top.items()), points
+
+    @cached_property
+    def certificate_rows(self) -> tuple:
+        """The rows of `walls.find_delta`'s certificate over `scaled`:
+        (every row, the rows of each part), a row set being (knots,
+        parts) of `scaled`, each part standing for its parabola-vertex
+        row.  A knot's row is the tightest of those at its x.
+
+        The rows of part j are those that can fail for a midpoint b0 in
+        it when upper(b0) >= p_j(b0), p_j being the part's affine
+        function.  Then w0 - delta >= p_j(b0) + delta and t^2/delta +
+        delta >= 2|t| (t = x - b0), so a knot's row is positive when
+        u - p_j(b) < 2|x - b| on the part's closed interval (the left
+        side minus the right is concave in b: test the finite ends and x,
+        and an unbounded end by p_j's slope), when u <= p_j(x) and
+        |slope_j| < 2, or when u is at most p_j's infimum there.  A
+        vertex row, at least head - delta*(1 + s^2/4), is positive when
+        |s| < 2 and its part lies at or below p_j on the interval.  Parts
+        with no such row get ()."""
+        m, parts, knots, _ = self.scaled
+
+        def kept(part):
+            lo, hi, s, _ = part
+            ends = [e for e in (lo, hi) if e is not None]
+
+            def at(x, p=part):
+                return p[2] * x + p[3] * m
+
+            def safe(x, u):
+                inner = ends + [x] if ((lo is None or lo <= x)
+                                       and (hi is None or x <= hi)) else ends
+                return ((abs(s) < 2 * m and u <= at(x))
+                        or ((lo is not None or s <= 0)
+                            and (hi is not None or s >= 0)
+                            and all(u <= at(e) for e in ends))
+                        or ((lo is not None or s < 2 * m)
+                            and (hi is not None or s > -2 * m)
+                            and all(u - at(b) < 2 * m * abs(x - b)
+                                    for b in inner)))
+
+            rows = (tuple(k for k in knots if not safe(*k)),
+                    tuple(p for p in parts if not (
+                        abs(p[2]) < 2 * m
+                        and (lo is not None or p[2] >= s)
+                        and (hi is not None or p[2] <= s)
+                        and all(at(e, p) <= at(e) for e in ends))))
+            return rows if any(rows) else ()
+
+        return (knots, parts), tuple(map(kept, parts))
 
     @cached_property
     def knot_xs(self) -> list:

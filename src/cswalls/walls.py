@@ -129,21 +129,46 @@ def delta_certificate(b0, w0, delta, model: BNModel) -> list:
 
 
 def _headroom(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
-    """(hn, hd) with hn/hd = w0 - upper(b0) for b0 = bn/bd and w0 = wn/wd
-    (bd, wd > 0) when w0 lies strictly above upper(b0) and above both
-    one-sided limits of upper at b0; None otherwise.  Without the limits
-    no parabola through (b0, w0 - delta) can clear upper near b0."""
-    value, left, right = upper.at(bn, bd)
-    den = upper.scaled[0] * bd
+    """(hn, hd, rows) with hn/hd = w0 - upper(b0) for b0 = bn/bd and w0 =
+    wn/wd (bd, wd > 0) when w0 lies strictly above upper(b0) and above
+    both one-sided limits of upper at b0; None otherwise.  Without the
+    limits no parabola through (b0, w0 - delta) can clear upper near b0.
+
+    `rows` are the certificate rows that `_delta_core` tests: those of
+    the part holding b0 in `PLFunction.certificate_rows`, found by the
+    part walk of `PLFunction.at`, or every row where upper(b0) is a point
+    override below that part (the part's bounds assume upper(b0) at or
+    above it)."""
+    m, parts, _, points = upper.scaled
+    every, table = upper.certificate_rows
+    xm = bn * m
+    prev = None
+    for part, rows in zip(parts, table):
+        if part[1] is None or xm < part[1] * bd:
+            break
+        prev = part
+    if part[0] is None or part[0] * bd != xm:
+        prev = part
+    value = right = part[2] * bn + part[3] * bd
+    left = prev[2] * bn + prev[3] * bd
+    for px, pv in points:
+        if px * bd == xm:
+            value = pv * bd
+            if value < right:
+                rows = every
+            break
+    den = m * bd
     wden = wn * den
     if wden <= max(value, left, right) * wd:
         return None
-    return _reduced(wden - value * wd, den * wd)
+    return (*_reduced(wden - value * wd, den * wd), rows)
 
 
 def find_delta(b0, w0, model: BNModel) -> Fraction:
     """Largest delta in {(w0 - upper(b0))/2^k : k >= 1} whose parabola
-    dominates the upper envelope everywhere, certified exactly.
+    dominates the upper envelope everywhere, certified exactly on the
+    rows that `_headroom` picks for b0 (the others are positive at every
+    such delta).
 
     Raises NotAboveEnvelope unless w0 lies strictly above upper(b0) and
     above both one-sided limits of upper at b0 (a jump there leaves no
@@ -158,20 +183,24 @@ def find_delta(b0, w0, model: BNModel) -> Fraction:
             f"({b0},{w0}) is not above the upper envelope and its "
             f"one-sided limits there (upper({b0}) = {model.upper(b0)})"
         )
-    en, ed = _delta_core(bn, bd, wn, wd, *head, model.upper.scaled)
+    en, ed = _delta_core(bn, bd, wn, wd, *head, model.upper.scaled[0])
     return Fraction(en, ed)
 
 
-def _delta_core(bn, bd, wn, wd, hn, hd, scaled) -> tuple:
+def _delta_core(bn, bd, wn, wd, hn, hd, rows, m) -> tuple:
     """`find_delta` in integers: b0 = bn/bd, w0 = wn/wd and head = hn/hd
-    (positive denominators, head > 0), with `scaled` the upper envelope's
-    `PLFunction.scaled`.  Returns delta = head/2^k as (hn, hd << k).
+    (positive denominators, head > 0), with `rows` = (knots, parts) as
+    `_headroom` gives them over the upper envelope's denominator m.
+    Returns delta = head/2^k as (hn, hd << k), and head/2 at once when
+    there is no row.
 
     The rows are those of `delta_certificate`, decided in integers: with
     delta = head/2^k and every rational on a common denominator, each
     row's sign is that of an integer expression in 2^k.
     """
-    m, parts, knots, _ = scaled
+    if not rows:
+        return hn, hd << 1
+    knots, parts = rows
     bm = bn * m
     # A knot (x/m, u/m^2) gives the row t^2/delta + c - delta with
     # t = x/m - b0 and c = w0 - u/m^2; times head*2^k*(m*bd)^2*wd*hd^2
@@ -463,8 +492,11 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
 #: other line to a forked child.  On a 2-core x86-64 host (Python 3.11) a
 #: fork, exit and reap take about 1.1 ms, a large split call takes about
 #: 0.7 of its serial time (copy-on-write faults slow both halves), and a
-#: call costs about 9 us per group: 0.3 * 9 us * G = 1.1 ms at G = 400.
-_SPLIT_GROUPS = 400
+#: call near this size costs about 8 us per group (4 to 10 over all
+#: sizes): 0.3 * 8 us * G = 1.1 ms at G = 460.  Over the benchmark's
+#: classes serial won 13 of 16 calls of 405-438 groups, the fork 16 to 18
+#: of 20 of 465-531 (two runs).
+_SPLIT_GROUPS = 450
 
 
 def _forked(decide, items: list) -> list:
@@ -641,7 +673,7 @@ def _line_wall(owner: tuple, gg: int, line: tuple, groups: dict,
         head = _headroom(upper, bn, bd, wn, wd)
         if head is not None:
             cands = _q_nonnegative(owner, cands, bn, bd, wn, wd, *_delta_core(
-                bn, bd, wn, wd, *head, upper.scaled))
+                bn, bd, wn, wd, *head, upper.scaled[0]))
             if not cands:
                 continue
             q_nonneg = True

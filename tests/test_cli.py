@@ -762,6 +762,14 @@ GOLDEN_WALLS_RANK_16_SHA256 = {
 }
 
 
+#: the same at rank bound 32 for (2,3,1) at g=2 general: 3,108 walls in
+#: about 2.5 s, where the per-group certificate work dominates
+GOLDEN_WALLS_RANK_32_SHA256 = {
+    ("2,3,1", "2", "general"):
+        "437d734ccfa58797afec9234a4e465cfe4aa942330a57c592ed1f0d8f7288745",
+}
+
+
 def _walls_json_digest(case, rank_bound):
     cls, genus, model = case
     code, out, _ = invoke(["walls", "--class", cls, "--genus", genus,
@@ -786,6 +794,12 @@ def test_walls_json_golden_digest_rank_bound_8(case):
 def test_walls_json_golden_digest_rank_bound_16(case):
     assert (_walls_json_digest(case, "16")
             == GOLDEN_WALLS_RANK_16_SHA256[case])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WALLS_RANK_32_SHA256))
+def test_walls_json_golden_digest_rank_bound_32(case):
+    assert (_walls_json_digest(case, "32")
+            == GOLDEN_WALLS_RANK_32_SHA256[case])
 
 
 def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):

@@ -354,6 +354,45 @@ def test_pl_at_at_a_downward_jump_and_an_override():
     assert f(F(9, 10)) == F(9, 5) and f(1) == 5
 
 
+BUILT_IN_MODELS = ([make_model("general", g) for g in range(1, 9)]
+                   + [make_model("mercat", g) for g in range(4, 12)]
+                   + [make_model("elliptic", 1)])
+
+
+@pytest.mark.parametrize("model", BUILT_IN_MODELS,
+                         ids=lambda m: f"{m.name}-{m.genus.g}")
+def test_certificate_rows_are_subsets_of_every_row(model):
+    for f in (model.upper, model.lower):
+        m, parts, knots, points = f.scaled
+        (every_knots, every_parts), table = f.certificate_rows
+        values = [(x, s * x + i * m) for lo, hi, s, i in parts
+                  for x in (lo, hi) if x is not None]
+        values += [(x, v * m) for x, v in points]
+        assert dict(every_knots) == {
+            x: max(u for y, u in values if y == x) for x, _ in values}
+        assert every_knots == knots and every_parts == parts
+        assert len(table) == len(parts)
+        for rows in table:
+            assert rows == () or (set(rows[0]) <= set(every_knots)
+                                  and set(rows[1]) <= set(parts) and
+                                  any(rows))
+
+
+def _row_counts(f):
+    return [len(rows[0]) + len(rows[1]) if rows else 0
+            for rows in f.certificate_rows[1]]
+
+
+def test_certificate_rows_of_the_built_in_upper_envelopes():
+    # the left tail, the Clifford piece [0, 2g-2) and the forced tail
+    for g in range(2, 9):
+        upper = make_model("general", g).upper
+        m, parts, _, _ = upper.scaled
+        assert parts[1][:2] == (0, (2 * g - 2) * m)
+        assert _row_counts(upper) == [2, 0, 2]
+    assert _row_counts(make_model("mercat", 5).upper) == [2, 1, 0, 0, 2]
+
+
 def test_pl_equal():
     a = PLFunction(((F(0), F(1), F(0)),), F(0), F(0))
     b = PLFunction(((F(0), F(1), F(0)), (F(2), F(1), F(2))), F(0), F(0))

@@ -25,6 +25,8 @@ from cswalls.errors import (
 from cswalls.jsonio import (chamber_report_to_json, dumps,
                             dumps_chamber_report, walls_from_json)
 from cswalls.lattice import NumClass, det3, project
+from gridscan import _delta as grid_delta
+from test_envelopes import _SMALL, _pl_functions
 from cswalls.walls import (
     EVERYWHERE_EQUAL,
     NO_WALL,
@@ -286,6 +288,49 @@ def test_find_delta_returns_the_first_certifying_halving(case):
     if delta < head / 2:
         rows = delta_certificate(b0, w0, 2 * delta, model)
         assert any(q <= 0 for _, q in rows)
+
+
+#: g = 2 with a point override below its piece at b = 1 (and one above
+#: it at 2): there the piece's bounds on the certificate rows do not hold
+DOWN_OVERRIDE = PLFunction(((F(0), F(1, 2), F(1)), (F(2), F(1), F(1))),
+                           F(0), F(0), ((F(1), F(1, 2)), (F(2), F(2))))
+
+
+@st.composite
+def free_midpoints(draw):
+    """A free upper envelope, b0 at one of its breakpoints or overrides,
+    beside one, far out on a tail or anywhere, and w0 on or above
+    upper(b0) and both its limits there."""
+    upper = draw(_pl_functions())
+    knots = list(upper.breakpoints) + [x for x, _ in upper.point_values]
+    b0 = draw(st.one_of(
+        st.sampled_from(knots), _SMALL,
+        st.builds(lambda x, d: x + d, st.sampled_from(knots),
+                  st.sampled_from([F(-1, 7), F(-1, 50), F(1, 50), F(1, 7)])),
+        st.builds(lambda x, k: x + k, st.sampled_from([min(knots), max(knots)]),
+                  st.sampled_from([-40, -6, 6, 40]))))
+    top = max(upper.at(b0.numerator, b0.denominator))
+    excess = draw(st.fractions(min_value=0, max_value=20,
+                               max_denominator=60))
+    return upper, b0, F(top, upper.scaled[0] * b0.denominator) + excess
+
+
+@settings(max_examples=400, deadline=None)
+@given(free_midpoints())
+# upper(1) lies below its piece: delta is 5/32, where the piece's rows
+# alone give 5/8
+@example((DOWN_OVERRIDE, F(1), F(7, 4)))
+# the knot (0, 1), which the left tail's rows keep, halves delta to 1/4
+@example((GENERAL2.upper, F(-1, 2), F(1)))
+def test_find_delta_matches_the_grid_oracle_on_free_envelopes(case):
+    upper, b0, w0 = case
+    expected = grid_delta(b0, w0, upper)
+    model = SimpleNamespace(upper=upper)  # all that find_delta reads
+    if expected is None:
+        with pytest.raises(NotAboveEnvelope):
+            find_delta(b0, w0, model)
+    else:
+        assert find_delta(b0, w0, model) == expected
 
 
 @settings(max_examples=300, deadline=None)
