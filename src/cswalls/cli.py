@@ -204,6 +204,23 @@ def resolve_config(args, environ) -> None:
 # --- wall cache -----------------------------------------------------------
 
 
+#: id(model) -> (model, its document text); holding the model keeps its id
+#: from being reused, and `make_model` shares each built-in model's object
+_MODEL_TEXTS: dict = {}
+
+
+def _model_text(model: BNModel) -> str:
+    """The model document as a string, as cache entries have held it,
+    built once per model object (for at most 64 objects at a time)."""
+    hit = _MODEL_TEXTS.get(id(model))
+    if hit is None:
+        if len(_MODEL_TEXTS) >= 64:
+            _MODEL_TEXTS.clear()
+        hit = _MODEL_TEXTS[id(model)] = (model, json.dumps(
+            model_to_json(model), sort_keys=True, separators=(",", ":")))
+    return hit[1]
+
+
 def _cache_key(v: NumClass, args, model: BNModel) -> dict:
     win = args.window
     return {
@@ -212,9 +229,7 @@ def _cache_key(v: NumClass, args, model: BNModel) -> dict:
         "window": [unrat(x) for x in (win.b_min, win.b_max, win.w_min,
                                       win.w_max)],
         "rank_bound": args.rank_bound,
-        # the model document as a string, as cache entries have held it
-        "model": json.dumps(model_to_json(model), sort_keys=True,
-                            separators=(",", ":")),
+        "model": _model_text(model),
         "version": __version__,
     }
 

@@ -198,28 +198,26 @@ def rat_pair(text):
         n, d = ratio_parts(text)
     except ValueError:
         return None
-    # ratio_text(1, 0) is "1/0"
-    if d == 0 or ratio_text(n, d) != text:
-        return None
-    return n, d
+    # the text int() read back must be the one str() writes; "p/1" is not
+    if d == 1:
+        return (n, 1) if text == str(n) else None
+    if d > 1 and text == f"{n}/{d}" and gcd(n, d) == 1:
+        return n, d
+    return None
 
 
 _WALL_KEYS = frozenset(("owner", "destabilizers", "line", "nu", "segment",
                         "verdicts"))
 _VERDICT_KEYS = frozenset(_VERDICTS)
-_CHECKS = frozenset(c.value for c in Check)
+#: the values the enumerator writes for q_nonneg and region (and "Pass"
+#: alone for im_positive, any `Check` value for feasibility)
+_PASS_UNKNOWN = ("Pass", "Unknown")
+_CHECKS = tuple(c.value for c in Check)
 _INT3 = [int, int, int]
 
 
 def _is_class(x) -> bool:
     return type(x) is list and list(map(type, x)) == _INT3
-
-
-def _known_checks(values) -> bool:
-    try:
-        return _CHECKS.issuperset(values)
-    except TypeError:  # an unhashable value
-        return False
 
 
 def wall_records_valid(docs, owner: NumClass) -> bool:
@@ -234,8 +232,10 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
     (nu, line) order; a segment of two points on the line with strictly ascending b,
     each b in `rat_pair`'s canonical form and each w the text that
     `ratio_text` writes for the line's w at that b; exactly the four
-    known verdicts, each a `Check` value.  A record list that passes also
-    decodes with `walls_from_json`, and encodes back unchanged."""
+    verdicts, each a value the enumerator writes for it: im_positive
+    "Pass", q_nonneg and region "Pass" or "Unknown", feasibility any
+    `Check` value.  A record list that passes also decodes with
+    `walls_from_json`, and encodes back unchanged."""
     if type(docs) is not list:
         return False
     own = list(owner.as_tuple())
@@ -251,7 +251,10 @@ def wall_records_valid(docs, owner: NumClass) -> bool:
                 and _is_class(line) and type(seg) is list
                 and len(seg) == 2 and type(checks) is dict
                 and checks.keys() == _VERDICT_KEYS
-                and _known_checks(checks.values())):
+                and checks["im_positive"] == "Pass"
+                and checks["q_nonneg"] in _PASS_UNKNOWN
+                and checks["region"] in _PASS_UNKNOWN
+                and checks["feasibility"] in _CHECKS):
             return False
         a, b, c = line
         if (gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0)

@@ -37,7 +37,7 @@ from .errors import (
     ZeroAlpha,
     ZeroRank,
 )
-from .lattice import GenusLike, NumClass, det3, genus_value
+from .lattice import GenusLike, NumClass, genus_value
 
 
 class Check(str, Enum):
@@ -312,7 +312,7 @@ def ratio_text(num: int, den: int) -> str:
     g = gcd(num, den)
     if den < 0:
         g = -g
-    if g != 1:  # a canonical text, as `jsonio.rat_pair` checks it, skips this
+    if g != 1:  # a reduced pair skips this
         num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
 
@@ -870,32 +870,47 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
                     for x, e in ((x0, d), (x1, d), (y0, n), (y1, n)))
         corners = [(x, y, 1) for x in box[:2] for y in box[2:]]
         centre_in = box[0] <= 0 <= box[1] and box[2] <= 0 <= box[3]
-        chords = [_chord(u, box) for u in rays]
-        # sides[i][c] = cross(rays[i], corners[c])
-        sides = [[x * q[1] - y * q[0] for q in corners] for x, y in rays]
+        # per ray: the ray, its chord, and cross(ray, corner) per corner
+        per_ray = [(u, _chord(u, box), [u[0] * q[1] - u[1] * q[0]
+                                        for q in corners]) for u in rays]
         size = abs(r) * m  # D
         chambers = []
         k = len(rays)
-        for i in range(k):
-            j = (i + 1) % k
-            u, u2 = rays[i], rays[j]
+        for i, ((u, ch, sd), (u2, ch2, sd2)) in enumerate(
+                zip(per_ray, per_ray[1:] + per_ray[:1])):
             # the vertices of the window cut to the closed sector: its rays'
             # chord ends, the corners strictly inside, and the centre when
             # it is the apex or ends a half-plane's boundary chord
-            pts = chords[i] + chords[j] + [
-                q for q, a, b in zip(corners, sides[i], sides[j])
-                if a > 0 > b]
+            pts = ch + ch2
+            for c in range(4):
+                if sd[c] > 0 > sd2[c]:
+                    pts.append(corners[c])
             if centre_in and (u[0] * u2[1] > u[1] * u2[0]
-                              or not chords[i] or not chords[j]):
+                              or not ch or not ch2):
                 pts.append((0, 0, 1))
             # the cut has nonzero area when a point lies off the line
-            # through the first two (distinct) ones
-            meets = any(det3((pts[0], pts[1], p)) for p in pts[2:])
+            # through the first two (distinct) ones: off the plane normal
+            # to their cross product
+            meets = False
+            if len(pts) > 2:
+                (px, py, pz), (qx, qy, qz) = pts[0], pts[1]
+                cx, cy = py * qz - pz * qy, pz * qx - px * qz
+                cz = px * qy - py * qx
+                for x, y, z in pts[2:]:
+                    if cx * x + cy * y + cz * z:
+                        meets = True
+                        break
             if meets:
                 # the vertex average over one common denominator
-                den = lcm(*(z for _, _, z in pts))
-                sx = sum(x * (den // z) for x, _, z in pts)
-                sy = sum(y * (den // z) for _, y, z in pts)
+                den = 1
+                for _, _, z in pts:
+                    if den % z:
+                        den = lcm(den, z)
+                sx = sy = 0
+                for x, y, z in pts:
+                    f = den // z
+                    sx += x * f
+                    sy += y * f
                 den *= len(pts)
             else:
                 # the centre plus an inner direction; one line (k == 2)

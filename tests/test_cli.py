@@ -516,7 +516,7 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
 #: mostly to the first record; before the records were checked,
 #: "segment-three-points" made `walls --format csv|text` exit 2, and
 #: "line-doubled", "extra-key", "nu-integer" and "records-reordered"
-#: were printed by `walls --format json` as they stood.  The last five
+#: were printed by `walls --format json` as they stood.  The last eight
 #: are records that the enumerator never writes but that the check
 #: once accepted
 MALFORMED = {
@@ -547,6 +547,13 @@ MALFORMED = {
     # (0, 1, -4) on 8*b + 2*w = 13 replaced by (0, 1, 5), off that line
     "destabilizer-off-line": lambda recs: recs[0].update(
         destabilizers=[[0, 1, 5]]),
+    # verdicts that are `Check` values but never the enumerator's: it
+    # writes im_positive as Pass, q_nonneg and region as Pass or Unknown
+    "im-positive-unknown": lambda recs: recs[0]["verdicts"].update(
+        im_positive="Unknown"),
+    "q-nonneg-fail": lambda recs: recs[0]["verdicts"].update(
+        q_nonneg="Fail"),
+    "region-fail": lambda recs: recs[0]["verdicts"].update(region="Fail"),
 }
 MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
                   "--rank-bound", "1"]

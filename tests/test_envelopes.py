@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cswalls.cli import _model_text
 from cswalls.envelopes import (
     BNModel,
     PLFunction,
@@ -153,9 +154,14 @@ GOLDEN_MODEL_KEYS = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_MODEL_KEYS))
 def test_model_cache_key_text_golden(case):
     # building the model also runs its checks, for every genus listed
-    text = json.dumps(model_to_json(make_model(*case)), sort_keys=True,
+    model = make_model(*case)
+    text = json.dumps(model_to_json(model), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_KEYS[case]
+    # the text a cache key holds, built once per model object and then
+    # reused: the same bytes both times
+    assert _model_text(model) == text
+    assert _model_text(make_model(*case)) == text
 
 
 # Closed forms of the three envelope bounds, written independently of the

@@ -17,7 +17,7 @@ from cswalls.jsonio import (
     walls_to_json,
 )
 from cswalls.lattice import NumClass
-from cswalls.walls import Window, enumerate_walls, ratio_text
+from cswalls.walls import Window, enumerate_walls, line_cmp, ratio_text
 
 # --- the canonical encoder ---------------------------------------------------
 
@@ -253,3 +253,165 @@ def test_validator_is_never_looser_than_the_decoder(case, data):
         assert dumps_wall_records(mutated) == dumps(mutated)
     else:  # as text, since True == 1 and 1.0 == 1
         assert json.dumps(mutated) != json.dumps(records)
+
+
+# --- the record check against its reference --------------------------------
+
+
+def _reference_rat_pair(text):
+    """(num, den) of a text that `ratio_text` writes back unchanged, else
+    None: the segment-end parse that the record check once made."""
+    if type(text) is not str:
+        return None
+    num, slash, den = text.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    if d == 0 or ratio_text(n, d) != text:
+        return None
+    return n, d
+
+
+_REFERENCE_KEYS = {"owner", "destabilizers", "line", "nu", "segment",
+                   "verdicts"}
+_REFERENCE_VERDICTS = {"im_positive", "q_nonneg", "feasibility", "region"}
+
+
+def _reference_records_valid(docs, owner) -> bool:
+    """The record check as it stood before each verdict had its own
+    domain: every verdict any of "Pass", "Fail", "Unknown", and each
+    segment end's b read by `_reference_rat_pair`."""
+    def is_class(x):
+        return type(x) is list and [type(y) for y in x] == [int, int, int]
+
+    if type(docs) is not list:
+        return False
+    own = list(owner.as_tuple())
+    r, d, n = own
+    prev = None
+    for doc in docs:
+        if type(doc) is not dict or doc.keys() != _REFERENCE_KEYS:
+            return False
+        line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
+        witnesses = doc["destabilizers"]
+        if not (is_class(doc["owner"]) and doc["owner"] == own
+                and type(witnesses) is list and witnesses
+                and is_class(line) and type(seg) is list and len(seg) == 2
+                and type(checks) is dict
+                and checks.keys() == _REFERENCE_VERDICTS):
+            return False
+        try:
+            if not {"Pass", "Fail", "Unknown"}.issuperset(checks.values()):
+                return False
+        except TypeError:  # an unhashable value
+            return False
+        a, b, c = line
+        if (math.gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0)
+                or a * d + b * n != c * r):
+            return False
+        last = None
+        for x in witnesses:
+            if (not is_class(x) or last is not None and last >= x
+                    or a * x[1] + b * x[2] != c * x[0]
+                    or r * x[1] == x[0] * d):
+                return False
+            last = x
+        if doc["nu"] != ratio_text(-a, b):
+            return False
+        if prev is not None and line_cmp(prev, line) >= 0:
+            return False
+        prev = line
+        ends = []
+        for point in seg:
+            if type(point) is not list or len(point) != 2:
+                return False
+            bp = _reference_rat_pair(point[0])
+            if bp is None or point[1] != ratio_text(c * bp[1] - a * bp[0],
+                                                    b * bp[1]):
+                return False
+            ends.append(bp)
+        (pn, pd), (qn, qd) = ends
+        if pn * qd >= qn * pd:
+            return False
+    return True
+
+
+#: what the enumerator writes for each verdict
+VERDICT_DOMAINS = {"im_positive": {"Pass"}, "q_nonneg": {"Pass", "Unknown"},
+                   "region": {"Pass", "Unknown"},
+                   "feasibility": {"Pass", "Fail", "Unknown"}}
+
+#: segment-end b texts: canonical and not, with the same value or not
+B_TEXTS = TWEAKS[str] + [
+    "1/1", "0/3", "1/02", "1/-2", "-1/-2", " 1", "1 ", "1_0", "٣",
+    "１", "", "1/", "/2", "1.5", "1e1", "3/6", "-3/6", "+1/2", "00",
+    "-", "1//2", "1/2/3", "1/4", "-1/4", "5/4", "-5/4", "7/2", "99/100"]
+
+
+def _w_text(line, b):
+    """The text the enumerator writes for the line's w at b."""
+    A, B, C = line
+    return str((C - A * b) / B)
+
+
+@st.composite
+def record_mutations(draw):
+    """(case, records) with one change to real records: a tweaked value
+    anywhere, a segment end's b as another text with w moved onto the
+    line (or left, or moved off it), a verdict, or an order."""
+    case = draw(st.sampled_from([((2, 3, 1), "general"),
+                                 ((0, 3, 1), "general"),
+                                 ((2, 4, 0), "mercat"),
+                                 ((1, 2, 1), "elliptic"),
+                                 ((2, 3, 0), "mercat")]))
+    recs = copy.deepcopy(_records(*case)[1])
+    i = draw(st.integers(0, len(recs) - 1))
+    rec = recs[i]
+    kind = draw(st.sampled_from(["any", "b", "w", "verdict", "order"]))
+    if kind == "any":
+        recs[i] = _mutated(draw, rec)
+    elif kind == "b":
+        end = rec["segment"][draw(st.integers(0, 1))]
+        text = draw(st.sampled_from(B_TEXTS) | st.builds(
+            "{}/{}".format, st.integers(-30, 30), st.integers(-8, 8))
+            | st.integers(-3, 3) | st.booleans() | st.none())
+        end[0] = text
+        try:
+            w = _w_text(rec["line"], Fraction(text))
+        except (TypeError, ValueError, ZeroDivisionError):
+            w = None
+        how = draw(st.sampled_from(["on", "keep", "off"]))
+        if w is not None and how != "keep":
+            end[1] = w if how == "on" else str(Fraction(w) + Fraction(1, 7))
+    elif kind == "w":
+        end = rec["segment"][draw(st.integers(0, 1))]
+        b = Fraction(end[0]) + draw(st.fractions(-2, 2, max_denominator=6))
+        end[1] = draw(st.sampled_from([_w_text(rec["line"], b), str(b),
+                                       end[1] + " ", Fraction(end[1])]))
+    elif kind == "verdict":
+        name = draw(st.sampled_from(sorted(VERDICT_DOMAINS)))
+        rec["verdicts"][name] = draw(st.sampled_from(
+            TWEAKS[str] + [None, 1, True, ["Pass"], {"Pass": 1}]))
+    else:
+        j = draw(st.integers(0, len(recs) - 1))
+        recs[i], recs[j] = recs[j], recs[i]
+        if draw(st.booleans()):
+            rec["segment"].reverse()
+    return case, recs
+
+
+def _in_domains(records) -> bool:
+    return all(rec["verdicts"][name] in dom for rec in records
+               for name, dom in VERDICT_DOMAINS.items())
+
+
+@settings(max_examples=800, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(record_mutations())
+def test_validator_matches_its_reference_on_mutated_records(mutation):
+    case, records = mutation
+    v, written = _records(*case)
+    assert _reference_records_valid(written, v)
+    want = _reference_records_valid(records, v) and _in_domains(records)
+    assert wall_records_valid(records, v) == want
