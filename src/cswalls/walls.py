@@ -128,31 +128,55 @@ def delta_certificate(b0, w0, delta, model: BNModel) -> list:
     return rows
 
 
-def _headroom(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
-    """(hn, hd, rows) with hn/hd = w0 - upper(b0) for b0 = bn/bd and w0 =
-    wn/wd (bd, wd > 0) when w0 lies strictly above upper(b0) and above
-    both one-sided limits of upper at b0; None otherwise.  Without the
-    limits no parabola through (b0, w0 - delta) can clear upper near b0.
+def find_delta(b0, w0, model: BNModel) -> Fraction:
+    """Largest delta in {(w0 - upper(b0))/2^k : k >= 1} whose parabola
+    dominates the upper envelope everywhere, certified exactly on the
+    rows that `_delta` picks for b0 (the others are positive at every
+    such delta).
 
-    `rows` are the certificate rows that `_delta_core` tests: those of
-    the part holding b0 in `PLFunction.certificate_rows`, found by the
+    Raises NotAboveEnvelope unless w0 lies strictly above upper(b0) and
+    above both one-sided limits of upper at b0 (a jump there leaves no
+    certifiable delta).
+    """
+    b0, w0 = _frac(b0), _frac(w0)
+    found = _delta(model.upper, b0.numerator, b0.denominator,
+                   w0.numerator, w0.denominator)
+    if found is None:
+        raise NotAboveEnvelope(
+            f"({b0},{w0}) is not above the upper envelope and its "
+            f"one-sided limits there (upper({b0}) = {model.upper(b0)})"
+        )
+    return Fraction(*found)
+
+
+def _delta(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
+    """`find_delta` in integers: delta as (en, ed) for b0 = bn/bd and w0 =
+    wn/wd (bd, wd > 0), or None unless w0 lies strictly above upper(b0)
+    and above both one-sided limits of upper at b0 (without the limits no
+    parabola through (b0, w0 - delta) can clear upper near b0).
+
+    With head = w0 - upper(b0), delta = head/2^k for the first certifying
+    k >= 1, tested on the rows of `delta_certificate` that can fail: those
+    of the part holding b0 in `PLFunction.certificate_rows`, found by the
     part walk of `PLFunction.at`, or every row where upper(b0) is a point
-    override below that part (the part's bounds assume upper(b0) at or
-    above it)."""
-    m, parts, _, points = upper.scaled
+    override below that part (the part's rows assume upper(b0) at or
+    above it).  No row gives head/2 at once.  Each row's sign is that of
+    an integer expression in 2^k, every rational on a common denominator.
+    """
+    m, pieces, _, points = upper.scaled
     every, table = upper.certificate_rows
-    xm = bn * m
+    bm = bn * m
     prev = None
-    for part, rows in zip(parts, table):
-        if part[1] is None or xm < part[1] * bd:
+    for part, rows in zip(pieces, table):
+        if part[1] is None or bm < part[1] * bd:
             break
         prev = part
-    if part[0] is None or part[0] * bd != xm:
+    if part[0] is None or part[0] * bd != bm:
         prev = part
     value = right = part[2] * bn + part[3] * bd
     left = prev[2] * bn + prev[3] * bd
     for px, pv in points:
-        if px * bd == xm:
+        if px * bd == bm:
             value = pv * bd
             if value < right:
                 rows = every
@@ -161,47 +185,10 @@ def _headroom(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
     wden = wn * den
     if wden <= max(value, left, right) * wd:
         return None
-    return (*_reduced(wden - value * wd, den * wd), rows)
-
-
-def find_delta(b0, w0, model: BNModel) -> Fraction:
-    """Largest delta in {(w0 - upper(b0))/2^k : k >= 1} whose parabola
-    dominates the upper envelope everywhere, certified exactly on the
-    rows that `_headroom` picks for b0 (the others are positive at every
-    such delta).
-
-    Raises NotAboveEnvelope unless w0 lies strictly above upper(b0) and
-    above both one-sided limits of upper at b0 (a jump there leaves no
-    certifiable delta).
-    """
-    b0, w0 = _frac(b0), _frac(w0)
-    bn, bd = b0.numerator, b0.denominator
-    wn, wd = w0.numerator, w0.denominator
-    head = _headroom(model.upper, bn, bd, wn, wd)
-    if head is None:
-        raise NotAboveEnvelope(
-            f"({b0},{w0}) is not above the upper envelope and its "
-            f"one-sided limits there (upper({b0}) = {model.upper(b0)})"
-        )
-    en, ed = _delta_core(bn, bd, wn, wd, *head, model.upper.scaled[0])
-    return Fraction(en, ed)
-
-
-def _delta_core(bn, bd, wn, wd, hn, hd, rows, m) -> tuple:
-    """`find_delta` in integers: b0 = bn/bd, w0 = wn/wd and head = hn/hd
-    (positive denominators, head > 0), with `rows` = (knots, parts) as
-    `_headroom` gives them over the upper envelope's denominator m.
-    Returns delta = head/2^k as (hn, hd << k), and head/2 at once when
-    there is no row.
-
-    The rows are those of `delta_certificate`, decided in integers: with
-    delta = head/2^k and every rational on a common denominator, each
-    row's sign is that of an integer expression in 2^k.
-    """
+    hn, hd = _reduced(wden - value * wd, den * wd)
     if not rows:
         return hn, hd << 1
     knots, parts = rows
-    bm = bn * m
     # A knot (x/m, u/m^2) gives the row t^2/delta + c - delta with
     # t = x/m - b0 and c = w0 - u/m^2; times head*2^k*(m*bd)^2*wd*hd^2
     # that is 4^k*a + 2^k*b - c0 with a = t'^2*ka, b = (wm - u*wd)*kb and
@@ -467,7 +454,8 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
     def decide(items) -> list:
         walls = []
         for line, groups in items:
-            wall = _line_wall(owner, gg, line, groups, box, model)
+            wall = _fold(owner, line, _line_verdicts(
+                owner, gg, line, groups, box, model), model.upper)
             if wall is not None:
                 walls.append(wall)
         return walls
@@ -630,25 +618,21 @@ def _carve(line: tuple, pl: PLFunction, lo: tuple, hi: tuple):
     return final
 
 
-def _line_wall(owner: tuple, gg: int, line: tuple, groups: dict,
-               box: tuple, model: BNModel) -> Optional[dict]:
-    """The record of the wall that `line` carries for the (r', d', n')
-    candidates of the class `owner` = (r, d, n), grouped by Im interval,
-    or None when every candidate is rejected; `box` is the window as
-    `_box` gives it."""
+def _line_verdicts(owner: tuple, gg: int, line: tuple, groups: dict,
+                   box: tuple, model: BNModel) -> list:
+    """One verdict (kept, certified, feasibility, first, last) per group
+    of (r', d', n') candidates of the class `owner` = (r, d, n) on `line`,
+    keyed by Im interval, that keeps a candidate: the kept candidates,
+    whether the group's segment midpoint is certified above the upper
+    envelope, its Mercat test as 0 (Unknown), 1 (Pass) or 2 (Fail), and
+    the segment's end pairs; `box` is the window as `_box` gives it."""
     clipped = _clip(line, box)
-    if clipped is None:
-        return None
     # above the lower envelope, then inside each genuine interval
-    carved = _carve(line, model.lower, *clipped)
+    carved = clipped and _carve(line, model.lower, *clipped)
     if not carved:
-        return None
+        return []
     A, B, C = line
-    upper = model.upper
-    witnesses = set()
-    q_nonneg = False
-    feas = "Unknown"  # until a witness is tested: then a Fail outranks a Pass
-    lo = hi = None  # hull of the accepted parts
+    verdicts = []
     for (gl, gh), cands in groups.items():
         # the group's hull, and its parts when the Mercat test may read them
         parts = [] if gg >= 4 else None
@@ -670,33 +654,48 @@ def _line_wall(owner: tuple, gg: int, line: tuple, groups: dict,
         (pn, pd), (qn, qd) = first, last
         bn, bd = _reduced(pn * qd + qn * pd, 2 * pd * qd)
         wn, wd = _reduced(C * bd - A * bn, B * bd)
-        head = _headroom(upper, bn, bd, wn, wd)
-        if head is not None:
-            cands = _q_nonnegative(owner, cands, bn, bd, wn, wd, *_delta_core(
-                bn, bd, wn, wd, *head, upper.scaled[0]))
+        delta = _delta(model.upper, bn, bd, wn, wd)
+        if delta is not None:
+            cands = _q_nonnegative(owner, cands, bn, bd, wn, wd, *delta)
             if not cands:
                 continue
-            q_nonneg = True
-        meets_uf = None
-        for cand in cands:
-            if cand[0] != 0 and parts is not None:
-                if meets_uf is None:
-                    # somewhere with b > 0 the line clears the Mercat bound
-                    meets_uf = any(
-                        _carve(line, mercat_bound_pl(gg),
-                               a if a[0] > 0 else (0, 1), b)
-                        for a, b in parts)
-                if meets_uf:
+        feas = 0
+        # somewhere with b > 0 the line clears the Mercat bound
+        if parts and any(c[0] for c in cands) and any(
+                _carve(line, mercat_bound_pl(gg), a if a[0] > 0 else (0, 1), b)
+                for a, b in parts):
+            feas = 1
+            for cand in cands:
+                if cand[0]:
                     cr, cd, cn = cand if cand[0] > 0 else (-x for x in cand)
-                    fails = region_uf_at(gg, cd, cr, cn, cr)
-                    feas = "Fail" if fails or feas == "Fail" else "Pass"
-        witnesses.update(cands)
-        if lo is None or pn * lo[1] < lo[0] * pd:
-            lo = first
-        if hi is None or qn * hi[1] > hi[0] * qd:
-            hi = last
-    if not witnesses:
+                    if region_uf_at(gg, cd, cr, cn, cr):
+                        feas = 2
+                        break
+        verdicts.append((cands, delta is not None, feas, first, last))
+    return verdicts
+
+
+def _fold(owner: tuple, line: tuple, verdicts: list,
+          upper: PLFunction) -> Optional[dict]:
+    """The wall record of `line` for the class `owner` from its groups'
+    `_line_verdicts`, in any order, or None when there is none: the union
+    of the witnesses, q_nonneg Pass when some group was certified, the
+    feasibility ranked Fail over Pass over Unknown, and the segment and
+    its region on the hull of the group segments."""
+    if not verdicts:
         return None
+    witnesses = set()
+    certified, feas = False, 0
+    lo = hi = None
+    for cands, cert, f, first, last in verdicts:
+        witnesses.update(cands)
+        certified = certified or cert
+        feas = max(feas, f)
+        if lo is None or first[0] * lo[1] < lo[0] * first[1]:
+            lo = first
+        if hi is None or last[0] * hi[1] > hi[0] * last[1]:
+            hi = last
+    A, B, C = line
     return {
         "owner": list(owner),
         "destabilizers": [list(c) for c in sorted(witnesses)],
@@ -706,8 +705,8 @@ def _line_wall(owner: tuple, gg: int, line: tuple, groups: dict,
                     for bn, bd in (lo, hi)],
         "verdicts": {
             "im_positive": "Pass",
-            "q_nonneg": "Pass" if q_nonneg else "Unknown",
-            "feasibility": feas,
+            "q_nonneg": "Pass" if certified else "Unknown",
+            "feasibility": ("Unknown", "Pass", "Fail")[feas],
             "region": _segment_region_verdict(line, lo, hi, upper),
         },
     }

@@ -1040,14 +1040,14 @@ def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
     thread = threading.Thread(target=stop.wait)
     if fault == "child raises":
         # the child decides nothing, and this process decides its lines
-        pid, line_wall = os.getpid(), walls._line_wall
+        pid, line_wall = os.getpid(), walls._line_verdicts
 
         def kernel(*args):
             if os.getpid() != pid:
                 raise RuntimeError("the child's kernel fails")
             return line_wall(*args)
 
-        monkeypatch.setattr(walls, "_line_wall", kernel)
+        monkeypatch.setattr(walls, "_line_verdicts", kernel)
     else:
         def fork():
             if fault == "second thread":
@@ -1067,6 +1067,92 @@ def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
     assert len(forks) == (fault == "child raises")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic gates for the enumerator: a wall record is the fold of its
+# groups' verdicts, and its witnesses nest in the rank bound and close
+# under the complement
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_models():
+    """(genus, model): general, Mercat at g = 4 and 5, elliptic, jump."""
+    from test_cli import JUMP_MODEL
+
+    return ((2, make_model("general", 2)), (4, make_model("mercat", 4)),
+            (5, make_model("mercat", 5)), (1, make_model("elliptic", 1)),
+            (2, model_from_json(JUMP_MODEL, 2)))
+
+
+@st.composite
+def _walls_cases(draw):
+    """(class, genus, window, rank bound 1-3, model) for `enumerate_walls`."""
+    g, model = draw(st.sampled_from(_gate_models()))
+    v = NumClass(draw(st.integers(-3, 3)), draw(st.integers(-5, 5)),
+                 draw(st.integers(-5, 5)))
+    win = draw(st.sampled_from([STD_WINDOW,
+                                Window(F(-4), F(4), F(1, 4), F(8))]))
+    return v, g, win, draw(st.integers(1, 3)), model
+
+
+@settings(max_examples=30, deadline=None)
+@given(_walls_cases(), st.integers(0, 2 ** 32))
+# a line whose two groups differ in feasibility
+@example((NumClass(0, 1, 0), 4, STD_WINDOW, 1, make_model("mercat", 4)), 0)
+def test_folding_a_partition_of_the_groups_gives_the_lines_record(case,
+                                                                  seed):
+    import cswalls.walls as walls
+
+    v, g, win, rank_bound, model = case
+    rnd = random.Random(seed)
+    records = {tuple(rec["line"]): rec for rec in enumerate_walls(*case)}
+    owner, box = v.as_tuple(), walls._box(win)
+    by_line = {}
+    for cand, gi in walls._candidates(v, box, rank_bound):
+        groups = by_line.setdefault(wall_line(v, NumClass(*cand)), {})
+        groups.setdefault(gi, []).append(cand)
+    assert set(records) <= set(by_line)
+    for line, groups in by_line.items():
+        halves = ([], [])
+        for item in groups.items():
+            halves[rnd.randrange(2)].append(item)
+        verdicts = []
+        for half in halves:
+            rnd.shuffle(half)
+            verdicts += walls._line_verdicts(owner, g, line, dict(half),
+                                             box, model)
+        for joined in (verdicts, verdicts[::-1]):
+            assert walls._fold(owner, line, joined,
+                               model.upper) == records.get(line)
+    assert walls._fold(owner, (1, 1, 0), [], model.upper) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(_walls_cases(), st.integers(1, 2))
+def test_a_larger_rank_bound_keeps_each_wall_and_its_witnesses(case, more):
+    v, g, win, rank_bound, model = case
+    wider = {tuple(rec["line"]): rec["destabilizers"] for rec in
+             enumerate_walls(v, g, win, rank_bound + more, model)}
+    for rec in enumerate_walls(*case):
+        line = tuple(rec["line"])
+        assert line in wider
+        assert rec["destabilizers"] == [c for c in wider[line]
+                                        if abs(c[0]) <= rank_bound]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walls_cases())
+def test_a_witness_and_its_searched_complement_are_witnesses_together(case):
+    # a search class has |r'| <= rank bound, and at rank zero it is
+    # primitive with d' >= 1
+    v, g, win, rank_bound, model = case
+    for rec in enumerate_walls(*case):
+        witnesses = set(map(tuple, rec["destabilizers"]))
+        for cr, cd, cn in witnesses:
+            er, ed, en = v.r - cr, v.d - cd, v.n - cn
+            if abs(er) <= rank_bound and (er or ed >= 1 and gcd(ed, en) == 1):
+                assert (er, ed, en) in witnesses, (rec["line"], (cr, cd, cn))
 
 
 # ---------------------------------------------------------------------------
