@@ -100,8 +100,8 @@ class GLElement:
             raise DomainError(
                 f"matrix determinant must be positive, got {self.det()}"
             )
-        if not isinstance(self.winding, int):
-            raise TypeError("winding must be an int")
+        if isinstance(self.winding, bool) or not isinstance(self.winding, int):
+            raise TypeError(f"winding must be an int, got {self.winding!r}")
 
     def det(self) -> Fraction:
         return self.m11 * self.m22 - self.m12 * self.m21
@@ -148,15 +148,13 @@ class GLElement:
         increasing and moves any arc of length pi to an arc of exactly
         length pi, so over t in [0, 1] the image angle advances by a
         value in [0, pi] (and in [-pi, 0] for t in [-1, 0]).  That pins
-        the branch of the principal-value difference.
+        the branch of the principal-value difference.  A t that is not
+        finite raises DomainError.
         """
-        shift = 0
-        while t > 1:
-            t -= 2
-            shift += 2
-        while t <= -1:
-            t += 2
-            shift -= 2
+        if not math.isfinite(t):
+            raise DomainError(f"lift argument must be finite, got {t}")
+        wrapped = _wrap_to_unit(t)
+        t, shift = wrapped, t - wrapped
         base = math.atan2(float(self.m21), float(self.m11))
         x, y = math.cos(math.pi * t), math.sin(math.pi * t)
         fx = float(self.m11) * x + float(self.m12) * y
@@ -207,6 +205,11 @@ class ChargeData:
         lifts = tuple(self.lifts)
         if len(lifts) != 3:
             raise DomainError("lifts must be a triple")
+        if not all(x is None or math.isfinite(x) for x in lifts):
+            raise DomainError(f"lifts must be finite, got {lifts}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(
+                f"tol must be a finite positive number, got {self.tol}")
         object.__setattr__(self, "lifts", lifts)
         flagged = set()
         if "stable_O0" in self.flags:

@@ -103,14 +103,16 @@ class PLFunction:
                         self.scaled[0] * x.denominator)
 
     def at(self, xn: int, xd: int) -> tuple:
-        """(value, left limit, right limit) at x = xn/xd (xd > 0), each as
-        a numerator over m*xd, m being the denominator of `scaled`."""
+        """(value, left limit, right limit, j) at x = xn/xd (xd > 0), the
+        first three each as a numerator over m*xd, m being the denominator
+        of `scaled`, and j the index in `scaled`'s parts of the part
+        holding x."""
         m, parts, _, points = self.scaled
         xm = xn * m
         # find the part holding x, and the one to its left when x is that
         # part's low end; a part's value at x is (s*xn + i*xd)/(m*xd)
         prev = None
-        for part in parts:
+        for j, part in enumerate(parts):
             if part[1] is None or xm < part[1] * xd:
                 break
             prev = part
@@ -120,8 +122,8 @@ class PLFunction:
         left = prev[2] * xn + prev[3] * xd
         for px, pv in points:
             if px * xd == xm:
-                return pv * xd, left, right
-        return right, left, right
+                return pv * xd, left, right, j
+        return right, left, right, j
 
     def affine_parts(self):
         """Yield (lo, hi, slope, value_at_ref, ref) covering the whole line.

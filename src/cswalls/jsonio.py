@@ -7,15 +7,15 @@ are the only documents read here: they are checked in integers
 (`wall_records_valid`) and used as they are.  `walls_from_json` decodes
 them into `Wall`s for callers that want the objects, and `walls_to_json`
 encodes those back.  `dumps_wall_records` writes a list of records and
-`dumps_chamber_report` a chamber report as canonical JSON text, and
-`dumps` writes every other document.
+`dumps_chamber_report` a chamber report as canonical JSON text, the
+bytes of `dumps`, which writes every other document with `json.dumps`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import itemgetter
 
@@ -36,52 +36,8 @@ def slope_text(x) -> str:
 
 
 def dumps(obj) -> str:
-    """Canonical serialization: sorted keys, 2-space indent, newline; the
-    text of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, whose
-    indented form runs json's pure-Python encoder."""
-    return _encode(obj, "\n") + "\n"
-
-
-def _encode(o, nl: str) -> str:
-    """`o` as JSON, its nested lines starting with `nl` plus two spaces.
-    Types are tested in json's order; a dict key that is not a string
-    raises TypeError (json would convert it)."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        # a str item, the most common, skips the call
-        return "[" + inner + sep.join([
-            _quote(x) if type(x) is str else _encode(x, inner)
-            for x in o]) + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + sep.join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str
-                                else _encode(v, inner))
-            for k, v in sorted(o.items())]) + nl + "}"
-    raise TypeError(
-        f"Object of type {type(o).__name__} is not JSON serializable")
+    """Canonical serialization: sorted keys, 2-space indent, newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # --- walls ---------------------------------------------------------------

@@ -157,30 +157,16 @@ def _delta(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
 
     With head = w0 - upper(b0), delta = head/2^k for the first certifying
     k >= 1, tested on the rows of `delta_certificate` that can fail: those
-    of the part holding b0 in `PLFunction.certificate_rows`, found by the
-    part walk of `PLFunction.at`, or every row where upper(b0) is a point
+    of the part holding b0 in `PLFunction.certificate_rows`, its index
+    given by `PLFunction.at`, or every row where upper(b0) is a point
     override below that part (the part's rows assume upper(b0) at or
     above it).  No row gives head/2 at once.  Each row's sign is that of
     an integer expression in 2^k, every rational on a common denominator.
     """
-    m, pieces, _, points = upper.scaled
+    m = upper.scaled[0]
+    value, left, right, j = upper.at(bn, bd)
     every, table = upper.certificate_rows
-    bm = bn * m
-    prev = None
-    for part, rows in zip(pieces, table):
-        if part[1] is None or bm < part[1] * bd:
-            break
-        prev = part
-    if part[0] is None or part[0] * bd != bm:
-        prev = part
-    value = right = part[2] * bn + part[3] * bd
-    left = prev[2] * bn + prev[3] * bd
-    for px, pv in points:
-        if px * bd == bm:
-            value = pv * bd
-            if value < right:
-                rows = every
-            break
+    rows = every if value < right else table[j]
     den = m * bd
     wden = wn * den
     if wden <= max(value, left, right) * wd:
@@ -195,7 +181,7 @@ def _delta(upper: PLFunction, bn: int, bd: int, wn: int, wd: int):
     # t' = x*bd - bm.
     ka, kb = wd * hd * hd, hn * hd * bd * bd
     c0 = (hn * m * bd) ** 2 * wd
-    wm = wn * m * m
+    wm, bm = wn * m * m, bn * m
     # A part (slope s/m, intercept i/m) has its parabola vertex at
     # b0 + s*delta/(2m); the row there is (w0 - part(b0)) - delta*(1 +
     # s^2/(4m^2)).  Both the row's sign and whether the vertex lies
@@ -296,11 +282,7 @@ def _reduced(num: int, den: int) -> tuple:
 def ratio_text(num: int, den: int) -> str:
     """num/den (den != 0) as `str(Fraction(num, den))` writes it: "p", or
     "p/q" with q > 1 and gcd 1."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    if g != 1:  # a reduced pair skips this
-        num, den = num // g, den // g
+    num, den = _reduced(num, den)
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -724,7 +706,7 @@ def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
     m = upper.scaled[0]
     # w(x) - upper(x) times |B|*m*xd at x = xn/xd, against the largest of
     # the value and the limits that count there: upper.at gives (value,
-    # left limit, right limit)
+    # left limit, right limit, part index)
     for (xn, xd), side in ((lo, 2), (hi, 1)):
         at = upper.at(xn, xd)
         if sb * m * (C * xd - A * xn) < aB * max(at[0], at[side]):
@@ -733,7 +715,7 @@ def _segment_region_verdict(line: tuple, lo: tuple, hi: tuple,
              if lo[0] * m < x * lo[1] and x * hi[1] < hi[0] * m]
     inner.append((lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]))
     for xn, xd in inner:
-        if sb * m * (C * xd - A * xn) <= aB * max(upper.at(xn, xd)):
+        if sb * m * (C * xd - A * xn) <= aB * max(upper.at(xn, xd)[:3]):
             return "Unknown"
     return "Pass"
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cswalls.charges import (
     ChargeData,
@@ -134,6 +135,9 @@ def test_large_volume_ordering_matches_classical_slope():
 def test_gl_element_validation_and_lift():
     with pytest.raises(DomainError):
         GLElement(F(1), F(0), F(0), F(-1), 0)
+    for winding in (True, 1.0):
+        with pytest.raises(TypeError, match="winding must be an int"):
+            GLElement(F(1), F(0), F(0), F(1), winding)
     el = GLElement(F(0), F(-1), F(1), F(0), 0)  # rotation by pi/2
     assert el.lift_at_zero() == pytest.approx(0.5)
     assert el.lift_at_zero_bounds() == (F(1, 2), F(1, 2))
@@ -141,6 +145,61 @@ def test_gl_element_validation_and_lift():
     lo, hi = el2.lift_at_zero_bounds()
     assert (lo, hi) == (F(-2), F(-3, 2))
     assert lo < el2.lift_at_zero() < hi
+
+
+def _loop_lift_value(el, t):
+    """`GLElement.lift_value` as it was before it wrapped t with
+    `_wrap_to_unit`: t moves to (-1, 1] by steps of 2, kept as the
+    reference (it never returns for a t too large to step)."""
+    shift = 0
+    while t > 1:
+        t -= 2
+        shift += 2
+    while t <= -1:
+        t += 2
+        shift -= 2
+    base = math.atan2(float(el.m21), float(el.m11))
+    x, y = math.cos(math.pi * t), math.sin(math.pi * t)
+    fx = float(el.m11) * x + float(el.m12) * y
+    fy = float(el.m21) * x + float(el.m22) * y
+    delta = math.atan2(fy, fx) - base
+    while delta > math.pi:
+        delta -= 2 * math.pi
+    while delta <= -math.pi:
+        delta += 2 * math.pi
+    if t >= 0 and delta < -math.pi / 2:
+        delta += 2 * math.pi
+    elif t < 0 and delta > math.pi / 2:
+        delta -= 2 * math.pi
+    return base / math.pi + 2 * el.winding + delta / math.pi + shift
+
+
+_ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_ELEMENTS = st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES,
+                      st.integers(-3, 3)).filter(
+    lambda e: e[0] * e[3] > e[1] * e[2]).map(lambda e: GLElement(*e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ELEMENTS, st.floats(min_value=-1e6, max_value=1e6))
+@example(identity_element(), 1e6)
+@example(identity_element(), -1e6)
+@example(identity_element(), -0.0)
+@example(identity_element(), 1.0)
+@example(identity_element(), -1.0)
+@example(GLElement(F(0), F(-1), F(1), F(0), 1), 3.0000000000000004)
+def test_lift_value_matches_the_stepping_loop_bit_for_bit(el, t):
+    assert el.lift_value(t).hex() == _loop_lift_value(el, t).hex()
+
+
+def test_lift_value_of_a_huge_t_returns_and_a_nonfinite_t_raises():
+    el = identity_element()
+    for t in (1e300, -1e300, 2.0 ** 60 + 2.0 ** 8):
+        assert math.isfinite(el.lift_value(t))
+    assert el.lift_value(2.0 ** 60 + 1024) == 2.0 ** 60 + 1024
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="must be finite"):
+            el.lift_value(t)
 
 
 def test_gl_act_identity_and_scaling():
@@ -297,4 +356,25 @@ def test_charge_data_validation():
             ComplexRational(F(0), F(1)),
             ComplexRational(F(1), F(0)),
             flags=frozenset({"bogus"}),
+        )
+
+
+@pytest.mark.parametrize("lifts, tol", [
+    ((math.nan, None, None), 1e-9),
+    ((None, math.inf, None), 1e-9),
+    ((None, None, -math.inf), 1e-9),
+    ((None, None, None), math.nan),
+    ((1.0, 0.5, 0.0), math.nan),  # would pass every lift
+    ((None, None, None), math.inf),
+    ((None, None, None), 0.0),
+    ((None, None, None), -1e-9),
+], ids=["lift-nan", "lift-inf", "lift-minus-inf", "tol-nan",
+        "tol-nan-with-lifts", "tol-inf", "tol-zero", "tol-negative"])
+def test_charge_data_refuses_a_nonfinite_lift_or_a_bad_tol(lifts, tol):
+    with pytest.raises(DomainError, match="must be (a )?finite"):
+        ChargeData(
+            ComplexRational(F(-1), F(0)),
+            ComplexRational(F(0), F(1)),
+            ComplexRational(F(1), F(0)),
+            lifts, tol=tol,
         )

@@ -343,20 +343,22 @@ def test_pl_at_matches_the_bisect_lookup(data):
     x = data.draw(st.one_of(
         st.sampled_from(knots), _SMALL,
         st.integers(1, 50).map(lambda k: f.pieces[0][0] - F(k, 7))))
-    den = f.scaled[0] * x.denominator
-    value, left, right = (F(n, den) for n in f.at(x.numerator,
-                                                   x.denominator))
+    m, parts, _, _ = f.scaled
+    *nums, j = f.at(x.numerator, x.denominator)
+    value, left, right = (F(n, m * x.denominator) for n in nums)
     assert value == f(x) == _bisect_call(f, x)
     assert left == _piece_value(f, x, bisect_left)
     assert right == _piece_value(f, x, bisect_right)
+    # part 0 is the left tail, which has no low end
+    assert j == bisect_right([part[0] for part in parts[1:]], x * m)
 
 
 def test_pl_at_at_a_downward_jump_and_an_override():
     f = PLFunction(((F(0), F(2), F(0)), (F(1), F(1), F(0))), F(0), F(0),
                    ((F(1), F(5)),))
     m = f.scaled[0]
-    assert f.at(1, 1) == (5 * m, 2 * m, 0)
-    assert f.at(-3, 2) == (0, 0, 0)  # the left tail
+    assert f.at(1, 1) == (5 * m, 2 * m, 0, 2)
+    assert f.at(-3, 2) == (0, 0, 0, 0)  # the left tail
     assert f(F(9, 10)) == F(9, 5) and f(1) == 5
 
 

@@ -53,11 +53,12 @@ def _nested(depth: int):
 @given(TREES)
 @example(_nested(150))
 @example({"b": [1, 2.5, "x"], "a": {"z": None, "y": (True, False)}})
+@example({1: "a"})  # json writes an int key as a string
 def test_dumps_equals_json_with_sorted_keys_and_indent_2(tree):
     assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", {1: "a"},
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes",
                                    [1, {"a": object()}]])
 def test_dumps_rejects_what_is_not_a_json_tree(value):
     with pytest.raises(TypeError):

@@ -309,7 +309,7 @@ def free_midpoints(draw):
                   st.sampled_from([F(-1, 7), F(-1, 50), F(1, 50), F(1, 7)])),
         st.builds(lambda x, k: x + k, st.sampled_from([min(knots), max(knots)]),
                   st.sampled_from([-40, -6, 6, 40]))))
-    top = max(upper.at(b0.numerator, b0.denominator))
+    top = max(upper.at(b0.numerator, b0.denominator)[:3])
     excess = draw(st.fractions(min_value=0, max_value=20,
                                max_denominator=60))
     return upper, b0, F(top, upper.scaled[0] * b0.denominator) + excess
