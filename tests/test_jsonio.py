@@ -59,6 +59,7 @@ def test_dumps_equals_json_with_sorted_keys_and_indent_2(tree):
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes",
+                                   {(1, 2): "a"},  # a key json cannot write
                                    [1, {"a": object()}]])
 def test_dumps_rejects_what_is_not_a_json_tree(value):
     with pytest.raises(TypeError):
