@@ -151,7 +151,7 @@ class GLElement:
         the branch of the principal-value difference.  A t that is not
         finite raises DomainError.
         """
-        if not math.isfinite(t):
+        if not _finite(t):
             raise DomainError(f"lift argument must be finite, got {t}")
         wrapped = _wrap_to_unit(t)
         t, shift = wrapped, t - wrapped
@@ -205,9 +205,9 @@ class ChargeData:
         lifts = tuple(self.lifts)
         if len(lifts) != 3:
             raise DomainError("lifts must be a triple")
-        if not all(x is None or math.isfinite(x) for x in lifts):
+        if not all(x is None or _finite(x) for x in lifts):
             raise DomainError(f"lifts must be finite, got {lifts}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not (_finite(self.tol) and self.tol > 0):
             raise DomainError(
                 f"tol must be a finite positive number, got {self.tol}")
         object.__setattr__(self, "lifts", lifts)
@@ -231,6 +231,15 @@ class ChargeData:
 
     def charges(self) -> tuple:
         return (self.z1, self.z2, self.z3)
+
+
+def _finite(x) -> bool:
+    """`math.isfinite(x)`, False for an int beyond the float range (where
+    `math.isfinite` raises OverflowError)."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _wrap_to_unit(x: float) -> float:

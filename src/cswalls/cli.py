@@ -29,8 +29,8 @@ from .charges import (
     nu,
 )
 from .classify import full_classification
-from .envelopes import (BNModel, make_model, model_from_json, rat, region_uc,
-                        region_uf)
+from .envelopes import (INTEGER, BNModel, make_model, model_from_json, rat,
+                        region_uc, region_uf)
 from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
     classification_to_json,
@@ -39,10 +39,10 @@ from .jsonio import (
     dumps_chamber_report,
     dumps_wall_records,
     gl_element_to_json,
-    model_to_json,
+    records_from_rows,
     slope_text,
     unrat,
-    wall_records_valid,
+    wall_rows,
 )
 from .lattice import NumClass, dual_class, euler, mutate_left, project, serre_class
 from .svg import render_svg
@@ -108,10 +108,11 @@ def load_model(args) -> BNModel:
 
 
 def parse_class(text: str) -> NumClass:
+    """A class r,d,n, each part an optional sign and ASCII digits."""
     parts = text.split(",")
-    if len(parts) != 3:
+    if len(parts) != 3 or not all(map(INTEGER.fullmatch, parts)):
         raise ValueError(f"a class is r,d,n; got {text!r}")
-    return NumClass(*(int(p) for p in parts))
+    return NumClass(*map(int, parts))
 
 
 def parse_rat(text: str):
@@ -204,23 +205,6 @@ def resolve_config(args, environ) -> None:
 # --- wall cache -----------------------------------------------------------
 
 
-#: id(model) -> (model, its document text); holding the model keeps its id
-#: from being reused, and `make_model` shares each built-in model's object
-_MODEL_TEXTS: dict = {}
-
-
-def _model_text(model: BNModel) -> str:
-    """The model document as a string, as cache entries have held it,
-    built once per model object (for at most 64 objects at a time)."""
-    hit = _MODEL_TEXTS.get(id(model))
-    if hit is None:
-        if len(_MODEL_TEXTS) >= 64:
-            _MODEL_TEXTS.clear()
-        hit = _MODEL_TEXTS[id(model)] = (model, json.dumps(
-            model_to_json(model), sort_keys=True, separators=(",", ":")))
-    return hit[1]
-
-
 def _cache_key(v: NumClass, args, model: BNModel) -> dict:
     win = args.window
     return {
@@ -229,16 +213,16 @@ def _cache_key(v: NumClass, args, model: BNModel) -> dict:
         "window": [unrat(x) for x in (win.b_min, win.b_max, win.w_min,
                                       win.w_max)],
         "rank_bound": args.rank_bound,
-        "model": _model_text(model),
+        "model": model.key_text,
         "version": __version__,
     }
 
 
 def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
-    """The wall records of v that `enumerate_walls` writes: read from the
-    cache entry when it holds records that `wall_records_valid` accepts,
-    else enumerated (and written to a new entry when a cache directory is
-    set)."""
+    """The wall records of v that `enumerate_walls` writes: rebuilt from
+    the cache entry's rows when `records_from_rows` accepts them, else
+    enumerated (and written to a new entry as rows when a cache directory
+    is set)."""
     key = _cache_key(v, args, model)
     entry_path = None
     if args.cache_dir:
@@ -250,10 +234,11 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
             doc = _read_json(entry_path)
         except _JSON_READ_ERRORS:
             doc = None  # unreadable entries are recomputed
-        # so are mismatched ones and any record enumerate_walls cannot write
-        if (isinstance(doc, dict) and doc.get("key") == key
-                and wall_records_valid(doc.get("walls"), v)):
-            return doc["walls"]
+        # so are mismatched ones and any row enumerate_walls cannot write
+        if isinstance(doc, dict) and doc.get("key") == key:
+            records = records_from_rows(doc.get("walls"), v)
+            if records is not None:
+                return records
     records = enumerate_walls(v, args.genus, args.window, args.rank_bound,
                               model)
     if entry_path is not None:
@@ -263,8 +248,9 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
             fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # json.dumps (not json.dump) runs the C encoder
-                fh.write(json.dumps({"key": key, "walls": records},
-                                    sort_keys=True, separators=(",", ":")))
+                fh.write(json.dumps(
+                    {"key": key, "walls": wall_rows(records)},
+                    sort_keys=True, separators=(",", ":")))
             os.replace(tmp, entry_path)
         except OSError as exc:
             print(f"warning: cache write failed: {exc}", file=stderr)

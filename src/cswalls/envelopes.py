@@ -12,6 +12,7 @@ arithmetic and a three-valued verdict.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,10 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+#: an integer as arguments write one, an optional sign and ASCII digits:
+#: the integer half of `_RATIONAL`
+INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(f"({INTEGER.pattern})(?:/([0-9]+))?")
 
 
 def rat(s) -> Fraction:
@@ -270,6 +274,16 @@ class BNModel:
                 )
         if self.exact and not pl_equal(self.lower, self.upper):
             raise InvalidEnvelope("exact model requires lower == upper")
+
+    @cached_property
+    def key_text(self) -> str:
+        """The model's `jsonio.model_to_json` document as compact JSON
+        with sorted keys, as wall cache keys hold it: built once per
+        model object, and `make_model` shares each built-in one."""
+        from .jsonio import model_to_json  # jsonio imports this module
+        return json.dumps(model_to_json(self), sort_keys=True,
+                          separators=(",", ":"))
+
 
 def _check_forced_tails(f: PLFunction, g: int, which: str):
     """Envelopes must be 0 on x<0 and x+1-g on x>2g-2, exactly."""

@@ -1,14 +1,15 @@
-"""Canonical JSON encoding of result types, and the wall record check.
+"""Canonical JSON encoding of result types, and the wall cache rows.
 
 Rationals serialize as strings ("p/q", or "p" for integers), never as
-floats; points and complex values as two-element arrays.  Wall records,
-as `walls.enumerate_walls` writes them and read back from cache entries,
-are the only documents read here: they are checked in integers
-(`wall_records_valid`) and used as they are.  `walls_from_json` decodes
-them into `Wall`s for callers that want the objects, and `walls_to_json`
-encodes those back.  `dumps_wall_records` writes a list of records and
-`dumps_chamber_report` a chamber report as canonical JSON text, the
-bytes of `dumps`, which writes every other document with `json.dumps`.
+floats; points and complex values as two-element arrays.  A wall cache
+entry holds each wall record's integer content as a row (`wall_rows`);
+`records_from_rows` checks the rows in integers and rebuilds the records
+with `walls._record`, the writer `enumerate_walls` uses, so no stored
+text is read.  `walls_from_json` decodes records into `Wall`s for callers
+that want the objects, and `walls_to_json` encodes those back.
+`dumps_wall_records` writes a list of records and `dumps_chamber_report`
+a chamber report as canonical JSON text, the bytes of `dumps`, which
+writes every other document with `json.dumps`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .charges import ComplexRational, GLElement, PlanePoint
 from .classify import ClassificationResult
 from .envelopes import BNModel, PLFunction, rat
 from .lattice import NumClass
-from .walls import ChamberReport, Check, Wall, line_cmp, ratio_text
+from .walls import ChamberReport, Check, Wall, _record, line_cmp
 
 
 def unrat(x: Fraction) -> str:
@@ -85,12 +86,11 @@ def dumps_wall_records(records) -> str:
     """`dumps(records)` for a list of wall records, written from one fixed
     template; the one JSON writer of record lists.
 
-    It is exact only for records in the form that `enumerate_walls` writes
-    and `wall_records_valid` accepts: classes and lines of three ints (no
-    bools), and texts ("nu", the segment ends, the verdicts) that need no
-    JSON escape.  The texts go in unescaped for that reason: the enumerator
-    writes them with `ratio_text` and as `Check` values, and the check
-    admits no other text."""
+    It is exact only for records that `walls._record` writes, the only
+    records the CLI renders: classes and lines of three ints (no bools),
+    and texts ("nu", the segment ends, the verdicts) that need no JSON
+    escape, since they are `ratio_text` values and `Check` values.  The
+    texts go in unescaped for that reason."""
     if not records:
         return "[]\n"
     return "[\n" + ",\n".join([_RECORD % (
@@ -138,114 +138,78 @@ def walls_from_json(docs) -> list:
 
 def ratio_parts(text: str) -> tuple:
     """(num, den) of a text in `ratio_text`'s form, with no check that it
-    is in that form: the parse half of `rat_pair`, for texts that the
-    enumerator wrote or `wall_records_valid` has accepted."""
+    is in that form: for texts that `walls._record` wrote."""
     num, slash, den = text.partition("/")
     return int(num), int(den) if slash else 1
 
 
-def rat_pair(text):
-    """(num, den) of a rational written as `ratio_text` writes it ("p", or
-    "p/q" with q > 1 and gcd 1, in plain ASCII digits with no "+" and no
-    leading zero); None for any other value."""
-    if type(text) is not str:
-        return None
-    try:  # int() also takes "+1", " 1", "1_0" and non-ASCII digits
-        n, d = ratio_parts(text)
-    except ValueError:
-        return None
-    # the text int() read back must be the one str() writes; "p/1" is not
-    if d == 1:
-        return (n, 1) if text == str(n) else None
-    if d > 1 and text == f"{n}/{d}" and gcd(n, d) == 1:
-        return n, d
-    return None
+def wall_rows(records) -> list:
+    """The cache rows of wall records as `enumerate_walls` writes them:
+    [line, witnesses, lo, hi, feasibility, im_positive, q_nonneg, region]
+    per record, the segment's b ends as reduced [num, den] pairs; what
+    `records_from_rows` reads back."""
+    return [[rec["line"], rec["destabilizers"],
+             *(list(ratio_parts(end[0])) for end in rec["segment"]),
+             *_verdicts(rec["verdicts"])] for rec in records]
 
 
-_WALL_KEYS = frozenset(("owner", "destabilizers", "line", "nu", "segment",
-                        "verdicts"))
-_VERDICT_KEYS = frozenset(_VERDICTS)
-#: the values the enumerator writes for q_nonneg and region (and "Pass"
-#: alone for im_positive, any `Check` value for feasibility)
 _PASS_UNKNOWN = ("Pass", "Unknown")
 _CHECKS = tuple(c.value for c in Check)
-_INT3 = [int, int, int]
+_INT3, _INT2 = [int, int, int], [int, int]
 
 
-def _is_class(x) -> bool:
-    return type(x) is list and list(map(type, x)) == _INT3
+def _ints(x, types: list) -> bool:
+    """Whether x is a JSON array of len(types) integers (no bools)."""
+    return type(x) is list and list(map(type, x)) == types
 
 
-def wall_records_valid(docs, owner: NumClass) -> bool:
-    """Whether `docs` is a list of wall records of `owner` in the form
-    `enumerate_walls` writes, checked in integers without building a `Wall`:
-    exactly the record's keys; the owner; integer classes (no bools); a
-    normalized line (gcd 1, B != 0, first nonzero of A, B positive) through
-    the owner's projection (A*d + B*n = C*r) and its slope as "nu" in
-    `ratio_text`'s form; at least one destabilizer (r', d', n'), in
-    strictly ascending order, each with that line as its wall line
-    (A*d' + B*n' = C*r' and r*d' != r'*d); records in strictly ascending
-    (nu, line) order; a segment of two points on the line with strictly ascending b,
-    each b in `rat_pair`'s canonical form and each w the text that
-    `ratio_text` writes for the line's w at that b; exactly the four
-    verdicts, each a value the enumerator writes for it: im_positive
-    "Pass", q_nonneg and region "Pass" or "Unknown", feasibility any
-    `Check` value.  A record list that passes also decodes with
-    `walls_from_json`, and encodes back unchanged."""
-    if type(docs) is not list:
-        return False
-    own = list(owner.as_tuple())
+def records_from_rows(rows, owner: NumClass):
+    """The wall records of `owner` that `walls._record` rebuilds from the
+    cache rows `rows` (as `wall_rows` writes them), or None unless every
+    row holds what `enumerate_walls` writes, checked in integers: a
+    normalized line (gcd 1, B != 0, first nonzero of A, B positive)
+    through the owner's projection (A*d + B*n = C*r); at least one
+    witness (r', d', n'), in strictly ascending order, each on the line
+    and not vertical (A*d' + B*n' = C*r' and r*d' != r'*d); rows in
+    strictly ascending `line_cmp` order; b ends [num, den] with den > 0
+    and gcd 1, in strictly ascending order; the verdicts the enumerator
+    writes: im_positive "Pass", q_nonneg and region "Pass" or "Unknown",
+    feasibility any `Check` value.  Every integer is a JSON int, not a
+    bool.  The records rebuilt decode with `walls_from_json`, and encode
+    back unchanged."""
+    if type(rows) is not list:
+        return None
+    own = owner.as_tuple()
     r, d, n = own
-    prev = None  # the line of the last record
-    for doc in docs:
-        if type(doc) is not dict or doc.keys() != _WALL_KEYS:
-            return False
-        line, seg, checks = doc["line"], doc["segment"], doc["verdicts"]
-        witnesses = doc["destabilizers"]
-        if not (_is_class(doc["owner"]) and doc["owner"] == own
-                and type(witnesses) is list and witnesses
-                and _is_class(line) and type(seg) is list
-                and len(seg) == 2 and type(checks) is dict
-                and checks.keys() == _VERDICT_KEYS
-                and checks["im_positive"] == "Pass"
-                and checks["q_nonneg"] in _PASS_UNKNOWN
-                and checks["region"] in _PASS_UNKNOWN
-                and checks["feasibility"] in _CHECKS):
-            return False
+    prev = None  # the line of the last row
+    records = []
+    for row in rows:
+        if type(row) is not list or len(row) != 8:
+            return None
+        line, witnesses, lo, hi, feas, im, q, region = row
+        if not (_ints(line, _INT3) and type(witnesses) is list and witnesses
+                and _ints(lo, _INT2) and _ints(hi, _INT2) and im == "Pass"
+                and q in _PASS_UNKNOWN and region in _PASS_UNKNOWN
+                and feas in _CHECKS):
+            return None
         a, b, c = line
+        (pn, pd), (qn, qd) = lo, hi
         if (gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0)
-                or a * d + b * n != c * r):
-            return False
+                or a * d + b * n != c * r
+                or prev is not None and line_cmp(prev, line) >= 0
+                or pd <= 0 or qd <= 0 or gcd(pn, pd) != 1
+                or gcd(qn, qd) != 1 or pn * qd >= qn * pd):
+            return None
+        prev = line
         last = None  # witnesses ascend strictly, each on the line
         for x in witnesses:
-            if (type(x) is not list or list(map(type, x)) != _INT3
-                    or last is not None and last >= x
+            if (not _ints(x, _INT3) or last is not None and last >= x
                     or a * x[1] + b * x[2] != c * x[0]
                     or r * x[1] == x[0] * d):
-                return False
+                return None
             last = x
-        nn, nd = (-a, b) if b > 0 else (a, -b)
-        if doc["nu"] != ratio_text(nn, nd):
-            return False
-        # records ascend strictly in the enumerator's order, by (nu, line)
-        if prev is not None and line_cmp(prev, line) >= 0:
-            return False
-        prev = line
-        ends = []
-        for point in seg:
-            if type(point) is not list or len(point) != 2:
-                return False
-            bp = rat_pair(point[0])
-            # w is on the line exactly when it is the text the enumerator
-            # writes for it; an int or a non-canonical text is refused
-            if bp is None or point[1] != ratio_text(c * bp[1] - a * bp[0],
-                                                    b * bp[1]):
-                return False
-            ends.append(bp)
-        (pn, pd), (qn, qd) = ends
-        if pn * qd >= qn * pd:  # the segment ascends in b
-            return False
-    return True
+        records.append(_record(own, *row))
+    return records
 
 
 # --- chambers ------------------------------------------------------------

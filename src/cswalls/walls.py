@@ -518,7 +518,7 @@ def line_cmp(p, q) -> int:
     """Order of lines (A, B, C) with B != 0 by (-A/B, (A, B, C)), the
     slope compared by cross-multiplication: -A/B - (-A'/B') has the sign
     of A'*B - A*B' times that of B*B'.  `enumerate_walls` writes its
-    records in this order and `jsonio.wall_records_valid` checks it."""
+    records in this order and `jsonio.records_from_rows` checks it."""
     s = q[0] * p[1] - p[0] * q[1]
     if (p[1] < 0) is not (q[1] < 0):
         s = -s
@@ -677,20 +677,29 @@ def _fold(owner: tuple, line: tuple, verdicts: list,
             lo = first
         if hi is None or last[0] * hi[1] > hi[0] * last[1]:
             hi = last
+    return _record(owner, line, [list(c) for c in sorted(witnesses)], lo, hi,
+                   ("Unknown", "Pass", "Fail")[feas], "Pass",
+                   "Pass" if certified else "Unknown",
+                   _segment_region_verdict(line, lo, hi, upper))
+
+
+def _record(owner, line, witnesses: list, lo: tuple, hi: tuple,
+            feasibility: str, im_positive: str, q_nonneg: str,
+            region: str) -> dict:
+    """The one writer of a wall record: the record of `line` = (A, B, C)
+    for the class `owner`, with the witness lists, the segment's b ends
+    `lo` and `hi` as (num, den) pairs (den != 0) and the four verdict
+    texts; "nu" and the segment's texts are derived here."""
     A, B, C = line
     return {
         "owner": list(owner),
-        "destabilizers": [list(c) for c in sorted(witnesses)],
+        "destabilizers": witnesses,
         "line": [A, B, C],
         "nu": ratio_text(-A, B),
         "segment": [[ratio_text(bn, bd), ratio_text(C * bd - A * bn, B * bd)]
                     for bn, bd in (lo, hi)],
-        "verdicts": {
-            "im_positive": "Pass",
-            "q_nonneg": "Pass" if certified else "Unknown",
-            "feasibility": ("Unknown", "Pass", "Fail")[feas],
-            "region": _segment_region_verdict(line, lo, hi, upper),
-        },
+        "verdicts": {"im_positive": im_positive, "q_nonneg": q_nonneg,
+                     "feasibility": feasibility, "region": region},
     }
 
 

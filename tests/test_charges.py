@@ -197,7 +197,8 @@ def test_lift_value_of_a_huge_t_returns_and_a_nonfinite_t_raises():
     for t in (1e300, -1e300, 2.0 ** 60 + 2.0 ** 8):
         assert math.isfinite(el.lift_value(t))
     assert el.lift_value(2.0 ** 60 + 1024) == 2.0 ** 60 + 1024
-    for t in (math.inf, -math.inf, math.nan):
+    # an int beyond the float range has no float, as an infinity has none
+    for t in (math.inf, -math.inf, math.nan, 10**400, -10**400):
         with pytest.raises(DomainError, match="must be finite"):
             el.lift_value(t)
 
@@ -368,8 +369,11 @@ def test_charge_data_validation():
     ((None, None, None), math.inf),
     ((None, None, None), 0.0),
     ((None, None, None), -1e-9),
+    ((10**400, None, None), 1e-9),
+    ((None, None, None), 10**400),
 ], ids=["lift-nan", "lift-inf", "lift-minus-inf", "tol-nan",
-        "tol-nan-with-lifts", "tol-inf", "tol-zero", "tol-negative"])
+        "tol-nan-with-lifts", "tol-inf", "tol-zero", "tol-negative",
+        "lift-huge-int", "tol-huge-int"])
 def test_charge_data_refuses_a_nonfinite_lift_or_a_bad_tol(lifts, tol):
     with pytest.raises(DomainError, match="must be (a )?finite"):
         ChargeData(

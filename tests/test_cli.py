@@ -504,56 +504,49 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
     base = invoke(WALL_ARGS + ["--format", "json"])
     invoke(WALL_ARGS + ["--format", "json", "--cache-dir", str(cache)])
     (entry,) = cache.glob("*.json")
+    good = entry.read_text()
     for text in ("[1,2]", "null", '"walls"', "3"):
         entry.write_text(text)
         again = invoke(WALL_ARGS + ["--format", "json",
                                     "--cache-dir", str(cache)])
         assert again == base
-        assert json.loads(entry.read_text())["walls"] == json.loads(base[1])
+        assert entry.read_text() == good
 
 
-#: one change each to the wall records of a cache entry of MALFORMED_ARGS,
-#: mostly to the first record; before the records were checked,
-#: "segment-three-points" made `walls --format csv|text` exit 2, and
-#: "line-doubled", "extra-key", "nu-integer" and "records-reordered"
-#: were printed by `walls --format json` as they stood.  The last eight
-#: are records that the enumerator never writes but that the check
-#: once accepted
+#: one change each to the wall rows of a cache entry of MALFORMED_ARGS,
+#: [line, witnesses, lo, hi, feasibility, im_positive, q_nonneg, region]
+#: per wall, mostly to the first row.  When entries held the records
+#: themselves, "segment-three-points" made `walls --format csv|text` exit
+#: 2, and "line-doubled", "extra-key" and "records-reordered" were
+#: printed by `walls --format json` as they stood.  The last eight are
+#: rows of records that the enumerator never writes but that the record
+#: check once accepted
 MALFORMED = {
-    "segment-three-points": lambda recs: recs[0]["segment"].append(
-        recs[0]["segment"][0]),
-    "line-doubled": lambda recs: recs[0].update(
-        line=[2 * x for x in recs[0]["line"]]),
-    "extra-key": lambda recs: recs[0].update(extra=1),
-    "nu-integer": lambda recs: recs[0].update(nu=-1),
-    "bad-rational": lambda recs: recs[0]["segment"][0].__setitem__(0, "2/4"),
-    "segment-off-line": lambda recs: recs[0]["segment"][0].__setitem__(
-        1, str(F(recs[0]["segment"][0][1]) + 1)),
-    "line-zero-normal": lambda recs: recs[0].update(line=[0, 0, 1]),
-    "owner-bool": lambda recs: recs[0]["owner"].__setitem__(2, True),
-    "owner-wrong": lambda recs: recs[0].update(owner=[1, 3, 1]),
-    "verdict-missing": lambda recs: recs[0]["verdicts"].pop("region"),
-    "records-reordered": lambda recs: recs.reverse(),
-    "record-repeated": lambda recs: recs.append(recs[-1]),
-    "destabilizers-reordered": lambda recs: next(
-        r for r in recs if len(r["destabilizers"]) > 1)[
-            "destabilizers"].reverse(),
-    "destabilizers-empty": lambda recs: recs[0].update(destabilizers=[]),
-    "segment-reversed": lambda recs: recs[0]["segment"].reverse(),
-    "segment-one-point": lambda recs: recs[0]["segment"].__setitem__(
-        1, recs[0]["segment"][0]),
-    "line-vertical": lambda recs: recs[-1].update(
-        line=[1, 0, 1], nu="inf", segment=[["1", "1"], ["1", "2"]]),
+    "segment-three-points": lambda rows: rows[0].insert(4, rows[0][2]),
+    "line-doubled": lambda rows: rows[0].__setitem__(
+        0, [2 * x for x in rows[0][0]]),
+    "extra-key": lambda rows: rows[0].append(1),
+    "bad-rational": lambda rows: rows[0].__setitem__(
+        2, [2 * x for x in rows[0][2]]),
+    "line-zero-normal": lambda rows: rows[0].__setitem__(0, [0, 0, 1]),
+    "verdict-missing": lambda rows: rows[0].pop(),
+    "records-reordered": lambda rows: rows.reverse(),
+    "record-repeated": lambda rows: rows.append(rows[-1]),
+    "destabilizers-reordered": lambda rows: next(
+        r for r in rows if len(r[1]) > 1)[1].reverse(),
+    "destabilizers-empty": lambda rows: rows[0].__setitem__(1, []),
+    "segment-reversed": lambda rows: rows[0].__setitem__(
+        slice(2, 4), rows[0][3:1:-1]),
+    "segment-one-point": lambda rows: rows[0].__setitem__(3, rows[0][2]),
+    "line-vertical": lambda rows: rows[-1].__setitem__(0, [1, 0, 1]),
     # (0, 1, -4) on 8*b + 2*w = 13 replaced by (0, 1, 5), off that line
-    "destabilizer-off-line": lambda recs: recs[0].update(
-        destabilizers=[[0, 1, 5]]),
+    "destabilizer-off-line": lambda rows: rows[0].__setitem__(
+        1, [[0, 1, 5]]),
     # verdicts that are `Check` values but never the enumerator's: it
     # writes im_positive as Pass, q_nonneg and region as Pass or Unknown
-    "im-positive-unknown": lambda recs: recs[0]["verdicts"].update(
-        im_positive="Unknown"),
-    "q-nonneg-fail": lambda recs: recs[0]["verdicts"].update(
-        q_nonneg="Fail"),
-    "region-fail": lambda recs: recs[0]["verdicts"].update(region="Fail"),
+    "im-positive-unknown": lambda rows: rows[0].__setitem__(5, "Unknown"),
+    "q-nonneg-fail": lambda rows: rows[0].__setitem__(6, "Fail"),
+    "region-fail": lambda rows: rows[0].__setitem__(7, "Fail"),
 }
 MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
                   "--rank-bound", "1"]
@@ -582,7 +575,7 @@ def test_malformed_wall_records_are_recomputed(mutation, tmp_path):
     assert all(got[0] == 0 for got in expected)
     assert _outputs(MALFORMED_COMMANDS[0], extra, tmp_path) == expected[0]
     (entry,) = cache.glob("*.json")
-    good = json.loads(entry.read_text())
+    good = entry.read_text()
     for command, want in zip(MALFORMED_COMMANDS, expected):
         doc = json.loads(entry.read_text())
         MALFORMED[mutation](doc["walls"])
@@ -590,8 +583,36 @@ def test_malformed_wall_records_are_recomputed(mutation, tmp_path):
         assert text != entry.read_text()  # True == 1, but not as text
         entry.write_text(text)
         assert _outputs(command, extra, tmp_path) == want, command
-        # the entry is rewritten with the records of a fresh enumeration
-        assert json.loads(entry.read_text()) == good
+        # the entry is rewritten with the rows of a fresh enumeration
+        assert entry.read_text() == good
+
+
+def test_cache_entry_of_whole_records_is_recomputed_and_rewritten_as_rows(
+        tmp_path, monkeypatch):
+    import cswalls.cli as cli
+
+    cache = tmp_path / "cache"
+    extra = ["--cache-dir", str(cache)]
+    command = MALFORMED_COMMANDS[0]
+    expected = _outputs(command, [], tmp_path)
+    assert _outputs(command, extra, tmp_path) == expected
+    (entry,) = cache.glob("*.json")
+    good = entry.read_text()
+    # the layout entries had before they held rows: the key and the
+    # records that `walls --format json` prints
+    doc = json.loads(good)
+    doc["walls"] = json.loads(expected[1])
+    entry.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    enumerated = []
+    enumerate_walls = cli.enumerate_walls
+
+    def counted(*args):
+        enumerated.append(args[0])
+        return enumerate_walls(*args)
+
+    monkeypatch.setattr(cli, "enumerate_walls", counted)
+    assert _outputs(command, extra, tmp_path) == expected
+    assert len(enumerated) == 1 and entry.read_text() == good
 
 
 def test_cache_entry_nested_too_deep_is_recomputed(tmp_path):
@@ -641,6 +662,16 @@ def test_cache_entry_nested_too_deep_is_recomputed(tmp_path):
 def test_malformed_rational_arguments_are_usage_errors(argv):
     code, out, _ = invoke(argv)
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("part", ["1_0", "١", " 1", "1 ", "+ 1", "1.0",
+                                  "1e1", "0x1", "", "1/1", "+-1", "１"])
+def test_class_parts_outside_the_integer_grammar_are_usage_errors(part):
+    # an optional sign and ASCII digits, the integer half of a rational
+    for argv in (["euler", "--v1", f"{part},0,1", "--v2", "1,0,0"],
+                 ["serre", "--class", f"2,{part},1"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "") and "invalid parse_class value" in err
 
 
 @pytest.mark.parametrize("at, text", [
@@ -734,6 +765,22 @@ def test_cache_entry_names_golden(case, tmp_path):
     assert code == 0
     assert [p.name for p in cache.iterdir()] == [
         GOLDEN_CACHE_NAMES[case] + ".json"]
+
+
+#: sha256 of the bytes of the cache entry of (2, 3, 1), general genus 2,
+#: window -3,3,1/2,6 and rank bound 2: the key and the wall rows, fixed so
+#: that a change to the entry layout changes this on purpose
+GOLDEN_CACHE_ENTRY_SHA256 = (
+    "e9f43638ed61d2bfbbd291d0f2ac09f3e570e2f6928eb032bbfbbaa164e87929")
+
+
+def test_cache_entry_bytes_golden(tmp_path):
+    cache = tmp_path / "cache"
+    code, _, _ = invoke(WALL_ARGS[:-1] + ["2", "--cache-dir", str(cache)])
+    assert code == 0
+    (entry,) = cache.glob("*.json")
+    assert (hashlib.sha256(entry.read_bytes()).hexdigest()
+            == GOLDEN_CACHE_ENTRY_SHA256)
 
 
 #: sha256 of `walls --format json` at rank bound 3 with the default

@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cswalls.cli import _model_text
 from cswalls.envelopes import (
     BNModel,
     PLFunction,
@@ -160,8 +159,8 @@ def test_model_cache_key_text_golden(case):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_KEYS[case]
     # the text a cache key holds, built once per model object and then
     # reused: the same bytes both times
-    assert _model_text(model) == text
-    assert _model_text(make_model(*case)) == text
+    assert model.key_text == text
+    assert make_model(*case).key_text is model.key_text
 
 
 # Closed forms of the three envelope bounds, written independently of the

@@ -11,13 +11,15 @@ from cswalls.envelopes import make_model
 from cswalls.jsonio import (
     dumps,
     dumps_wall_records,
-    rat_pair,
-    wall_records_valid,
+    ratio_parts,
+    records_from_rows,
+    wall_rows,
     walls_from_json,
     walls_to_json,
 )
 from cswalls.lattice import NumClass
-from cswalls.walls import Window, enumerate_walls, line_cmp, ratio_text
+from cswalls.walls import (Window, _record, enumerate_walls, line_cmp,
+                           ratio_text)
 
 # --- the canonical encoder ---------------------------------------------------
 
@@ -66,7 +68,7 @@ def test_dumps_rejects_what_is_not_a_json_tree(value):
         dumps(value)
 
 
-# --- wall records ------------------------------------------------------------
+# --- wall records and their cache rows ---------------------------------------
 
 WINDOW = Window(-4, 4, 1, 8)
 MODELS = {"general": (2, "general"), "mercat": (5, "mercat"),
@@ -82,6 +84,12 @@ def _records(cls: tuple, model: str) -> tuple:
     return v, enumerate_walls(v, g, WINDOW, 1, make_model(kind, g))
 
 
+def _rows(cls: tuple, model: str) -> tuple:
+    """(owner, a copy of the cache rows of `_records`' records)."""
+    v, records = _records(cls, model)
+    return v, copy.deepcopy(wall_rows(records))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.integers(-2, 3), st.integers(-3, 4), st.integers(-2, 3)),
        st.sampled_from(sorted(MODELS)))
@@ -90,7 +98,9 @@ def _records(cls: tuple, model: str) -> tuple:
 @example((0, 0, 0), "general")  # no walls
 def test_validator_accepts_every_record_list_walls_to_json_writes(cls, model):
     v, records = _records(cls, model)
-    assert wall_records_valid(records, v)
+    # the rows, through JSON text, rebuild the records as they were
+    rows = json.loads(json.dumps(wall_rows(records)))
+    assert records_from_rows(rows, v) == records
     assert walls_to_json(walls_from_json(records)) == records
     # the record writer writes what `dumps` writes, "[]\n" included
     assert dumps_wall_records(records) == dumps(records)
@@ -111,8 +121,17 @@ def test_ratio_text_writes_what_str_of_fraction_writes(num, den):
 @example(4, -6)
 @example(0, 9)
 def test_rat_pair_reads_back_the_reduced_pair(num, den):
+    # the row writer reads each b end back from the record's text
     x = Fraction(num, den)
-    assert rat_pair(ratio_text(num, den)) == (x.numerator, x.denominator)
+    assert ratio_parts(ratio_text(num, den)) == (x.numerator, x.denominator)
+
+
+def _served(lo) -> list:
+    """What the check serves for the rows of (2, 3, 1) with the first
+    row's b ends replaced by `lo` and [100, 1]; None when it refuses."""
+    v, rows = _rows((2, 3, 1), "general")
+    rows[0][2:4] = [lo, [100, 1]]
+    return records_from_rows(rows, v)
 
 
 @pytest.mark.parametrize("text, pair", [
@@ -122,24 +141,50 @@ def test_rat_pair_reads_back_the_reduced_pair(num, den):
     ("1_0", None), ("٣", None), ("", None), ("1/", None), ("/2", None),
     ("1.5", None), (1, None), (None, None)])
 def test_rat_pair_accepts_only_the_canonical_form(text, pair):
-    assert rat_pair(text) == pair
+    # a b end that an entry once held as `text`, moved into a row as the
+    # [num, den] pair that `ratio_parts` reads: the row check takes the
+    # pair, and the record rebuilt from it writes `text` back, exactly
+    # when `text` is in `ratio_text`'s canonical form
+    try:
+        end = list(ratio_parts(text))
+    except (AttributeError, ValueError):
+        end = None
+    served = None if end is None else _served(end)
+    got = None
+    if served is not None and served[0]["segment"][0][0] == text:
+        got = tuple(end)
+    assert got == pair
+
+
+@pytest.mark.parametrize("end, b", [
+    ([0, 1], "0"), ([-7, 1], "-7"), ([3, 2], "3/2"), ([-10, 3], "-10/3"),
+    ([1, 1], "1"),
+    # the same values unreduced or with a sign on the denominator
+    ([2, 4], None), ([0, 3], None), ([-3, -2], None), ([3, -2], None),
+    ([1, 0], None), ([0, -1], None),
+    # not two JSON ints
+    ([True, 1], None), ([1, True], None), ([1.0, 1], None), ([1, 2.0], None),
+    ([1], None), ([1, 2, 3], None), ("3/2", None), (None, None)])
+def test_row_ends_are_reduced_pairs(end, b):
+    served = _served(end)
+    assert (served and served[0]["segment"][0][0]) == b
 
 
 def _valid_with_w(end: int, w) -> bool:
-    """Whether the check accepts the records of (2, 3, 1) with the w of
-    segment end `end` of the first record replaced by `w`."""
-    v, records = _records((2, 3, 1), "general")
-    mutated = copy.deepcopy(records)
-    mutated[0]["segment"][end][1] = w
-    return wall_records_valid(mutated, v)
+    """Whether the check serves, for the rows of (2, 3, 1), a first record
+    whose segment end `end` has the w text `w`.  The rows hold no w: the
+    one served is the text that `walls._record` writes for the line."""
+    v, rows = _rows((2, 3, 1), "general")
+    return records_from_rows(rows, v)[0]["segment"][end][1] == w
 
 
 def test_first_record_of_the_w_cases():
-    # the record that the w cases below edit: ends (1/4, 8) and (1, 7/2)
-    # on 12*b + 2*w = 19
+    # the record that the w cases below read: ends (1/4, 8) and (1, 7/2)
+    # on 12*b + 2*w = 19, whose row holds only the b ends
     _, records = _records((2, 3, 1), "general")
     assert records[0]["line"] == [12, 2, 19]
     assert records[0]["segment"] == [["1/4", "8"], ["1", "7/2"]]
+    assert _rows((2, 3, 1), "general")[1][0][2:4] == [[1, 4], [1, 1]]
     assert _valid_with_w(0, "8") and _valid_with_w(1, "7/2")
 
 
@@ -152,6 +197,7 @@ def test_first_record_of_the_w_cases():
     # the value as a JSON number
     (0, 8), (1, 3.5)])
 def test_validator_refuses_a_w_the_enumerator_would_not_write(end, w):
+    # rows store no w, so no entry can carry one of these into a record
     assert not _valid_with_w(end, w)
 
 
@@ -166,35 +212,35 @@ def test_validator_refuses_a_w_the_enumerator_would_not_write(end, w):
     [[0, 1, -5], "1,1,3", [1, 2, -2]],  # not a list
     []])
 def test_validator_accepts_witnesses_only_as_written(witnesses):
-    v, records = _records((2, 3, 1), "general")
-    assert records[1]["destabilizers"] == [[0, 1, -5], [1, 1, 3], [1, 2, -2]]
-    mutated = copy.deepcopy(records)
-    mutated[1]["destabilizers"] = witnesses
+    v, rows = _rows((2, 3, 1), "general")
+    assert rows[1][1] == [[0, 1, -5], [1, 1, 3], [1, 2, -2]]
+    written = copy.deepcopy(rows[1][1])
+    rows[1][1] = witnesses
     # as text, since False == 0 and 1.0 == 1
-    assert wall_records_valid(mutated, v) == (
-        json.dumps(witnesses) == json.dumps(records[1]["destabilizers"]))
+    assert (records_from_rows(rows, v) is not None) == (
+        json.dumps(witnesses) == json.dumps(written))
 
 
-#: edits to the first record of (2, 3, 1), 12*b + 2*w = 19 through the
+#: edits to the first row of (2, 3, 1), 12*b + 2*w = 19 through the
 #: projection (3/2, 1/2) with the witness (0, 1, -6), that keep every
 #: other rule of the check: a witness off that line, and the parallel line
-#: 12*b + 2*w = 21 (its segment moved with it), which (0, 1, -6) still
-#: satisfies but which misses the projection
+#: 12*b + 2*w = 21, which (0, 1, -6) still satisfies but which misses the
+#: projection
 OFF_LINE = {
-    "witness-off-line": {"destabilizers": [[0, 1, 5]]},
-    "line-off-centre": {"line": [12, 2, 21],
-                        "segment": [["1/4", "9"], ["1", "9/2"]]},
+    "witness-off-line": {1: [[0, 1, 5]]},
+    "line-off-centre": {0: [12, 2, 21]},
 }
 
 
 @pytest.mark.parametrize("edit", sorted(OFF_LINE))
 def test_validator_refuses_a_witness_whose_wall_is_not_the_line(edit):
-    v, records = _records((2, 3, 1), "general")
-    assert records[0]["destabilizers"] == [[0, 1, -6]]
-    mutated = copy.deepcopy(records)
-    mutated[0].update(OFF_LINE[edit])
-    assert walls_to_json(walls_from_json(mutated)) == mutated  # decodes
-    assert not wall_records_valid(mutated, v)
+    v, rows = _rows((2, 3, 1), "general")
+    assert rows[0][1] == [[0, 1, -6]]
+    for field, value in OFF_LINE[edit].items():
+        rows[0][field] = value
+    record = _record(v.as_tuple(), *rows[0])
+    assert walls_to_json(walls_from_json([record])) == [record]  # decodes
+    assert records_from_rows(rows, v) is None
 
 
 #: near-valid replacements for a value of each JSON type
@@ -237,27 +283,30 @@ def _mutated(draw, value):
     return draw(TREES)
 
 
+CASES = [((2, 3, 1), "general"), ((0, 3, 1), "general"),
+         ((2, 4, 0), "mercat"), ((1, 2, 1), "elliptic"), ((2, 3, 0), "mercat")]
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from([((2, 3, 1), "general"), ((0, 3, 1), "general"),
-                        ((2, 4, 0), "mercat"), ((1, 2, 1), "elliptic")]),
-       st.data())
+@given(st.sampled_from(CASES[:4]), st.data())
 def test_validator_is_never_looser_than_the_decoder(case, data):
-    v, records = _records(*case)
-    assert records
-    mutated = copy.deepcopy(records)
-    i = data.draw(st.integers(0, len(records) - 1))
-    mutated[i] = _mutated(data.draw, mutated[i])
-    if wall_records_valid(mutated, v):
-        # what the validator accepts decodes, encodes back as it was, and
-        # is written by the record writer as `dumps` writes it
-        assert walls_to_json(walls_from_json(mutated)) == mutated
-        assert dumps_wall_records(mutated) == dumps(mutated)
+    v, rows = _rows(*case)
+    assert rows
+    written = copy.deepcopy(rows)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = _mutated(data.draw, rows[i])
+    records = records_from_rows(rows, v)
+    if records is not None:
+        # what the check serves decodes, encodes back as it was, and is
+        # written by the record writer as `dumps` writes it
+        assert walls_to_json(walls_from_json(records)) == records
+        assert dumps_wall_records(records) == dumps(records)
     else:  # as text, since True == 1 and 1.0 == 1
-        assert json.dumps(mutated) != json.dumps(records)
+        assert json.dumps(rows) != json.dumps(written)
 
 
-# --- the record check against its reference --------------------------------
+# --- the row check against its reference -------------------------------------
 
 
 def _reference_rat_pair(text):
@@ -339,68 +388,72 @@ def _reference_records_valid(docs, owner) -> bool:
     return True
 
 
+def _reference_rebuild(rows, owner):
+    """The records a naive writer makes of cache rows, or None for rows
+    it cannot read: each b end [num, den] written as "num/den" with
+    `repr` (as "num" when den is written "1"), so that only a reduced
+    pair of ints gives a canonical text, and nu and w as `str` of their
+    `Fraction`s."""
+    def b_text(end):
+        num, den = end
+        return repr(num) if repr(den) == "1" else f"{num!r}/{den!r}"
+
+    records = []
+    try:
+        for line, witnesses, lo, hi, feas, im, q, region in rows:
+            A, B, C = line
+            ends = [b_text(lo), b_text(hi)]
+            records.append({
+                "owner": list(owner.as_tuple()),
+                "destabilizers": witnesses,
+                "line": line,
+                "nu": str(Fraction(-A, B)),
+                "segment": [[b, str((C - A * Fraction(b)) / B)]
+                            for b in ends],
+                "verdicts": {"im_positive": im, "q_nonneg": q,
+                             "feasibility": feas, "region": region},
+            })
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+    return records
+
+
 #: what the enumerator writes for each verdict
 VERDICT_DOMAINS = {"im_positive": {"Pass"}, "q_nonneg": {"Pass", "Unknown"},
                    "region": {"Pass", "Unknown"},
                    "feasibility": {"Pass", "Fail", "Unknown"}}
 
-#: segment-end b texts: canonical and not, with the same value or not
-B_TEXTS = TWEAKS[str] + [
-    "1/1", "0/3", "1/02", "1/-2", "-1/-2", " 1", "1 ", "1_0", "٣",
-    "１", "", "1/", "/2", "1.5", "1e1", "3/6", "-3/6", "+1/2", "00",
-    "-", "1//2", "1/2/3", "1/4", "-1/4", "5/4", "-5/4", "7/2", "99/100"]
-
-
-def _w_text(line, b):
-    """The text the enumerator writes for the line's w at b."""
-    A, B, C = line
-    return str((C - A * b) / B)
+#: b ends: reduced pairs and not, with the same value or not, and values
+#: that are no pair of ints
+END_VALUES = st.lists(st.integers(-12, 12), min_size=2, max_size=2) | (
+    st.sampled_from([[1, 1], [0, 1], [0, 3], [2, 4], [1, 0], [1, -2],
+                     [-1, -2], [True, 1], [1, True], [1.0, 1], [1, 2.0],
+                     [1], [1, 2, 3], [], "1/2", None, 1, [10**30, 3],
+                     ["1", "2"], [[1], 2]]))
 
 
 @st.composite
-def record_mutations(draw):
-    """(case, records) with one change to real records: a tweaked value
-    anywhere, a segment end's b as another text with w moved onto the
-    line (or left, or moved off it), a verdict, or an order."""
-    case = draw(st.sampled_from([((2, 3, 1), "general"),
-                                 ((0, 3, 1), "general"),
-                                 ((2, 4, 0), "mercat"),
-                                 ((1, 2, 1), "elliptic"),
-                                 ((2, 3, 0), "mercat")]))
-    recs = copy.deepcopy(_records(*case)[1])
-    i = draw(st.integers(0, len(recs) - 1))
-    rec = recs[i]
-    kind = draw(st.sampled_from(["any", "b", "w", "verdict", "order"]))
+def row_mutations(draw):
+    """(case, rows) with one change to real rows: a tweaked value
+    anywhere, a b end, a verdict, or an order."""
+    case = draw(st.sampled_from(CASES))
+    _, rows = _rows(*case)
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    kind = draw(st.sampled_from(["any", "end", "verdict", "order"]))
     if kind == "any":
-        recs[i] = _mutated(draw, rec)
-    elif kind == "b":
-        end = rec["segment"][draw(st.integers(0, 1))]
-        text = draw(st.sampled_from(B_TEXTS) | st.builds(
-            "{}/{}".format, st.integers(-30, 30), st.integers(-8, 8))
-            | st.integers(-3, 3) | st.booleans() | st.none())
-        end[0] = text
-        try:
-            w = _w_text(rec["line"], Fraction(text))
-        except (TypeError, ValueError, ZeroDivisionError):
-            w = None
-        how = draw(st.sampled_from(["on", "keep", "off"]))
-        if w is not None and how != "keep":
-            end[1] = w if how == "on" else str(Fraction(w) + Fraction(1, 7))
-    elif kind == "w":
-        end = rec["segment"][draw(st.integers(0, 1))]
-        b = Fraction(end[0]) + draw(st.fractions(-2, 2, max_denominator=6))
-        end[1] = draw(st.sampled_from([_w_text(rec["line"], b), str(b),
-                                       end[1] + " ", Fraction(end[1])]))
+        rows[i] = _mutated(draw, row)
+    elif kind == "end":
+        row[draw(st.sampled_from([2, 3]))] = draw(END_VALUES)
     elif kind == "verdict":
-        name = draw(st.sampled_from(sorted(VERDICT_DOMAINS)))
-        rec["verdicts"][name] = draw(st.sampled_from(
+        row[draw(st.integers(4, 7))] = draw(st.sampled_from(
             TWEAKS[str] + [None, 1, True, ["Pass"], {"Pass": 1}]))
     else:
-        j = draw(st.integers(0, len(recs) - 1))
-        recs[i], recs[j] = recs[j], recs[i]
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
         if draw(st.booleans()):
-            rec["segment"].reverse()
-    return case, recs
+            row[2], row[3] = row[3], row[2]
+    return case, rows
 
 
 def _in_domains(records) -> bool:
@@ -410,10 +463,19 @@ def _in_domains(records) -> bool:
 
 @settings(max_examples=800, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(record_mutations())
+@given(row_mutations())
 def test_validator_matches_its_reference_on_mutated_records(mutation):
-    case, records = mutation
+    # the row check accepts exactly the rows whose naively rebuilt records
+    # the former record check accepts, and serves those records
+    case, rows = mutation
     v, written = _records(*case)
     assert _reference_records_valid(written, v)
-    want = _reference_records_valid(records, v) and _in_domains(records)
-    assert wall_records_valid(records, v) == want
+    rebuilt = _reference_rebuild(rows, v)
+    want = (rebuilt is not None and _reference_records_valid(rebuilt, v)
+            and _in_domains(rebuilt))
+    served = records_from_rows(rows, v)
+    assert (served is not None) == want
+    if served is not None:
+        assert served == rebuilt
+        assert walls_to_json(walls_from_json(served)) == served
+        assert dumps_wall_records(served) == dumps(served)
