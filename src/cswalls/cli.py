@@ -33,6 +33,7 @@ from .envelopes import (INTEGER, BNModel, make_model, model_from_json, rat,
                         region_uc, region_uf)
 from .errors import CswallsError, DomainError, GenusOutOfRange
 from .jsonio import (
+    BOOLEANS,
     classification_to_json,
     complex_to_json,
     dumps,
@@ -56,18 +57,46 @@ from .walls import (
 
 FORMATS = ("json", "csv", "text")
 
+#: a decimal as --tol and each --lifts part take it: an optional sign,
+#: ASCII digits with an optional point (at least one digit), and an
+#: optional exponent
+DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    """An integer setting (--genus, --rank-bound): `envelopes.INTEGER`, an
+    optional sign and ASCII digits."""
+    if INTEGER.fullmatch(text) is None:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+# argparse names a `type=` callback in its message for a value it refuses:
+# "invalid int value: 'x'", as for `type=int`
+parse_int.__name__ = "int"
+
+
+def parse_decimal(text: str) -> float:
+    """A finite float written in the `DECIMAL` grammar; anything else, NaN
+    and an infinity included, is a usage error."""
+    if DECIMAL.fullmatch(text) and math.isfinite(float(text)):
+        return float(text)
+    raise argparse.ArgumentTypeError(
+        f"expected a finite decimal number, got {text!r}")
+
+
 #: name -> (default, the JSON type a CSWALLS_CONFIG value must have, the
 #: `add_argument` keywords of its flag --<name with dashes>).  A setting
 #: no flag gives takes its file value, else its default; a null file
 #: value leaves it unset.
 SETTINGS = {
-    "genus": (2, "integer", dict(type=int)),
+    "genus": (2, "integer", dict(type=parse_int)),
     "model": ("general", "string",
               dict(help="general | mercat | elliptic | user:<path>")),
     "window": ("-4,4,1/4,8", "string",
                dict(help="bmin,bmax,wmin,wmax (rationals)")),
-    "rank_bound": (3, "integer", dict(type=int)),
-    "tol": (1e-9, "number", dict(type=float)),
+    "rank_bound": (3, "integer", dict(type=parse_int)),
+    "tol": (1e-9, "number", dict(type=parse_decimal)),
     "format": ("text", "string", dict(choices=FORMATS)),
     "cache_dir": (None, "string", {}),
 }
@@ -125,17 +154,13 @@ def parse_rat(text: str):
 
 
 def parse_lifts(text: str) -> tuple:
-    """Three phase lifts phi1,phi2,phi3, each a float or '-' for unknown;
-    a wrong count, NaN or an infinity is a usage error."""
+    """Three phase lifts phi1,phi2,phi3, each a `parse_decimal` float or
+    '-' for unknown; a wrong count or a bad lift is a usage error."""
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"lifts must be phi1,phi2,phi3, got {text!r}")
-    lifts = tuple(None if p == "-" else float(p) for p in parts)
-    if not all(x is None or math.isfinite(x) for x in lifts):
-        raise argparse.ArgumentTypeError(
-            f"lifts must be finite numbers, got {text!r}")
-    return lifts
+    return tuple(None if p == "-" else parse_decimal(p) for p in parts)
 
 
 def parse_rats(text: str, count: int = 2) -> tuple:
@@ -281,11 +306,11 @@ def render_walls(records, fmt: str, out) -> None:
         a, b, c = rec["line"]
         (b0, w0), (b1, w1) = rec["segment"]
         checks = rec["verdicts"]
-        witnesses = ";".join(",".join(map(str, d))
-                             for d in rec["destabilizers"])
+        witnesses = ";".join(["%d,%d,%d" % tuple(d)
+                              for d in rec["destabilizers"]])
         if fmt == "csv":
             writer.writerow(
-                [",".join(map(str, rec["owner"])), a, b, c, rec["nu"],
+                ["%d,%d,%d" % tuple(rec["owner"]), a, b, c, rec["nu"],
                  b0, w0, b1, w1, checks["im_positive"], checks["q_nonneg"],
                  checks["feasibility"], checks["region"], witnesses]
             )
@@ -346,7 +371,7 @@ def _chambers(a, out, err):
     lines = [f"kind={rep.kind} chambers={len(rep.chambers)}"]
     lines += [
         f"  [{ch['index']}] {ch['kind']} bounds={ch['bounds']} "
-        f"meets_window={str(ch['meets_window']).lower()} "
+        f"meets_window={BOOLEANS[ch['meets_window']]} "
         f"sample={ch['sample'][0]},{ch['sample'][1]} region={ch['region']}"
         for ch in rep.chambers
     ]

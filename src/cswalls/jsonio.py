@@ -36,6 +36,10 @@ def slope_text(x) -> str:
     return "inf" if x == math.inf else unrat(x)
 
 
+#: a bool's JSON text, indexed by the bool
+BOOLEANS = ("false", "true")
+
+
 def dumps(obj) -> str:
     """Canonical serialization: sorted keys, 2-space indent, newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -155,12 +159,6 @@ def wall_rows(records) -> list:
 
 _PASS_UNKNOWN = ("Pass", "Unknown")
 _CHECKS = tuple(c.value for c in Check)
-_INT3, _INT2 = [int, int, int], [int, int]
-
-
-def _ints(x, types: list) -> bool:
-    """Whether x is a JSON array of len(types) integers (no bools)."""
-    return type(x) is list and list(map(type, x)) == types
 
 
 def records_from_rows(rows, owner: NumClass):
@@ -187,13 +185,19 @@ def records_from_rows(rows, owner: NumClass):
         if type(row) is not list or len(row) != 8:
             return None
         line, witnesses, lo, hi, feas, im, q, region = row
-        if not (_ints(line, _INT3) and type(witnesses) is list and witnesses
-                and _ints(lo, _INT2) and _ints(hi, _INT2) and im == "Pass"
+        if not (type(line) is list and len(line) == 3
+                and type(lo) is list and len(lo) == 2
+                and type(hi) is list and len(hi) == 2
+                and type(witnesses) is list and witnesses and im == "Pass"
                 and q in _PASS_UNKNOWN and region in _PASS_UNKNOWN
                 and feas in _CHECKS):
             return None
         a, b, c = line
         (pn, pd), (qn, qd) = lo, hi
+        # a bool is an int but its type is not
+        if not (int is type(a) is type(b) is type(c) is type(pn) is type(pd)
+                is type(qn) is type(qd)):
+            return None
         if (gcd(a, b, c) != 1 or b == 0 or a < 0 or (a == 0 and b < 0)
                 or a * d + b * n != c * r
                 or prev is not None and line_cmp(prev, line) >= 0
@@ -203,9 +207,12 @@ def records_from_rows(rows, owner: NumClass):
         prev = line
         last = None  # witnesses ascend strictly, each on the line
         for x in witnesses:
-            if (not _ints(x, _INT3) or last is not None and last >= x
-                    or a * x[1] + b * x[2] != c * x[0]
-                    or r * x[1] == x[0] * d):
+            if type(x) is not list or len(x) != 3:
+                return None
+            xr, xd, xn = x
+            if (not (int is type(xr) is type(xd) is type(xn))
+                    or last is not None and last >= x
+                    or a * xd + b * xn != c * xr or r * xd == xr * d):
                 return None
             last = x
         records.append(_record(own, *row))
@@ -242,10 +249,8 @@ _CHAMBER = """    {
 _SECTOR = ("[\n        [\n          %d,\n          %d\n        ],\n"
            "        [\n          %d,\n          %d\n        ]\n      ]")
 _STRIP = "[\n        %s,\n        %s\n      ]"
-
-
-def _text_or_null(text) -> str:
-    return "null" if text is None else '"' + text + '"'
+#: a sector's chamber record, the four integers of its bounds in place
+_SECTOR_CHAMBER = _CHAMBER.replace("%s", _SECTOR, 1)
 
 
 def dumps_chamber_report(rep: ChamberReport) -> str:
@@ -261,17 +266,18 @@ def dumps_chamber_report(rep: ChamberReport) -> str:
     values."""
     chambers = []
     for ch in rep.chambers:
-        bounds = ch["bounds"]
+        bounds, region = ch["bounds"], ch["region"]
+        rest = (ch["index"], ch["kind"], BOOLEANS[ch["meets_window"]],
+                "null" if region is None else '"' + region + '"',
+                *ch["sample"])
         if ch["kind"] == "sector":
-            bounds = _SECTOR % (*bounds[0], *bounds[1])
-        elif bounds:
-            bounds = _STRIP % tuple(map(_text_or_null, bounds))
-        else:
-            bounds = "[]"
-        chambers.append(_CHAMBER % (
-            bounds, ch["index"], ch["kind"],
-            "true" if ch["meets_window"] else "false",
-            _text_or_null(ch["region"]), *ch["sample"]))
+            (a, b), (c, d) = bounds
+            chambers.append(_SECTOR_CHAMBER % (a, b, c, d, *rest))
+            continue
+        if bounds:  # a strip's two intercepts, each a text or None
+            bounds = _STRIP % tuple(
+                ["null" if t is None else '"' + t + '"' for t in bounds])
+        chambers.append(_CHAMBER % (bounds or "[]", *rest))
     center = rep.center
     return _REPORT % (
         "null" if center is None

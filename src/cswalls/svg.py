@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .charges import PlanePoint
 from .envelopes import BNModel
 from .errors import DomainError, IoError
-from .jsonio import ratio_parts
 from .lattice import NumClass, project
 from .walls import Window
 
@@ -30,24 +29,28 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
-
-
 def _affine(origin: int, low: Fraction, scale: Fraction, sign: int):
-    """t -> origin + sign*(t - low)*scale at t = num/den (den > 0), as
-    `_fmt` text.  It is exact integer arithmetic and one correctly rounded
-    int / int, so it equals `float(Fraction)` of the exact image."""
+    """t -> origin + sign*(t - low)*scale, t given as a rational's text in
+    `ratio_text`'s form ("p" or "p/q", as `str(Fraction)` writes it too),
+    as text with 9 decimals.  It is exact integer arithmetic and one
+    correctly rounded int / int, so it equals `float(Fraction)` of the
+    exact image."""
     k = sign * scale.numerator * low.denominator
     c = (origin * scale.denominator * low.denominator
          - sign * scale.numerator * low.numerator)
     dd = scale.denominator * low.denominator
-    return lambda num, den: _fmt((k * num + c * den) / (dd * den))
+
+    def image(text: str) -> str:
+        num, slash, den = text.partition("/")
+        num, den = int(num), int(den) if slash else 1
+        return f"{(k * num + c * den) / (dd * den):.9f}"
+
+    return image
 
 
 def _maps(window: Window):
     """(to_x, to_y, sx, sy): the canvas coordinate of b, and of w, each
-    given as (num, den), and the two scales."""
+    given as its text, and the two scales."""
     sx = Fraction(PLOT[2] - PLOT[0]) / (window.b_max - window.b_min)
     sy = Fraction(PLOT[3] - PLOT[1]) / (window.w_max - window.w_min)
     return (_affine(PLOT[0], window.b_min, sx, 1),
@@ -72,7 +75,7 @@ def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
     to_x, to_y, sx, sy = _maps(window)
 
     def at(b: Fraction, w: Fraction) -> tuple:
-        return to_x(*b.as_integer_ratio()), to_y(*w.as_integer_ratio())
+        return to_x(str(b)), to_y(str(w))
 
     parts = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -133,10 +136,10 @@ def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
 
     for i, rec in enumerate(records):
         a, b, c = rec["line"]
-        (b0, w0), (b1, w1) = (map(ratio_parts, p) for p in rec["segment"])
+        (b0, w0), (b1, w1) = rec["segment"]
         parts.append(
             f'<polyline fill="none" stroke="#1f4fa0" stroke-width="1.5" '
-            f'points="{to_x(*b0)},{to_y(*w0)} {to_x(*b1)},{to_y(*w1)}">'
+            f'points="{to_x(b0)},{to_y(w0)} {to_x(b1)},{to_y(w1)}">'
             f"<title>wall {i}: {a}*b + {b}*w = {c}</title></polyline>"
         )
 
@@ -154,8 +157,8 @@ def render_svg(records: Sequence[dict], window: Window, path: Optional[str],
     legend_y = PLOT[1] + 10
     shown = records[:LEGEND_MAX_ROWS]
     for i, rec in enumerate(shown):
-        witnesses = ";".join("(%d,%d,%d)" % tuple(d)
-                             for d in rec["destabilizers"])
+        witnesses = ";".join(["(%d,%d,%d)" % tuple(d)
+                              for d in rec["destabilizers"]])
         row = "{}b+{}w={} nu={} [{}]".format(*rec["line"], rec["nu"],
                                               witnesses)
         parts.append(

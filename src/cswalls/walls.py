@@ -25,6 +25,7 @@ from .charges import PlanePoint
 from .envelopes import (
     BNModel,
     PLFunction,
+    RegionVerdict,
     _frac,
     mercat_bound_pl,
     region_at,
@@ -279,11 +280,19 @@ def _reduced(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
+def _ratio_texts(*pairs) -> list:
+    """Each (num, den) of `pairs` (den > 0) as `str(Fraction(num, den))`
+    writes it: "p", or "p/q" with q > 1 and gcd 1; one gcd each."""
+    texts = []
+    for num, den in pairs:
+        g = gcd(num, den)
+        texts.append(str(num // g) if den == g else f"{num // g}/{den // g}")
+    return texts
+
+
 def ratio_text(num: int, den: int) -> str:
-    """num/den (den != 0) as `str(Fraction(num, den))` writes it: "p", or
-    "p/q" with q > 1 and gcd 1."""
-    num, den = _reduced(num, den)
-    return str(num) if den == 1 else f"{num}/{den}"
+    """num/den (den != 0) as `str(Fraction(num, den))` writes it."""
+    return _ratio_texts((num, den) if den > 0 else (-num, -den))[0]
 
 
 def _normal(a: int, b: int, c: int) -> tuple:
@@ -687,17 +696,22 @@ def _record(owner, line, witnesses: list, lo: tuple, hi: tuple,
             feasibility: str, im_positive: str, q_nonneg: str,
             region: str) -> dict:
     """The one writer of a wall record: the record of `line` = (A, B, C)
-    for the class `owner`, with the witness lists, the segment's b ends
-    `lo` and `hi` as (num, den) pairs (den != 0) and the four verdict
-    texts; "nu" and the segment's texts are derived here."""
+    (B != 0) for the class `owner`, with the witness lists, the segment's
+    b ends `lo` and `hi` as (num, den) pairs (den > 0) and the four
+    verdict texts.  "nu" = -A/B and the segment's texts, b and w = (C -
+    A*b)/B at each end, are derived here in one `_ratio_texts` call."""
     A, B, C = line
+    (pn, pd), (qn, qd) = lo, hi
+    # over B > 0 every denominator below is positive
+    a, b, c = (-A, B, C) if B > 0 else (A, -B, -C)
+    nu, b0, w0, b1, w1 = _ratio_texts(
+        (a, b), lo, (c * pd + a * pn, b * pd), hi, (c * qd + a * qn, b * qd))
     return {
         "owner": list(owner),
         "destabilizers": witnesses,
         "line": [A, B, C],
-        "nu": ratio_text(-A, B),
-        "segment": [[ratio_text(bn, bd), ratio_text(C * bd - A * bn, B * bd)]
-                    for bn, bd in (lo, hi)],
+        "nu": nu,
+        "segment": [[b0, w0], [b1, w1]],
         "verdicts": {"im_positive": im_positive, "q_nonneg": q_nonneg,
                      "feasibility": feasibility, "region": region},
     }
@@ -787,6 +801,9 @@ def _ccw(p: tuple, q: tuple) -> int:
 
 _ray_sort_key = cmp_to_key(_ccw)
 
+#: the bits of the four corners of the box, in `chamber_decomposition`
+_BITS = (1, 2, 4, 8)
+
 
 #: order of pairs (num, den) with den > 0 by value, cross-multiplied
 _ratio_sort_key = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
@@ -816,26 +833,14 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
                 f"decomposition for {v}"
             )
 
-    def chamber(i, kind, bounds, meets, bn, bd, wn, wd) -> dict:
-        """The record of chamber i, sampled at (bn/bd, wn/wd) with bd and
-        wd > 0; `ratio_text` and `region_at` take unreduced pairs."""
-        return {
-            "index": i,
-            "kind": kind,
-            "bounds": bounds,
-            "meets_window": meets,
-            "sample": [ratio_text(bn, bd), ratio_text(wn, wd)],
-            "region": None if model is None
-            else region_at(model, bn, bd, wn, wd).value,
-        }
-
     lines = list(dict.fromkeys(tuple(rec["line"]) for rec in records))
     r, d, n = v.r, v.d, v.n
     # every wall of v passes through its projection (d/r, n/r); at rank
     # zero this says that every wall runs along the direction (d, n), and
     # the zero class has none
     for A, B, C in lines:
-        if (A, B) == (0, 0) or _normal(A, B, C) != (A, B, C):
+        # normalized: gcd 1 and the first nonzero of (A, B) positive
+        if gcd(A, B, C) != 1 or A < 0 or A == 0 and B <= 0:
             raise DomainError(f"line {(A, B, C)} is not normalized")
         if A * d + B * n != C * r or not (r or d or n):
             raise MixedOwnership(f"line {(A, B, C)} is not a wall of {v}")
@@ -844,15 +849,15 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
     m, x0, x1, y0, y1 = _scaled(window)
 
     if not lines:
-        return ChamberReport(v, "window", center, [
-            chamber(0, "window", [], True, x0 + x1, 2 * m, y0 + y1, 2 * m)])
+        return ChamberReport(v, "window", center, _chamber_records(
+            "window", [([], True, x0 + x1, 2 * m, y0 + y1, 2 * m)], model))
 
     if r != 0:
-        # each line's upper-half direction, then its negation: records
-        # ascend in slope, so the sort merges a few ascending runs
+        # each line's upper-half direction, in order, then their negations:
+        # records ascend in slope, so the sort merges a few ascending runs
         rays = [_primitive(-B, A) if A else (1, 0) for A, B, _ in lines]
-        rays += [(-x, -y) for x, y in rays]
         rays.sort(key=_ray_sort_key)
+        rays += [(-x, -y) for x, y in rays]
         # the window relative to the centre (d/r, n/r), times D = |r|*m:
         # an integer box (as `_chord` reads it) with corners (x, y, 1)
         s = 1 if r > 0 else -1
@@ -860,23 +865,41 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
                     for x, e in ((x0, d), (x1, d), (y0, n), (y1, n)))
         corners = [(x, y, 1) for x in box[:2] for y in box[2:]]
         centre_in = box[0] <= 0 <= box[1] and box[2] <= 0 <= box[3]
-        # per ray: the ray, its chord, and cross(ray, corner) per corner
-        per_ray = [(u, _chord(u, box), [u[0] * q[1] - u[1] * q[0]
-                                        for q in corners]) for u in rays]
+        # per ray: its chord, the sum of the chord's ends as one triple
+        # (X, Y, T), and the bit sets of the corners strictly on its left
+        # and strictly on its right
+        per_ray = []
+        for u in rays:
+            ux, uy = u
+            ch = _chord(u, box)
+            if len(ch) == 2:
+                (ax, ay, az), (bx, by, bz) = ch
+                total = (ax * bz + bx * az, ay * bz + by * az, az * bz)
+            else:
+                total = ch[0] if ch else (0, 0, 1)
+            left = right = 0
+            for bit, (qx, qy, _) in zip(_BITS, corners):
+                cross = ux * qy - uy * qx
+                if cross > 0:
+                    left |= bit
+                elif cross < 0:
+                    right |= bit
+            per_ray.append((ux, uy, ch, total, left, right))
         size = abs(r) * m  # D
-        chambers = []
+        # the centre (d/r, n/r) over the denominator D
+        cx, cy = s * d * m, s * n * m
+        rows = []
         k = len(rays)
-        for i, ((u, ch, sd), (u2, ch2, sd2)) in enumerate(
-                zip(per_ray, per_ray[1:] + per_ray[:1])):
+        for (ux, uy, ch, t1, left, _), (vx, vy, ch2, t2, _, right) in zip(
+                per_ray, per_ray[1:] + per_ray[:1]):
             # the vertices of the window cut to the closed sector: its rays'
             # chord ends, the corners strictly inside, and the centre when
             # it is the apex or ends a half-plane's boundary chord
             pts = ch + ch2
-            for c in range(4):
-                if sd[c] > 0 > sd2[c]:
-                    pts.append(corners[c])
-            if centre_in and (u[0] * u2[1] > u[1] * u2[0]
-                              or not ch or not ch2):
+            inside = left & right
+            if inside:
+                pts += [q for bit, q in zip(_BITS, corners) if inside & bit]
+            if centre_in and (ux * vy > uy * vx or not ch or not ch2):
                 pts.append((0, 0, 1))
             # the cut has nonzero area when a point lies off the line
             # through the first two (distinct) ones: off the plane normal
@@ -884,36 +907,33 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
             meets = False
             if len(pts) > 2:
                 (px, py, pz), (qx, qy, qz) = pts[0], pts[1]
-                cx, cy = py * qz - pz * qy, pz * qx - px * qz
-                cz = px * qy - py * qx
+                nx, ny = py * qz - pz * qy, pz * qx - px * qz
+                nz = px * qy - py * qx
                 for x, y, z in pts[2:]:
-                    if cx * x + cy * y + cz * z:
+                    if nx * x + ny * y + nz * z:
                         meets = True
                         break
             if meets:
-                # the vertex average over one common denominator
-                den = 1
-                for _, _, z in pts:
-                    if den % z:
-                        den = lcm(den, z)
-                sx = sy = 0
-                for x, y, z in pts:
-                    f = den // z
-                    sx += x * f
-                    sy += y * f
+                # the vertex average: the two chords' sums over the product
+                # of their denominators, plus the corners and the centre
+                z1, z2 = t1[2], t2[2]
+                den = z1 * z2
+                sx = t1[0] * z2 + t2[0] * z1
+                sy = t1[1] * z2 + t2[1] * z1
+                for x, y, _ in pts[len(ch) + len(ch2):]:
+                    sx += x * den
+                    sy += y * den
                 den *= len(pts)
             else:
                 # the centre plus an inner direction; one line (k == 2)
                 # leaves u2 = -u, the half-plane on the left of u
-                ix, iy = ((-u[1], u[0]) if k == 2
-                          else (u[0] + u2[0], u[1] + u2[1]))
+                ix, iy = (-uy, ux) if k == 2 else (ux + vx, uy + vy)
                 sx, sy, den = ix * size, iy * size, 1
             # the sample (d/r + sx/(den*D), n/r + sy/(den*D))
-            chambers.append(chamber(
-                i, "sector", [list(u), list(u2)], meets,
-                s * d * m * den + sx, size * den,
-                s * n * m * den + sy, size * den))
-        return ChamberReport(v, "pencil", center, chambers)
+            rows.append(([[ux, uy], [vx, vy]], meets, cx * den + sx,
+                         size * den, cy * den + sy, size * den))
+        return ChamberReport(v, "pencil", center,
+                             _chamber_records("sector", rows, model))
 
     # rank zero: the walls (k*p, C), k > 0, of v are the lines p.(b, w) =
     # C/k, and the window's corners have p-values X/m
@@ -926,9 +946,8 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
     (l_min, *c_min), (l_max, *c_max) = corners[0], corners[-1]
     lo, hi = (l_min, m), (l_max, m)
     ends = [None] + cuts + [None]
-    chambers = []
-    for i in range(len(cuts) + 1):
-        t_lo, t_hi = ends[i], ends[i + 1]
+    rows = []
+    for t_lo, t_hi in zip(ends, ends[1:]):
         o_lo = lo if t_lo is None else max(t_lo, lo, key=_ratio_sort_key)
         o_hi = hi if t_hi is None else min(t_hi, hi, key=_ratio_sort_key)
         meets = o_lo[0] * o_hi[1] < o_hi[0] * o_lo[1]
@@ -948,11 +967,34 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
         num = m * (a * f + c * e) - e * f * (p[0] * base[0] + p[1] * base[1])
         den = e * f * (p[0] * step[0] + p[1] * step[1])
         bounds = [None if t is None else ratio_text(*t) for t in (t_lo, t_hi)]
-        chambers.append(chamber(
-            i, "strip", bounds, meets,
-            base[0] * den + num * step[0], 2 * m * den,
-            base[1] * den + num * step[1], 2 * m * den))
-    return ChamberReport(v, "strips", None, chambers)
+        rows.append((bounds, meets, base[0] * den + num * step[0], 2 * m * den,
+                     base[1] * den + num * step[1], 2 * m * den))
+    return ChamberReport(v, "strips", None,
+                         _chamber_records("strip", rows, model))
+
+
+#: a `RegionVerdict` -> its value, the text a chamber record holds
+_REGION_TEXTS = {verdict: verdict.value for verdict in RegionVerdict}
+
+
+def _chamber_records(kind: str, rows: list,
+                     model: Optional[BNModel]) -> List[dict]:
+    """The records of the chambers 0, 1, ... of `kind`, given one row
+    (bounds, meets_window, bn, bd, wn, wd) each with bd, wd > 0: the
+    sample (bn/bd, wn/wd) as `_ratio_texts` writes it, and `region_at`'s
+    verdict there (None without a model)."""
+    records = []
+    for i, (bounds, meets, bn, bd, wn, wd) in enumerate(rows):
+        records.append({
+            "index": i,
+            "kind": kind,
+            "bounds": bounds,
+            "meets_window": meets,
+            "sample": _ratio_texts((bn, bd), (wn, wd)),
+            "region": None if model is None
+            else _REGION_TEXTS[region_at(model, bn, bd, wn, wd)],
+        })
+    return records
 
 
 class BogomolovVerdict(str, Enum):

@@ -674,6 +674,16 @@ def test_class_parts_outside_the_integer_grammar_are_usage_errors(part):
         assert (code, out) == (2, "") and "invalid parse_class value" in err
 
 
+@pytest.mark.parametrize("flag", ["--genus", "--rank-bound"])
+@pytest.mark.parametrize("value", ["1_0", "٥", " 2", "2 ", "2.0", "0x2"])
+def test_integer_settings_outside_the_integer_grammar_are_usage_errors(
+        flag, value):
+    code, out, err = invoke(["feasible", "--class", "2,3,1",
+                             f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
 @pytest.mark.parametrize("at, text", [
     ("+3", "3"), ("-3", "-3"), ("007", "7"), ("6/4", "3/2"), ("-0/5", "0")])
 def test_rationals_in_the_grammar_are_accepted(at, text):
@@ -691,6 +701,22 @@ CLASSIFY_ARGS = ["classify", "--z1", "1,1", "--z2", "-1,1", "--z3", "0,1"]
 def test_non_finite_floats_are_usage_errors(extra):
     code, out, err = invoke(CLASSIFY_ARGS + extra)
     assert (code, out) == (2, "") and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "١", " 1", "1 ", "1.e", "e3", ".",
+                                   "0x1", "1e999", "nan", "-inf", "infinity"])
+def test_decimals_outside_the_decimal_grammar_are_usage_errors(value):
+    for extra in ([f"--tol={value}"], [f"--lifts={value},-,-"]):
+        code, out, err = invoke(CLASSIFY_ARGS + extra)
+        assert (code, out) == (2, "")
+        assert f"expected a finite decimal number, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value", ["+2", "1.", ".5", "1e-3", "2E+1", "007"])
+def test_decimals_in_the_grammar_are_accepted(value):
+    for extra in ([f"--tol={value}"], [f"--lifts={value},-,-"]):
+        # a lift may disagree with its charge (exit 1), but it parses
+        assert invoke(CLASSIFY_ARGS + extra)[0] != 2
 
 
 @pytest.mark.parametrize("doc, message", [

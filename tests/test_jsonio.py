@@ -18,8 +18,8 @@ from cswalls.jsonio import (
     walls_to_json,
 )
 from cswalls.lattice import NumClass
-from cswalls.walls import (Window, _record, enumerate_walls, line_cmp,
-                           ratio_text)
+from cswalls.walls import (Window, _normal, _record, enumerate_walls,
+                           line_cmp, ratio_text)
 
 # --- the canonical encoder ---------------------------------------------------
 
@@ -114,6 +114,25 @@ def test_validator_accepts_every_record_list_walls_to_json_writes(cls, model):
 def test_ratio_text_writes_what_str_of_fraction_writes(num, den):
     for d in (den, -den):
         assert ratio_text(num, d) == str(Fraction(num, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(), st.integers().filter(bool), st.integers()),
+       st.tuples(st.integers(), st.integers(1)),
+       st.tuples(st.integers(), st.integers(1)))
+@example((0, -3, 6), (0, 4), (-6, 4))
+@example((2, -4, 1), (3, 6), (5, 1))
+@example((-1, 1, 0), (-7, 2), (9, 3))
+def test_record_texts_are_what_str_of_fraction_writes(abc, lo, hi):
+    # any line with B != 0, normalized as records hold it, and unreduced
+    # ends with positive denominators, as `_fold` passes them
+    a, b, c = _normal(*abc)
+    rec = _record((2, 3, 1), (a, b, c), [], lo, hi, "Pass", "Pass", "Pass",
+                  "Pass")
+    assert rec["nu"] == str(Fraction(-a, b))
+    assert rec["segment"] == [
+        [str(Fraction(bn, bd)), str(Fraction(c * bd - a * bn, b * bd))]
+        for bn, bd in (lo, hi)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,6 +25,12 @@ def test_runtime_imports_only_the_standard_library():
                     path.name, name)
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares `requires-python = ">=3.10"`
+    for path in sorted((SRC / "cswalls").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 @given(st.text(alphabet=st.sampled_from("&<>\"'a;#x1 \u00e9")))
 def test_svg_escape_matches_saxutils(text):
     from xml.sax.saxutils import escape as sax_escape

@@ -585,6 +585,12 @@ def test_chambers_examples():
         if ch.meets_window:
             assert STD_WINDOW.contains(ch.sample)
 
+    # without a model every region is None, which the writer writes null
+    for cls, ws in ((v, two), (v, []), (torsion, tw)):
+        bare = chamber_decomposition(cls, ws, STD_WINDOW)
+        assert {ch["region"] for ch in bare.chambers} == {None}
+        assert dumps_chamber_report(bare) == dumps(chamber_report_to_json(bare))
+
 
 def test_chambers_single_line_two_halves():
     v = NumClass(2, 3, 1)
