@@ -219,10 +219,8 @@ def resolve_config(args, environ) -> None:
         raise CswallsError(f"unknown format {args.format!r}")
     if args.genus < 1:
         raise GenusOutOfRange(f"genus must be >= 1, got {args.genus}")
-    if args.model == "mercat" and args.genus <= 3:
-        raise GenusOutOfRange("the mercat model needs genus >= 4")
-    if args.model == "elliptic" and args.genus != 1:
-        raise GenusOutOfRange("the elliptic model needs genus 1")
+    if not args.model.startswith("user:"):  # a user file: read by the command
+        load_model(args)  # an unknown name or a wrong genus: exit 1
     if args.rank_bound < 0:
         raise CswallsError(f"rank_bound must be >= 0, got {args.rank_bound}")
 
@@ -261,7 +259,8 @@ def cached_walls(v: NumClass, args, model: BNModel, stderr) -> list:
             doc = None  # unreadable entries are recomputed
         # so are mismatched ones and any row enumerate_walls cannot write
         if isinstance(doc, dict) and doc.get("key") == key:
-            records = records_from_rows(doc.get("walls"), v)
+            records = records_from_rows(doc.get("walls"), v,
+                                        args.rank_bound)
             if records is not None:
                 return records
     records = enumerate_walls(v, args.genus, args.window, args.rank_bound,
@@ -543,7 +542,15 @@ def run(argv, stdout=None, stderr=None, environ=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left unwritten goes to the null
+        # device, so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ text is read.  `walls_from_json` decodes records into `Wall`s for callers
 that want the objects, and `walls_to_json` encodes those back.
 `dumps_wall_records` writes a list of records and `dumps_chamber_report`
 a chamber report as canonical JSON text, the bytes of `dumps`, which
-writes every other document with `json.dumps`.
+writes every other document with `json.dumps`.  The two fill `%`
+templates that `_template` builds once, at import, from `json.dumps` of
+prototype documents, so the layout is `json.dumps`'s alone.
 """
 
 from __future__ import annotations
@@ -45,50 +47,49 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# --- templates -----------------------------------------------------------
+
+_INTS3 = ["@d@"] * 3  # a class or a line: three integer slots
+
+
+def _template(doc, depth: int) -> str:
+    """A `%` template of `doc` as `dumps` writes it at nesting depth
+    `depth` of a document: `json.dumps(doc, sort_keys=True, indent=2)`,
+    each continuation line indented `depth` levels more, and each marker
+    text turned into a slot: "@d@" into %d, "@x@" into a bare %s (for a
+    JSON text written in place) and @s@ into a quoted %s (for a text
+    that needs no JSON escape)."""
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + "  " * depth).replace(
+        '"@d@"', "%d").replace('"@x@"', "%s").replace("@s@", "%s")
+
+
+#: what `dumps` writes between two records of a record list, two
+#: witnesses of a record and two chambers of a report: the text between
+#: the slots of a two-slot list at the depth of the list
+_NEXT_RECORD, _NEXT_WITNESS, _NEXT_CHAMBER = (
+    _template(["@x@", "@x@"], depth).split("%s")[1] for depth in (0, 2, 1))
+
+
 # --- walls ---------------------------------------------------------------
 
 _VERDICTS = ("feasibility", "im_positive", "q_nonneg", "region")
-#: one wall record as `dumps` indents it inside the record list: the six
-#: keys and the four verdicts in sorted order, integers and texts in place
-_RECORD = """  {
-    "destabilizers": [
-      %s
-    ],
-    "line": [
-      %d,
-      %d,
-      %d
-    ],
-    "nu": "%s",
-    "owner": [
-      %d,
-      %d,
-      %d
-    ],
-    "segment": [
-      [
-        "%s",
-        "%s"
-      ],
-      [
-        "%s",
-        "%s"
-      ]
-    ],
-    "verdicts": {
-      "feasibility": "%s",
-      "im_positive": "%s",
-      "q_nonneg": "%s",
-      "region": "%s"
-    }
-  }"""
-_CLASS = "[\n        %d,\n        %d,\n        %d\n      ]"
+#: the record list with the new line `dumps` ends it with, one wall
+#: record in it (its witnesses in place, then its integers and texts in
+#: sorted-key order) and one witness in that
+_RECORDS = _template(["@x@"], 0) + "\n"
+_RECORD = _template({
+    "destabilizers": ["@x@"], "line": _INTS3, "nu": "@s@", "owner": _INTS3,
+    "segment": [["@s@", "@s@"]] * 2,
+    "verdicts": dict.fromkeys(_VERDICTS, "@s@")}, 1)
+_WITNESS = _template(_INTS3, 3)
 _verdicts = itemgetter(*_VERDICTS)
 
 
 def dumps_wall_records(records) -> str:
-    """`dumps(records)` for a list of wall records, written from one fixed
-    template; the one JSON writer of record lists.
+    """`dumps(records)` for a list of wall records, written from the
+    `_template`s of the list, a record and a witness; the one JSON writer
+    of record lists.
 
     It is exact only for records that `walls._record` writes, the only
     records the CLI renders: classes and lines of three ints (no bools),
@@ -96,12 +97,13 @@ def dumps_wall_records(records) -> str:
     escape, since they are `ratio_text` values and `Check` values.  The
     texts go in unescaped for that reason."""
     if not records:
-        return "[]\n"
-    return "[\n" + ",\n".join([_RECORD % (
-        ",\n      ".join([_CLASS % tuple(c) for c in rec["destabilizers"]]),
+        return dumps(records)
+    return _RECORDS % _NEXT_RECORD.join([_RECORD % (
+        _NEXT_WITNESS.join([_WITNESS % tuple(c)
+                            for c in rec["destabilizers"]]),
         *rec["line"], rec["nu"], *rec["owner"], *rec["segment"][0],
         *rec["segment"][1], *_verdicts(rec["verdicts"]))
-        for rec in records]) + "\n]\n"
+        for rec in records])
 
 
 def wall_to_json(w: Wall) -> dict:
@@ -161,20 +163,21 @@ _PASS_UNKNOWN = ("Pass", "Unknown")
 _CHECKS = tuple(c.value for c in Check)
 
 
-def records_from_rows(rows, owner: NumClass):
+def records_from_rows(rows, owner: NumClass, rank_bound: int):
     """The wall records of `owner` that `walls._record` rebuilds from the
-    cache rows `rows` (as `wall_rows` writes them), or None unless every
-    row holds what `enumerate_walls` writes, checked in integers: a
-    normalized line (gcd 1, B != 0, first nonzero of A, B positive)
-    through the owner's projection (A*d + B*n = C*r); at least one
-    witness (r', d', n'), in strictly ascending order, each on the line
-    and not vertical (A*d' + B*n' = C*r' and r*d' != r'*d); rows in
-    strictly ascending `line_cmp` order; b ends [num, den] with den > 0
-    and gcd 1, in strictly ascending order; the verdicts the enumerator
-    writes: im_positive "Pass", q_nonneg and region "Pass" or "Unknown",
-    feasibility any `Check` value.  Every integer is a JSON int, not a
-    bool.  The records rebuilt decode with `walls_from_json`, and encode
-    back unchanged."""
+    cache rows `rows` (as `wall_rows` writes them) of a search at
+    `rank_bound`, or None unless every row holds what `enumerate_walls`
+    writes, checked in integers: a normalized line (gcd 1, B != 0, first
+    nonzero of A, B positive) through the owner's projection (A*d + B*n
+    = C*r); at least one witness (r', d', n'), in strictly ascending
+    order, each a class the search yields (|r'| <= rank_bound; d' >= 1
+    and gcd(d', n') = 1 at r' = 0) on the line and not vertical (A*d' +
+    B*n' = C*r' and r*d' != r'*d); rows in strictly ascending `line_cmp`
+    order; b ends [num, den] with den > 0 and gcd 1, in strictly
+    ascending order; the verdicts the enumerator writes: im_positive
+    "Pass", q_nonneg and region "Pass" or "Unknown", feasibility any
+    `Check` value.  Every integer is a JSON int, not a bool.  The records
+    rebuilt decode with `walls_from_json`, and encode back unchanged."""
     if type(rows) is not list:
         return None
     own = owner.as_tuple()
@@ -212,6 +215,8 @@ def records_from_rows(rows, owner: NumClass):
             xr, xd, xn = x
             if (not (int is type(xr) is type(xd) is type(xn))
                     or last is not None and last >= x
+                    or not -rank_bound <= xr <= rank_bound
+                    or xr == 0 and (xd < 1 or gcd(xd, xn) != 1)
                     or a * xd + b * xn != c * xr or r * xd == xr * d):
                 return None
             last = x
@@ -231,58 +236,45 @@ def chamber_report_to_json(rep: ChamberReport) -> dict:
     }
 
 
-#: a chamber report as `dumps` indents it: its four keys, and each chamber
-#: record's six, in sorted order
-_REPORT = ('{\n  "center": %s,\n  "chambers": [\n%s\n  ],\n  "kind": "%s",\n'
-           '  "owner": [\n    %d,\n    %d,\n    %d\n  ]\n}\n')
-_CHAMBER = """    {
-      "bounds": %s,
-      "index": %d,
-      "kind": "%s",
-      "meets_window": %s,
-      "region": %s,
-      "sample": [
-        "%s",
-        "%s"
-      ]
-    }"""
-_SECTOR = ("[\n        [\n          %d,\n          %d\n        ],\n"
-           "        [\n          %d,\n          %d\n        ]\n      ]")
-_STRIP = "[\n        %s,\n        %s\n      ]"
-#: a sector's chamber record, the four integers of its bounds in place
-_SECTOR_CHAMBER = _CHAMBER.replace("%s", _SECTOR, 1)
+#: a chamber report, its centre, and one chamber record in its list per
+#: kind (each with the bounds of its kind in place, then the integers and
+#: texts in sorted-key order); `dumps` ends the report with a new line
+_REPORT = _template({"center": "@x@", "chambers": ["@x@"], "kind": "@s@",
+                     "owner": _INTS3}, 0) + "\n"
+_CENTER = _template(["@s@", "@s@"], 1)
+_CHAMBERS = {kind: _template({
+    "bounds": bounds, "index": "@d@", "kind": kind, "meets_window": "@x@",
+    "region": "@x@", "sample": ["@s@", "@s@"]}, 2) for kind, bounds in (
+        ("sector", [["@d@", "@d@"]] * 2), ("strip", ["@x@", "@x@"]),
+        ("window", []))}
 
 
 def dumps_chamber_report(rep: ChamberReport) -> str:
-    """`dumps(chamber_report_to_json(rep))`, written from fixed templates;
-    the one JSON writer of chamber reports.
+    """`dumps(chamber_report_to_json(rep))`, written from the `_template`s
+    of the report, its centre and a chamber of each kind; the one JSON
+    writer of chamber reports.
 
     It is exact only for reports in the form that `chamber_decomposition`
     writes: at least one chamber, sector bounds of two integer pairs,
-    strip bounds of two texts or None, and texts (the centre, samples,
-    strip bounds, kinds, regions) that need no JSON escape.  The texts go
-    in unescaped for that reason: the decomposition writes the rationals
-    with `ratio_text` and the rest as fixed names and `RegionVerdict`
-    values."""
+    strip bounds of two texts or None, no window bounds, and texts (the
+    centre, samples, strip bounds, regions) that need no JSON escape.
+    The texts go in unescaped for that reason: the decomposition writes
+    the rationals with `ratio_text` and the rest as fixed names and
+    `RegionVerdict` values."""
     chambers = []
     for ch in rep.chambers:
-        bounds, region = ch["bounds"], ch["region"]
-        rest = (ch["index"], ch["kind"], BOOLEANS[ch["meets_window"]],
-                "null" if region is None else '"' + region + '"',
-                *ch["sample"])
-        if ch["kind"] == "sector":
-            (a, b), (c, d) = bounds
-            chambers.append(_SECTOR_CHAMBER % (a, b, c, d, *rest))
-            continue
-        if bounds:  # a strip's two intercepts, each a text or None
-            bounds = _STRIP % tuple(
-                ["null" if t is None else '"' + t + '"' for t in bounds])
-        chambers.append(_CHAMBER % (bounds or "[]", *rest))
+        kind, bounds, region = ch["kind"], ch["bounds"], ch["region"]
+        if kind == "sector":
+            bounds = (*bounds[0], *bounds[1])
+        else:  # a strip's two intercepts, each a text or None, or nothing
+            bounds = ["null" if t is None else '"' + t + '"' for t in bounds]
+        chambers.append(_CHAMBERS[kind] % (
+            *bounds, ch["index"], BOOLEANS[ch["meets_window"]],
+            "null" if region is None else '"' + region + '"', *ch["sample"]))
     center = rep.center
     return _REPORT % (
-        "null" if center is None
-        else '[\n    "%s",\n    "%s"\n  ]' % tuple(center),
-        ",\n".join(chambers), rep.kind, *rep.owner.as_tuple())
+        "null" if center is None else _CENTER % tuple(center),
+        _NEXT_CHAMBER.join(chambers), rep.kind, *rep.owner.as_tuple())
 
 
 # --- charges, elements and classifications --------------------------------

@@ -65,6 +65,14 @@ def test_exit_codes():
     assert code == 1 and "mercat" in err
 
 
+@pytest.mark.parametrize("model", ["nope", "user", "Mercat"])
+def test_an_unknown_model_name_is_refused_by_every_command(model):
+    # euler reads no model, yet a name that is not built in is refused
+    code, out, err = invoke(["euler", "--v1", "1,0,0", "--v2", "0,0,1",
+                             "--model", model])
+    assert (code, out) == (1, "") and "error:" in err
+
+
 WALL_ARGS = ["walls", "--class", "2,3,1", "--genus", "2",
              "--window", "-3,3,1/2,6", "--rank-bound", "3"]
 
@@ -518,7 +526,7 @@ def test_cache_entry_not_an_object_is_recomputed(tmp_path):
 #: per wall, mostly to the first row.  When entries held the records
 #: themselves, "segment-three-points" made `walls --format csv|text` exit
 #: 2, and "line-doubled", "extra-key" and "records-reordered" were
-#: printed by `walls --format json` as they stood.  The last eight are
+#: printed by `walls --format json` as they stood.  The last ten are
 #: rows of records that the enumerator never writes but that the record
 #: check once accepted
 MALFORMED = {
@@ -547,6 +555,13 @@ MALFORMED = {
     "im-positive-unknown": lambda rows: rows[0].__setitem__(5, "Unknown"),
     "q-nonneg-fail": lambda rows: rows[0].__setitem__(6, "Fail"),
     "region-fail": lambda rows: rows[0].__setitem__(7, "Fail"),
+    # witnesses on the line that the search at rank bound 1 never yields:
+    # the complement (2, 2, 5) of (0, 1, -4), of rank 2, and (0, 2, -8),
+    # a rank-zero class that is not primitive
+    "destabilizer-beyond-rank-bound": lambda rows: rows[0].__setitem__(
+        1, [[0, 1, -4], [2, 2, 5]]),
+    "destabilizer-not-primitive": lambda rows: rows[0].__setitem__(
+        1, [[0, 2, -8]]),
 }
 MALFORMED_ARGS = ["--class", "2,3,1", "--genus", "2", "--window=-3,3,1/2,6",
                   "--rank-bound", "1"]

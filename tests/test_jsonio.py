@@ -71,6 +71,7 @@ def test_dumps_rejects_what_is_not_a_json_tree(value):
 # --- wall records and their cache rows ---------------------------------------
 
 WINDOW = Window(-4, 4, 1, 8)
+RANK_BOUND = 1  # of the searches whose records `_records` keeps
 MODELS = {"general": (2, "general"), "mercat": (5, "mercat"),
           "elliptic": (1, "elliptic")}
 
@@ -78,10 +79,10 @@ MODELS = {"general": (2, "general"), "mercat": (5, "mercat"),
 @functools.lru_cache(maxsize=None)
 def _records(cls: tuple, model: str) -> tuple:
     """(owner, the records `enumerate_walls` writes for its walls at rank
-    bound 1)."""
+    bound `RANK_BOUND`)."""
     g, kind = MODELS[model]
     v = NumClass(*cls)
-    return v, enumerate_walls(v, g, WINDOW, 1, make_model(kind, g))
+    return v, enumerate_walls(v, g, WINDOW, RANK_BOUND, make_model(kind, g))
 
 
 def _rows(cls: tuple, model: str) -> tuple:
@@ -100,7 +101,7 @@ def test_validator_accepts_every_record_list_walls_to_json_writes(cls, model):
     v, records = _records(cls, model)
     # the rows, through JSON text, rebuild the records as they were
     rows = json.loads(json.dumps(wall_rows(records)))
-    assert records_from_rows(rows, v) == records
+    assert records_from_rows(rows, v, RANK_BOUND) == records
     assert walls_to_json(walls_from_json(records)) == records
     # the record writer writes what `dumps` writes, "[]\n" included
     assert dumps_wall_records(records) == dumps(records)
@@ -150,7 +151,7 @@ def _served(lo) -> list:
     row's b ends replaced by `lo` and [100, 1]; None when it refuses."""
     v, rows = _rows((2, 3, 1), "general")
     rows[0][2:4] = [lo, [100, 1]]
-    return records_from_rows(rows, v)
+    return records_from_rows(rows, v, RANK_BOUND)
 
 
 @pytest.mark.parametrize("text, pair", [
@@ -194,7 +195,7 @@ def _valid_with_w(end: int, w) -> bool:
     whose segment end `end` has the w text `w`.  The rows hold no w: the
     one served is the text that `walls._record` writes for the line."""
     v, rows = _rows((2, 3, 1), "general")
-    return records_from_rows(rows, v)[0]["segment"][end][1] == w
+    return records_from_rows(rows, v, RANK_BOUND)[0]["segment"][end][1] == w
 
 
 def test_first_record_of_the_w_cases():
@@ -236,7 +237,7 @@ def test_validator_accepts_witnesses_only_as_written(witnesses):
     written = copy.deepcopy(rows[1][1])
     rows[1][1] = witnesses
     # as text, since False == 0 and 1.0 == 1
-    assert (records_from_rows(rows, v) is not None) == (
+    assert (records_from_rows(rows, v, RANK_BOUND) is not None) == (
         json.dumps(witnesses) == json.dumps(written))
 
 
@@ -259,7 +260,7 @@ def test_validator_refuses_a_witness_whose_wall_is_not_the_line(edit):
         rows[0][field] = value
     record = _record(v.as_tuple(), *rows[0])
     assert walls_to_json(walls_from_json([record])) == [record]  # decodes
-    assert records_from_rows(rows, v) is None
+    assert records_from_rows(rows, v, RANK_BOUND) is None
 
 
 #: near-valid replacements for a value of each JSON type
@@ -315,7 +316,7 @@ def test_validator_is_never_looser_than_the_decoder(case, data):
     written = copy.deepcopy(rows)
     i = data.draw(st.integers(0, len(rows) - 1))
     rows[i] = _mutated(data.draw, rows[i])
-    records = records_from_rows(rows, v)
+    records = records_from_rows(rows, v, RANK_BOUND)
     if records is not None:
         # what the check serves decodes, encodes back as it was, and is
         # written by the record writer as `dumps` writes it
@@ -454,13 +455,21 @@ END_VALUES = st.lists(st.integers(-12, 12), min_size=2, max_size=2) | (
 @st.composite
 def row_mutations(draw):
     """(case, rows) with one change to real rows: a tweaked value
-    anywhere, a b end, a verdict, or an order."""
+    anywhere, a b end, a verdict, a witness, or an order."""
     case = draw(st.sampled_from(CASES))
     _, rows = _rows(*case)
     i = draw(st.integers(0, len(rows) - 1))
     row = rows[i]
-    kind = draw(st.sampled_from(["any", "end", "verdict", "order"]))
-    if kind == "any":
+    kind = draw(st.sampled_from(["any", "end", "verdict", "witness",
+                                 "order"]))
+    if kind == "witness":
+        # a multiple or the complement of a witness, in its place: a class
+        # on the line still, but maybe not one that the search yields
+        x = draw(st.sampled_from(row[1]))
+        row[1][row[1].index(x)] = draw(st.sampled_from(
+            [[k * y for y in x] for k in (-1, 2, 3)]
+            + [[o - y for o, y in zip(case[0], x)]]))
+    elif kind == "any":
         rows[i] = _mutated(draw, row)
     elif kind == "end":
         row[draw(st.sampled_from([2, 3]))] = draw(END_VALUES)
@@ -480,6 +489,14 @@ def _in_domains(records) -> bool:
                for name, dom in VERDICT_DOMAINS.items())
 
 
+def _searched(records) -> bool:
+    """Whether every witness is a class that the search yields: |r'| at
+    most `RANK_BOUND`, and d' >= 1 and gcd(d', n') = 1 at r' = 0 (a
+    "scale" mutation makes witnesses that break this)."""
+    return all(abs(r) <= RANK_BOUND and (r or d >= 1 and math.gcd(d, n) == 1)
+               for rec in records for r, d, n in rec["destabilizers"])
+
+
 @settings(max_examples=800, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(row_mutations())
@@ -491,8 +508,8 @@ def test_validator_matches_its_reference_on_mutated_records(mutation):
     assert _reference_records_valid(written, v)
     rebuilt = _reference_rebuild(rows, v)
     want = (rebuilt is not None and _reference_records_valid(rebuilt, v)
-            and _in_domains(rebuilt))
-    served = records_from_rows(rows, v)
+            and _in_domains(rebuilt) and _searched(rebuilt))
+    served = records_from_rows(rows, v, RANK_BOUND)
     assert (served is not None) == want
     if served is not None:
         assert served == rebuilt

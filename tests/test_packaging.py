@@ -39,14 +39,16 @@ def test_svg_escape_matches_saxutils(text):
     assert escape(text) == sax_escape(text)
 
 
-def _python(*argv):
-    """`python *argv` with this checkout's `src` first on the path."""
+def _python(*argv, stdout=subprocess.PIPE):
+    """`python *argv` with this checkout's `src` first on the path, its
+    stdout to `stdout` and its stderr captured."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("CSWALLS_CONFIG", None)
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
 
 
 def test_cli_import_loads_no_network_modules():
@@ -57,6 +59,22 @@ def test_cli_import_loads_no_network_modules():
     assert done.returncode == 0, done.stderr
     network = {"socket", "ssl", "http.client", "urllib.request", "email"}
     assert not set(done.stdout.split()) & network
+
+
+@pytest.mark.parametrize("argv", [
+    ["walls", "--class", "2,3,1", "--format", "json"],  # a write raises
+    ["euler", "--v1", "1,0,0", "--v2", "0,0,1"],  # the final flush raises
+])
+def test_a_closed_stdout_ends_with_exit_1_and_no_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # as `cswalls walls ... | head -1` once head has exited
+    try:
+        done = _python("-m", "cswalls.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr, done.stderr
+    assert "Exception ignored" not in done.stderr, done.stderr
 
 
 def _run_optimized(*argv):
