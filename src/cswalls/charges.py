@@ -115,10 +115,7 @@ class GLElement:
 
     def lift_at_zero(self) -> float:
         """The lift value f(0) = atan2(m21, m11)/pi + 2*winding."""
-        return (
-            math.atan2(float(self.m21), float(self.m11)) / math.pi
-            + 2 * self.winding
-        )
+        return self.lift_value(0.0)
 
     def lift_at_zero_bounds(self) -> tuple:
         """Exact rational bounds (lo, hi) for f(0); lo == hi on quadrant
@@ -282,11 +279,7 @@ def heart_phase(v: NumClass, p: PlanePoint) -> float:
         raise ZeroCharge(f"zero charge for {v} at ({p.b},{p.w})")
     if z.im < 0 or (z.im == 0 and z.re > 0):
         raise LowerHalfPlane(f"charge {z} lies outside the heart range")
-    if z.im == 0:
-        return 1.0
-    if z.re == 0:
-        return 0.5
-    return math.atan2(float(z.im), float(z.re)) / math.pi
+    return z.principal_phase()
 
 
 def gl_act(c: ChargeData, elem: GLElement) -> ChargeData:

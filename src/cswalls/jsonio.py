@@ -106,45 +106,34 @@ def dumps_wall_records(records) -> str:
         for rec in records])
 
 
-def wall_to_json(w: Wall) -> dict:
-    return {
+def walls_to_json(walls) -> list:
+    return [{
         "owner": list(w.owner.as_tuple()),
         "destabilizers": [list(d.as_tuple()) for d in w.destabilizers],
         "line": list(w.line),
         "nu": slope_text(w.nu_value),
         "segment": [point_to_json(p) for p in w.segment],
         "verdicts": {name: check.value for name, check in w.verdicts},
-    }
+    } for w in walls]
 
 
-def wall_from_json(doc: dict) -> Wall:
-    nu_raw = doc["nu"]
-    nu_value = math.inf if nu_raw == "inf" else rat(nu_raw)
-    seg = tuple(PlanePoint(rat(b), rat(w)) for b, w in doc["segment"])
-    return Wall(
+def walls_from_json(docs) -> list:
+    return [Wall(
         owner=NumClass(*doc["owner"]),
         destabilizers=tuple(NumClass(*d) for d in doc["destabilizers"]),
         line=tuple(doc["line"]),
-        nu_value=nu_value,
-        segment=seg,
+        nu_value=math.inf if doc["nu"] == "inf" else rat(doc["nu"]),
+        segment=tuple(PlanePoint(rat(b), rat(w)) for b, w in doc["segment"]),
         verdicts=tuple(
             (name, Check(doc["verdicts"][name]))
             for name in ("im_positive", "q_nonneg", "feasibility", "region")
         ),
-    )
-
-
-def walls_to_json(walls) -> list:
-    return [wall_to_json(w) for w in walls]
-
-
-def walls_from_json(docs) -> list:
-    return [wall_from_json(d) for d in docs]
+    ) for doc in docs]
 
 
 def ratio_parts(text: str) -> tuple:
     """(num, den) of a text in `ratio_text`'s form, with no check that it
-    is in that form: for texts that `walls._record` wrote."""
+    is in that form: for texts that this package wrote."""
     num, slash, den = text.partition("/")
     return int(num), int(den) if slash else 1
 

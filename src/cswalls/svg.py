@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .charges import PlanePoint
 from .envelopes import BNModel
 from .errors import DomainError, IoError
+from .jsonio import ratio_parts
 from .lattice import NumClass, project
 from .walls import Window
 
@@ -41,8 +42,7 @@ def _affine(origin: int, low: Fraction, scale: Fraction, sign: int):
     dd = scale.denominator * low.denominator
 
     def image(text: str) -> str:
-        num, slash, den = text.partition("/")
-        num, den = int(num), int(den) if slash else 1
+        num, den = ratio_parts(text)
         return f"{(k * num + c * den) / (dd * den):.9f}"
 
     return image

@@ -453,12 +453,14 @@ def enumerate_walls(v: NumClass, g: GenusLike, window: Window,
 
     # each line is decided from its own groups alone, so the lines can be
     # dealt to two processes and their records joined.  Fork only with one
-    # thread: a fork copies only this one, and a lock that another thread
-    # holds would stay held in the child.
+    # thread (a lock that another thread holds would stay held in the
+    # child) and with SIGCHLD at its default disposition (ignored or
+    # handled, the child may be reaped before this process waits for it).
     items = list(by_line.items())
     threading = sys.modules.get("threading")
     if (sum(map(len, by_line.values())) >= _SPLIT_GROUPS
             and hasattr(os, "fork")
+            and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
             and (threading is None or threading.active_count() == 1)):
         walls = _forked(decide, items)
     else:
@@ -480,10 +482,12 @@ _SPLIT_GROUPS = 450
 
 def _forked(decide, items: list) -> list:
     """decide(items), with items[1::2] decided in one forked child that
-    sends its records back over a pipe as `marshal` data.  This process
-    decides them itself when the fork fails, the child exits nonzero or
-    its data does not load.  The child is reaped on every path, and
-    killed first if this process raises."""
+    sends its records back over a pipe as `marshal` data and always exits
+    0.  This process uses those records exactly when the data loads: a
+    child that stops early (an exception, a kill, a short write) leaves
+    data that does not, and then, as when the fork fails, this process
+    decides them itself.  The child is reaped on every path, and killed
+    first if this process raises."""
     theirs = items[1::2]
     try:
         rfd, wfd = os.pipe()
@@ -496,31 +500,26 @@ def _forked(decide, items: list) -> list:
         os.close(wfd)
         return decide(items)
     if pid == 0:  # the child never returns
-        code = 1
         try:
             os.close(rfd)
             with open(wfd, "wb") as pipe:
                 pipe.write(marshal.dumps(decide(theirs)))
-            code = 0
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(wfd)
     try:
         with open(rfd, "rb") as pipe:
             walls = decide(items[::2])
             data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        pid = None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status == 0:
-        try:
-            return walls + marshal.loads(data)
-        except (EOFError, ValueError, TypeError):
-            pass
-    return walls + decide(theirs)
+        os.waitpid(pid, 0)
+    try:
+        return walls + marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return walls + decide(theirs)
 
 
 def line_cmp(p, q) -> int:
@@ -537,18 +536,12 @@ def line_cmp(p, q) -> int:
 _line_sort_key = cmp_to_key(line_cmp)
 
 
-def _scaled(window: Window) -> tuple:
-    """The window over one denominator m > 0: the integers (m, b_min*m,
-    b_max*m, w_min*m, w_max*m)."""
+def _box(window: Window) -> tuple:
+    """The window's ends (b_min, b_max, w_min, w_max) as pairs (x, m) over
+    one denominator m > 0."""
     ends = (window.b_min, window.b_max, window.w_min, window.w_max)
     m = lcm(*(x.denominator for x in ends))
-    return (m, *(x.numerator * (m // x.denominator) for x in ends))
-
-
-def _box(window: Window) -> tuple:
-    """The window's ends (b_min, b_max, w_min, w_max) as `_scaled`'s (x, m)."""
-    m, *ends = _scaled(window)
-    return tuple((x, m) for x in ends)
+    return tuple((x.numerator * (m // x.denominator), m) for x in ends)
 
 
 def _clip(line: tuple, box: tuple):
@@ -846,7 +839,7 @@ def chamber_decomposition(v: NumClass, records: Sequence[dict],
             raise MixedOwnership(f"line {(A, B, C)} is not a wall of {v}")
     center = [ratio_text(d, r), ratio_text(n, r)] if r else None
     # the window is [x0/m, x1/m] x [y0/m, y1/m]
-    m, x0, x1, y0, y1 = _scaled(window)
+    (x0, m), (x1, _), (y0, _), (y1, _) = _box(window)
 
     if not lines:
         return ChamberReport(v, "window", center, _chamber_records(

@@ -203,6 +203,72 @@ def test_lift_value_of_a_huge_t_returns_and_a_nonfinite_t_raises():
             el.lift_value(t)
 
 
+def _atan2_lift_at_zero(el):
+    """`GLElement.lift_at_zero` as it was before it returned
+    `lift_value(0.0)`, kept as the reference."""
+    return math.atan2(float(el.m21), float(el.m11)) / math.pi + 2 * el.winding
+
+
+_WIDE_ENTRIES = st.fractions(min_value=-10**6, max_value=10**6,
+                             max_denominator=10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ELEMENTS, st.tuples(
+    _WIDE_ENTRIES, _WIDE_ENTRIES, _WIDE_ENTRIES, _WIDE_ENTRIES,
+    st.integers(-10**6, 10**6)).filter(
+        lambda e: e[0] * e[3] > e[1] * e[2]).map(lambda e: GLElement(*e))))
+@example(identity_element())
+@example(GLElement(F(-1), F(0), F(0), F(-1), 0))  # atan2(0, -1)
+@example(GLElement(F(1), F(-5), F(-1, 10**400), F(1), 0))  # m21 is -0.0
+@example(GLElement(F(-1), F(-5), F(-1, 10**400), F(-1), 3))
+@example(GLElement(F(0), F(-1), F(1), F(0), -2))
+def test_lift_at_zero_matches_the_atan2_formula_bit_for_bit(el):
+    assert el.lift_at_zero().hex() == _atan2_lift_at_zero(el).hex()
+
+
+def _branch_heart_phase(v, p):
+    """`heart_phase` as it was before it returned `principal_phase()`: two
+    refusals, then three branches, kept as the reference."""
+    z = central_charge(v, p)
+    if z.is_zero():
+        raise ZeroCharge(f"zero charge for {v} at ({p.b},{p.w})")
+    if z.im < 0 or (z.im == 0 and z.re > 0):
+        raise LowerHalfPlane(f"charge {z} lies outside the heart range")
+    if z.im == 0:
+        return 1.0
+    if z.re == 0:
+        return 0.5
+    return math.atan2(float(z.im), float(z.re)) / math.pi
+
+
+def _phase_or_refusal(phase, v, p):
+    try:
+        return phase(v, p).hex()
+    except (ZeroCharge, LowerHalfPlane) as exc:
+        return type(exc)
+
+
+_COORDS = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+_SMALL_INTS = st.integers(-5, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(NumClass, st.integers(-20, 20), st.integers(-20, 20),
+                 st.integers(-20, 20)),
+       st.one_of(st.builds(PlanePoint, _COORDS, _COORDS),
+                 st.builds(PlanePoint, _SMALL_INTS, _SMALL_INTS)))
+@example(NumClass(0, 0, 1), PlanePoint(F(1), F(1)))  # Z = -1
+@example(NumClass(0, 1, 0), PlanePoint(F(1), F(1)))  # Z = i
+@example(NumClass(1, 1, 1), PlanePoint(F(1), F(1)))  # Z = 0
+@example(NumClass(0, 0, -1), PlanePoint(F(1), F(1)))  # Z = +1
+@example(NumClass(1, 0, 0), PlanePoint(F(1), F(1)))  # Z = 1 - i
+@example(NumClass(1, 1, 0), PlanePoint(F(0), F(-3)))  # Z = -3 + i
+def test_heart_phase_matches_the_branch_formula_bit_for_bit(v, p):
+    assert (_phase_or_refusal(heart_phase, v, p)
+            == _phase_or_refusal(_branch_heart_phase, v, p))
+
+
 def test_gl_act_identity_and_scaling():
     c = type_b_triple(PlanePoint(F(-2), F(3)), with_lifts=True)
     out = gl_act(c, identity_element())

@@ -909,7 +909,7 @@ def test_walls_command_builds_no_wall_objects(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a wall object was built")
 
-    for module, name in ((jsonio, "wall_to_json"), (jsonio, "wall_from_json"),
+    for module, name in ((jsonio, "walls_to_json"), (jsonio, "walls_from_json"),
                          (walls, "Wall"), (walls, "PlanePoint"),
                          (walls, "Fraction"), (cli, "dumps")):
         monkeypatch.setattr(module, name, refuse)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -75,6 +76,25 @@ def test_a_closed_stdout_ends_with_exit_1_and_no_traceback(argv):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr, done.stderr
     assert "Exception ignored" not in done.stderr, done.stderr
+
+
+def test_walls_with_sigchld_ignored_prints_the_golden_records(tmp_path):
+    # Linux keeps an ignored SIGCHLD across exec, so the CLI inherits it;
+    # the kernel then reaps a forked child at once
+    from test_cli import GOLDEN_WALLS_SHA256
+
+    done = _python(
+        "-c", "import os, signal, sys; "
+              "signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+              "os.execv(sys.executable, [sys.executable, '-m', "
+              "'cswalls.cli', *sys.argv[1:]])",
+        "walls", "--class", "2,3,1", "--genus", "2", "--model", "general",
+        "--rank-bound", "3", "--format", "json",
+        "--cache-dir", str(tmp_path / "cache"))
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    assert (hashlib.sha256(done.stdout.encode()).hexdigest()
+            == GOLDEN_WALLS_SHA256[("2,3,1", "2", "general")])
 
 
 def _run_optimized(*argv):

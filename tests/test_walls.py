@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import marshal
 import math
 import os
 import random
@@ -1032,9 +1033,12 @@ def test_split_enumeration_is_exact_and_reaps_its_child(monkeypatch):
             os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("fault", ["fork fails", "child raises",
-                                   "second thread"])
+@pytest.mark.parametrize("fault", [
+    "fork fails", "child raises", "child data cut short", "second thread",
+    "SIGCHLD ignored", "SIGCHLD handler"])
 def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
+    import signal
+
     import cswalls.walls as walls
 
     case = (NumClass(2, 3, 1), 2, STD_WINDOW, 3, make_model("general", 2))
@@ -1044,9 +1048,10 @@ def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
     forks = _counting_fork(monkeypatch)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
+    pid, sigchld = os.getpid(), signal.getsignal(signal.SIGCHLD)
     if fault == "child raises":
         # the child decides nothing, and this process decides its lines
-        pid, line_wall = os.getpid(), walls._line_verdicts
+        line_wall = walls._line_verdicts
 
         def kernel(*args):
             if os.getpid() != pid:
@@ -1054,6 +1059,19 @@ def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
             return line_wall(*args)
 
         monkeypatch.setattr(walls, "_line_verdicts", kernel)
+    elif fault == "child data cut short":
+        # the child writes all but the last byte and exits 0: the data
+        # does not load, and this process decides the child's lines
+        def dumps(value):
+            data = marshal.dumps(value)
+            return data[:-1] if os.getpid() != pid else data
+
+        monkeypatch.setattr(walls, "marshal", SimpleNamespace(
+            dumps=dumps, loads=marshal.loads))
+    elif fault == "SIGCHLD ignored":
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    elif fault == "SIGCHLD handler":
+        signal.signal(signal.SIGCHLD, lambda signum, frame: None)
     else:
         def fork():
             if fault == "second thread":
@@ -1066,11 +1084,12 @@ def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
     try:
         assert enumerate_walls(*case) == serial
     finally:
+        signal.signal(signal.SIGCHLD, sigchld)
         stop.set()
         if thread.is_alive():
             thread.join(timeout=10)
     assert not thread.is_alive()
-    assert len(forks) == (fault == "child raises")
+    assert len(forks) == (fault in ("child raises", "child data cut short"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
