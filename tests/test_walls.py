@@ -5,6 +5,7 @@ import marshal
 import math
 import os
 import random
+import signal
 import threading
 from fractions import Fraction as F
 from math import gcd
@@ -1037,8 +1038,6 @@ def test_split_enumeration_is_exact_and_reaps_its_child(monkeypatch):
     "fork fails", "child raises", "child data cut short", "second thread",
     "SIGCHLD ignored", "SIGCHLD handler"])
 def test_split_falls_back_to_the_serial_records(monkeypatch, fault):
-    import signal
-
     import cswalls.walls as walls
 
     case = (NumClass(2, 3, 1), 2, STD_WINDOW, 3, make_model("general", 2))
